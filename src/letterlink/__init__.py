@@ -8,13 +8,11 @@ from .errors import (
     LabelMismatch,
     LetterLinkError,
     MixedGrading,
-    NoValidOrder,
     NonzeroCount,
     NotATree,
     NotInGamma,
     ParseError,
     SameGenerator,
-    SingularMatrix,
     TooLarge,
     UndefinedInvariant,
     UndefinedReduction,

@@ -190,7 +190,10 @@ def _split_gens(text: str) -> list[str]:
 
 
 def _multidegree_from(gens: list[str], counts_text: str) -> dict[str, int]:
-    counts = [int(c) for c in counts_text.split(",")]
+    try:
+        counts = [int(c) for c in counts_text.split(",")]
+    except ValueError:
+        raise ParseError(f"bad multidegree {counts_text!r}", 0) from None
     if len(counts) != len(gens):
         raise ParseError("multidegree length differs from --gens", 0)
     return dict(zip(gens, counts))
@@ -255,6 +258,8 @@ def _run(args) -> int:
     elif args.command == "fox":
         w = words.parse_word(args.word)
         seq = _split_gens(args.seq)
+        if not seq:
+            raise ParseError("--seq names no generator", 0)
         if args.full:
             element = fox.iterated_fox(w, seq)
             env.set_value(str(element))
@@ -295,6 +300,8 @@ def _run(args) -> int:
         matrix = [[lie.extended_pairing(g, t) for t in trees] for g in rows]
         env.set_value(matrix)
     elif args.command == "coords":
+        if args.weight < 1:
+            raise ParseError("--weight must be at least 1", 0)
         w = words.parse_word(args.word)
         element = lie.lie_coordinates(w, args.weight)
         env.set_value([[_plain(c), str(t)] for c, t in element.items()],

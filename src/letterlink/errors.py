@@ -74,10 +74,6 @@ class InvalidEdge(LetterLinkError):
     """Edge endpoints carry the same free letter (outside ambient mode)."""
 
 
-class NoValidOrder(LetterLinkError):
-    """No valid reduction order exists (not expected for valid graphs)."""
-
-
 class LabelMismatch(LetterLinkError):
     """Graph vertex labels and tree leaf labels do not correspond."""
 
@@ -101,6 +97,3 @@ class NotInGamma(LetterLinkError):
 class InconsistentSystem(LetterLinkError):
     """The exact linear system has no solution; indicates an implementation bug."""
 
-
-class SingularMatrix(LetterLinkError):
-    """A coordinate matrix that theory guarantees invertible was singular."""

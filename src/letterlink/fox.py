@@ -1,4 +1,9 @@
-"""The integral group ring of a free group and the free differential calculus.
+"""The free differential calculus on free-group words.
+
+Scalar values are Magnus coefficients: the augmentation of d_{a_1,...,a_k} w
+is the coefficient of X_{a_1}...X_{a_k} in the expansion x -> 1 + X of w
+(Fox 1953; Chen-Fox-Lyndon 1958).  The integral group ring serves only the
+full derivative (``fox --full``) and, in tests and selfcheck, the oracle.
 
 Group-ring keys are freely reduced eagerly: the augmentation and every
 identity used here are representative-independent, and reduction keeps
@@ -121,5 +126,36 @@ def iterated_fox(w: Word, seq: Iterable[str]) -> GroupRingElement:
 
 
 def fox_eval(w: Word, seq: Iterable[str]) -> int:
-    """Augmentation of the iterated derivative."""
-    return augmentation(iterated_fox(w, seq))
+    """Augmentation of the iterated derivative d_{a_1,...,a_k} w: the Magnus
+    coefficient of X_{a_1}...X_{a_k}, computed along with its prefixes."""
+    seq = list(seq)
+    if not seq:
+        raise ValueError("need at least one generator")
+    # monomial j + 1 is monomial j followed by X_{seq[j]}
+    return magnus_coefficients(w, [(0, "")] + list(enumerate(seq)))[-1]
+
+
+def magnus_coefficients(w: Word, monomials: list[tuple[int, str]]) -> list[int]:
+    """Magnus coefficients of ``w`` on a prefix-closed list of monomials.
+
+    ``monomials[i] = (p, g)`` is monomial ``p < i`` followed by X_g; entry 0
+    is the empty monomial.  One pass multiplies by each letter's expansion:
+    g adds ``c[p]`` to ``c[i]`` for the monomials ending in X_g, last to
+    first so the old ``c[p]`` is read; g^-1 = 1 - X_g + X_g^2 - ...
+    subtracts the already updated ``c[p]``, first to last.
+    """
+    rising: dict[str, list[tuple[int, int]]] = {}
+    for i, (p, gen) in enumerate(monomials[1:], 1):
+        rising.setdefault(gen, []).append((i, p))
+    falling = {gen: pairs[::-1] for gen, pairs in rising.items()}
+    c = [1] + [0] * (len(monomials) - 1)
+    for gen, sign in w:
+        if gen not in rising:
+            continue
+        if sign > 0:
+            for i, p in falling[gen]:
+                c[i] += c[p]
+        else:
+            for i, p in rising[gen]:
+                c[i] -= c[p]
+    return c

@@ -19,9 +19,8 @@ from fractions import Fraction
 from itertools import permutations, product
 from typing import Iterable
 
-from .errors import LabelMismatch, MixedGrading, NotInGamma, ParseError
-from .linalg import solve_unique
-from .symbols import Symbol
+from .errors import LabelMismatch, MixedGrading, NotInGamma, ParseError, TooLarge
+from .fox import magnus_coefficients
 from .words import GENERATOR_RE, Word
 
 
@@ -358,65 +357,45 @@ def _as_tree_terms(lie_part):
     return [(Fraction(c), t) for c, t in lie_part]
 
 
-def chain_graph(seq: list[str]):
-    """The linear graph a_1 -> a_2 -> ... -> a_k."""
-    from .eil import SymbolGraph
-
-    vertices = {f"v{i + 1}": Symbol(g) for i, g in enumerate(seq)}
-    edges = [(f"v{i + 1}", f"v{i + 2}") for i in range(len(seq) - 1)]
-    # repeats in seq give homogeneous edges, so build in the ambient model
-    return SymbolGraph.build(vertices, edges, ambient=True)
+def bracket_polynomial(tree: BracketTree) -> dict[tuple[str, ...], int]:
+    """Word coefficients of a bracket tree expanded in the free associative
+    algebra by [x, y] = xy - yx; words are tuples of generators."""
+    if tree.is_leaf():
+        return {(tree.letter,): 1}
+    out: dict[tuple[str, ...], int] = {}
+    right = bracket_polynomial(tree.right)
+    for u, cu in bracket_polynomial(tree.left).items():
+        for v, cv in right.items():
+            out[u + v] = out.get(u + v, 0) + cu * cv
+            out[v + u] = out.get(v + u, 0) - cu * cv
+    return out
 
 
 # --- Lie image and coordinates ----------------------------------------------
 
+# most Magnus coefficients, all degrees together, in one table
+MAGNUS_TERM_LIMIT = 1 << 20
 
-def _to_lyndon(terms: list[tuple[Fraction, BracketTree]]) -> LieElement:
-    """Rewrite a formal tree combination in Lyndon coordinates by solving
-    against the chain-graph functionals, block by multidegree."""
-    if not terms:
-        return LieElement()
-    weights = {t.weight for _, t in terms}
-    if len(weights) != 1:
-        raise MixedGrading(f"mixed weights {sorted(weights)}")
-    blocks: dict[tuple, list[tuple[Fraction, BracketTree]]] = {}
-    for c, t in terms:
-        key = tuple(sorted(t.multidegree().items()))
-        blocks.setdefault(key, []).append((c, t))
-    out: dict[BracketTree, Fraction] = {}
-    for key, block in sorted(blocks.items()):
-        multidegree = dict(key)
-        lyndon = lyndon_trees_of_multidegree(multidegree)
-        words_c = [
-            w
-            for w in lyndon_words(sum(multidegree.values()), sorted(multidegree))
-            if _content(w) == multidegree
-        ]
-        if not lyndon:
-            continue
-        matrix = [
-            [Fraction(graph_tree_pairing(chain_graph(list(c)), t)) for t in lyndon]
-            for c in words_c
-        ]
-        rhs = [
-            sum(
-                (coeff * graph_tree_pairing(chain_graph(list(c)), t)
-                 for coeff, t in block),
-                Fraction(0),
-            )
-            for c in words_c
-        ]
-        for coeff, tree in zip(solve_unique(matrix, rhs), lyndon):
-            if coeff != 0:
-                out[tree] = out.get(tree, Fraction(0)) + coeff
+
+def _to_lyndon(coefficient, weight: int, alphabet: list[str]) -> LieElement:
+    """Lyndon coordinates of a homogeneous Lie polynomial with word
+    coefficients ``coefficient(word)``.
+
+    The standard bracketing of a Lyndon word l has coefficient 1 on l and 0
+    on smaller words (Reutenauer, *Free Lie Algebras*, Thm 5.1): the
+    Lyndon-word/bracket matrix is lower unitriangular in lexicographic
+    order, so forward substitution solves it without division.
+    """
+    residual = {l: coefficient(l) for l in lyndon_words(weight, alphabet)}
+    out = {}
+    for l, c in residual.items():  # each value is final when it is reached
+        if c:
+            tree = standard_bracketing(l)
+            out[tree] = c
+            for u, cu in bracket_polynomial(tree).items():
+                if u in residual:
+                    residual[u] -= c * cu
     return LieElement(out)
-
-
-def _content(word: tuple[str, ...]) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for letter in word:
-        out[letter] = out.get(letter, 0) + 1
-    return out
 
 
 def lie_image_of_bracket_word(text: str) -> LieElement:
@@ -435,38 +414,44 @@ def lie_image_of_bracket_word(text: str) -> LieElement:
     weights = {t.weight for t in factors}
     if len(weights) != 1:
         raise MixedGrading(f"mixed weights {sorted(weights)}")
-    return _to_lyndon([(Fraction(1), t) for t in factors])
+    polys = [bracket_polynomial(t) for t in factors]
+    alphabet = sorted({l for t in factors for l in t.leaves()})
+    return _to_lyndon(lambda u: sum(p.get(u, 0) for p in polys),
+                      weights.pop(), alphabet)
 
 
 def lie_coordinates(w: Word, weight: int) -> LieElement:
     """Lyndon coordinates of the class of ``w`` in its graded quotient.
 
-    Requires every functional of weight below the target to vanish on w
-    (otherwise NotInGamma); coordinates are then cut out exactly by the
-    iterated-derivative functionals over Lyndon sequences.
+    Read off the Magnus expansion of ``w`` truncated at ``weight``: all
+    lower coefficients must vanish (else NotInGamma names the first nonzero
+    one, by degree, then in ``itertools.product`` order), and the Lyndon
+    words' coefficients give the coordinates.  Tables of depth 1, 2, 4, ...
+    are tried, so a word failing at degree d needs no table deeper than 2d.
     """
-    from .fox import fox_eval
-
     alphabet = sorted(w.generators())
-    if not alphabet:
+    if not alphabet or weight < 1:
         return LieElement()
-    for lower in range(1, weight):
-        for seq in product(alphabet, repeat=lower):
-            if fox_eval(w, seq) != 0:
-                raise NotInGamma(seq)
-    out: dict[BracketTree, Fraction] = {}
-    words_k = lyndon_words(weight, alphabet)
-    blocks: dict[tuple, list[tuple[str, ...]]] = {}
-    for c in words_k:
-        blocks.setdefault(tuple(sorted(_content(c).items())), []).append(c)
-    for key, block_words in sorted(blocks.items()):
-        lyndon = lyndon_trees_of_multidegree(dict(key))
-        matrix = [
-            [Fraction(graph_tree_pairing(chain_graph(list(c)), t)) for t in lyndon]
-            for c in block_words
-        ]
-        rhs = [Fraction(fox_eval(w, list(c))) for c in block_words]
-        for coeff, tree in zip(solve_unique(matrix, rhs), lyndon):
-            if coeff != 0:
-                out[tree] = out.get(tree, Fraction(0)) + coeff
-    return LieElement(out)
+    depth = 0
+    while depth < weight:
+        checked, depth = depth, min(weight, max(1, 2 * depth))
+        c, degrees = _magnus_table(w, alphabet, depth)
+        for lower in range(checked + 1, min(depth, weight - 1) + 1):
+            for seq, i in zip(product(alphabet, repeat=lower), degrees[lower]):
+                if c[i]:
+                    raise NotInGamma(seq)
+    top = dict(zip(product(alphabet, repeat=weight), degrees[weight]))
+    return _to_lyndon(lambda u: c[top[u]], weight, alphabet)
+
+
+def _magnus_table(w: Word, alphabet: list[str], depth: int):
+    """All Magnus coefficients of ``w`` up to degree ``depth`` and, for each
+    degree, the range of their indices, in ``itertools.product`` order."""
+    size = sum(len(alphabet) ** d for d in range(depth + 1))
+    if size > MAGNUS_TERM_LIMIT:
+        raise TooLarge(f"Magnus table of {size} coefficients")
+    monomials, degrees = [(0, "")], [range(1)]
+    for d in range(depth):
+        monomials += [(p, gen) for p in degrees[d] for gen in alphabet]
+        degrees.append(range(degrees[d].stop, len(monomials)))
+    return magnus_coefficients(w, monomials), degrees

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import InconsistentSystem, SingularMatrix
+from .errors import InconsistentSystem
 
 
 def _eliminate(m: list[list[Fraction]], rhs: list[Fraction] | None):
@@ -69,11 +69,3 @@ def solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
     for r, c in enumerate(pivots):
         x[c] = b[r]
     return x
-
-
-def solve_unique(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """Solve a system that theory guarantees has a unique solution."""
-    cols = len(matrix[0]) if matrix else 0
-    if rank(matrix) != cols:
-        raise SingularMatrix(f"rank below {cols}")
-    return solve(matrix, rhs)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import InvalidSymbol, ParseError, UnknownGenerator
 from .words import GENERATOR_RE
@@ -100,10 +100,6 @@ def _parse_symbol_body(text: str, pos: int, closer: str | None):
     if free is None:
         raise ParseError("level has no free letter", pos, expected="identifier")
     return Symbol(free, tuple(children)), pos
-
-
-def depth(sym: Symbol) -> int:
-    return sym.depth
 
 
 def equivalent(a: Symbol, b: Symbol) -> bool:
@@ -195,13 +191,6 @@ class SymbolSum:
             coeff = self.terms[key]
             parts.append(f"{coeff}*{key}")
         return " + ".join(parts)
-
-
-def symbol_sum(terms: Iterable[tuple[object, Symbol]]) -> SymbolSum:
-    s = SymbolSum()
-    for coeff, sym in terms:
-        s.add(coeff, sym)
-    return s
 
 
 def leibniz_terms(syms: list[Symbol]) -> SymbolSum:

@@ -130,6 +130,22 @@ class TestGraphCommands:
         assert code == 0 and out.strip() == "[a,b]"
 
 
+class TestArgumentErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fox", "--word", "a", "--seq", ","),
+            ("fox", "--word", "a", "--seq", ""),
+            ("matrix", "--weight", "5", "--gens", "a,b", "--multidegree", "3,x"),
+            ("coords", "--word", "a b a^-1 b^-1", "--weight", "0"),
+            ("coords", "--word", "a b a^-1 b^-1", "--weight", "-1"),
+        ],
+    )
+    def test_exit_two(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("parse error: ")
+
+
 class TestDiagram:
     def test_worked_example_multiplicities(self, capsys):
         code, out, _ = run(capsys, "diagram", "--word", "[a a,[b,a c]]",

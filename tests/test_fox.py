@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from letterlink import (
     GroupRingElement,
+    Letter,
     Word,
     augmentation,
     fox_derivative,
@@ -152,3 +154,28 @@ class TestVanishingOnDeepWords:
             seq = [rng.choice(["a", "b"]) for _ in range(k)]
             w = random_gamma_element(k, ["a", "b"], seed=rng)
             assert fox_eval(w, seq) == 0
+
+
+letter_st = st.builds(Letter, st.sampled_from("abc"), st.sampled_from((1, -1)))
+# pieces of one letter or of an uncancelled pair x x^-1
+piece_st = st.one_of(letter_st.map(lambda l: (l,)),
+                     letter_st.map(lambda l: (l, l.inverse())))
+word_st = st.lists(piece_st, max_size=6).map(
+    lambda pieces: Word(tuple(l for piece in pieces for l in piece)))
+# "d" never occurs in a word, and "a,a,b"-like repeats are common
+seq_st = st.lists(st.sampled_from("abcd"), min_size=1, max_size=4)
+
+
+class TestMagnusPassMatchesGroupRing:
+    @given(word_st, seq_st)
+    @example(parse_word("a a^-1 b a^-1 b^-1 a"), ["a", "a", "b"])
+    @example(parse_word("a^-1 a^-1 b^-1 a^-1"), ["a", "a", "a"])
+    @example(parse_word("b c b^-1 c^-1"), ["a", "b", "c"])
+    @example(parse_word("[a a, [b, a c]]"), ["d", "a"])
+    @settings(deadline=None, max_examples=200)
+    def test_fox_eval_is_the_augmentation(self, w, seq):
+        assert fox_eval(w, seq) == augmentation(iterated_fox(w, seq))
+
+    def test_empty_sequence_is_rejected(self):
+        with pytest.raises(ValueError):
+            fox_eval(parse_word("a"), [])

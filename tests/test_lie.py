@@ -1,13 +1,19 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from letterlink import (
     BracketTree,
     LabelMismatch,
+    LieElement,
     MixedGrading,
     NotInGamma,
+    Symbol,
+    SymbolGraph,
+    TooLarge,
     configuration_pairing,
     extended_pairing,
     lie_coordinates,
@@ -18,14 +24,80 @@ from letterlink import (
     parse_word,
     eval_graph,
 )
+from letterlink.fox import fox_eval
 from letterlink.lie import (
+    bracket_polynomial,
     bracket_tree,
-    chain_graph,
     graph_tree_pairing,
     lyndon_trees_of_multidegree,
     lyndon_words,
+    standard_bracketing,
 )
-from letterlink.words import all_bracketings, expand_bracket, random_bracket
+from letterlink.linalg import rank, solve
+from letterlink.words import (
+    all_bracketings,
+    expand_bracket,
+    random_bracket,
+    random_gamma_element,
+)
+
+
+def chain_graph(seq):
+    """The linear graph a_1 -> a_2 -> ... -> a_k."""
+    vertices = {f"v{i + 1}": Symbol(g) for i, g in enumerate(seq)}
+    edges = [(f"v{i + 1}", f"v{i + 2}") for i in range(len(seq) - 1)]
+    # repeats in seq give homogeneous edges, so build in the ambient model
+    return SymbolGraph.build(vertices, edges, ambient=True)
+
+
+def chain_solve(weight, alphabet, value_on):
+    """Oracle for the Lyndon solve: per multidegree block, pair the chain
+    graphs of the Lyndon words with the Lyndon trees and solve for the
+    values of the chain functionals by Fraction elimination."""
+    blocks = {}
+    for c in lyndon_words(weight, alphabet):
+        blocks.setdefault(tuple(sorted(Counter(c).items())), []).append(c)
+    out = LieElement()
+    for key, block_words in sorted(blocks.items()):
+        trees = lyndon_trees_of_multidegree(dict(key))
+        matrix = [[Fraction(graph_tree_pairing(chain_graph(c), t)) for t in trees]
+                  for c in block_words]
+        assert rank(matrix) == len(trees)
+        coeffs = solve(matrix, [Fraction(value_on(c)) for c in block_words])
+        out = out + LieElement(dict(zip(trees, coeffs)))
+    return out
+
+
+def oracle_coordinates(w, weight):
+    """Depth test by one fox_eval per lower sequence (test_fox.py ties
+    fox_eval to the group ring), then the chain solve."""
+    alphabet = sorted(w.generators())
+    if not alphabet:
+        return LieElement()
+    for lower in range(1, weight):
+        for seq in product(alphabet, repeat=lower):
+            if fox_eval(w, seq) != 0:
+                raise NotInGamma(seq)
+    return chain_solve(weight, alphabet, lambda c: fox_eval(w, c))
+
+
+def oracle_image(trees):
+    alphabet = sorted({l for t in trees for l in t.leaves()})
+    return chain_solve(trees[0].weight, alphabet, lambda c: sum(
+        graph_tree_pairing(chain_graph(c), t) for t in trees))
+
+
+def coordinates_or_failure(fn, w, weight):
+    try:
+        return fn(w, weight)
+    except NotInGamma as exc:
+        return exc.functional
+
+
+def text_of(expr):
+    if isinstance(expr, str):
+        return expr
+    return f"[{text_of(expr[0])},{text_of(expr[1])}]"
 
 
 class TestParse:
@@ -193,15 +265,58 @@ class TestLieCoordinates:
             weight = rng.randint(2, 5)
             expr = random_bracket(weight, ["a", "b"], rng)
 
-            def text(e):
-                if isinstance(e, str):
-                    return e
-                return f"[{text(e[0])},{text(e[1])}]"
-
             w = expand_bracket(expr)
-            image = lie_image_of_bracket_word(text(expr))
+            image = lie_image_of_bracket_word(text_of(expr))
             coords = lie_coordinates(w, weight)
             assert image == coords
+
+    def test_too_deep_a_table_is_refused_before_it_is_built(self):
+        # the identity passes every depth test, so the table would have
+        # to reach degree 40
+        with pytest.raises(TooLarge):
+            lie_coordinates(parse_word("a a^-1 b b^-1"), 40)
+
+    def test_shallow_word_fails_fast_at_a_high_weight(self):
+        with pytest.raises(NotInGamma) as info:
+            lie_coordinates(parse_word("[a,b]"), 60)
+        assert info.value.functional == ("a", "b")
+
+
+class TestLyndonSolveOracle:
+    @pytest.mark.parametrize("gens", [["a", "b"], ["a", "b", "c"]])
+    @pytest.mark.parametrize("weight", [2, 3, 4, 5])
+    def test_coordinates_agree_on_seeded_words(self, weight, gens):
+        rng = random.Random(100 * weight + len(gens))
+        for depth in (weight - 1,) * 4 + (weight - 2,) * 2:
+            w = random_gamma_element(depth, gens, budget=8, seed=rng)
+            assert (coordinates_or_failure(lie_coordinates, w, weight)
+                    == coordinates_or_failure(oracle_coordinates, w, weight))
+
+    @pytest.mark.parametrize("gens", [["a", "b"], ["a", "b", "c"]])
+    @pytest.mark.parametrize("weight", [2, 3, 4, 5])
+    def test_bracket_images_agree(self, weight, gens):
+        rng = random.Random(10 * weight + len(gens))
+        for _ in range(4):
+            exprs = [random_bracket(weight, gens, rng)
+                     for _ in range(rng.randint(1, 3))]
+            text = " ".join(text_of(e) for e in exprs)
+            assert lie_image_of_bracket_word(text) == oracle_image(
+                [bracket_tree(e) for e in exprs])
+
+    @pytest.mark.parametrize("gens", [["a", "b"], ["a", "b", "c"]])
+    @pytest.mark.parametrize("weight", [4, 5, 6])
+    def test_word_bracket_matrix_is_lower_unitriangular(self, weight, gens):
+        words = lyndon_words(weight, gens)
+        assert words == sorted(words)
+        for j, l in enumerate(words):
+            tree = standard_bracketing(l)
+            poly = bracket_polynomial(tree)
+            for i, c in enumerate(words):
+                entry = poly.get(c, 0)
+                if i <= j:
+                    assert entry == (1 if i == j else 0)
+                if Counter(c) == Counter(l):
+                    assert entry == graph_tree_pairing(chain_graph(c), tree)
 
 
 class TestFoxPairingTheorem:
