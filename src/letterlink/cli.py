@@ -16,7 +16,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import diagram, eil, fox, lie, linking, selfcheck, symbols, words
+from . import diagram, eil, fox, lie, linalg, linking, selfcheck, symbols, words
 from .errors import LetterLinkError, ParseError, UndefinedInvariant
 
 
@@ -190,12 +190,19 @@ def _split_gens(text: str) -> list[str]:
 
 
 def _multidegree_from(gens: list[str], counts_text: str) -> dict[str, int]:
+    parts = counts_text.split(",")
     try:
-        counts = [int(c) for c in counts_text.split(",")]
+        counts = [int(c) for c in parts]
     except ValueError:
         raise ParseError(f"bad multidegree {counts_text!r}", 0) from None
     if len(counts) != len(gens):
         raise ParseError("multidegree length differs from --gens", 0)
+    for i, c in enumerate(counts):
+        if c < 0:
+            raise ParseError(f"negative count {c} in the multidegree",
+                             sum(len(part) + 1 for part in parts[:i]))
+    if not any(counts):
+        raise ParseError("multidegree counts sum to zero", 0)
     return dict(zip(gens, counts))
 
 
@@ -225,20 +232,11 @@ def _documented_dual_rows(gens: list[str], md: dict[str, int]) -> list[eil.Symbo
         vertices[f"v{md[other] + 1}"] = symbols.Symbol(center)
         edges = [(f"v{i + 1}", f"v{md[other] + 1}") for i in range(md[other])]
         return [eil.SymbolGraph.build(vertices, edges)]
-    # greedy: scan canonical enumeration, keep rank-increasing rows
-    from .linalg import rank
-
+    # greedy: the rank-increasing rows of the canonical enumeration
     trees = lie.lyndon_trees_of_multidegree(md)
-    rows: list[eil.SymbolGraph] = []
-    matrix: list[list[Fraction]] = []
-    for g in eil.enumerate_distinct_vertex_graphs(md):
-        row = [Fraction(lie.graph_tree_pairing(g, t)) for t in trees]
-        if rank(matrix + [row]) > rank(matrix):
-            rows.append(g)
-            matrix.append(row)
-        if len(rows) == len(trees):
-            break
-    return rows
+    graphs = eil.enumerate_distinct_vertex_graphs(md)
+    return [graphs[i]
+            for i in linalg.independent_rows(lie.pairing_matrix(graphs, trees))]
 
 
 def _run(args) -> int:
@@ -297,8 +295,7 @@ def _run(args) -> int:
             raise ParseError("multidegree does not sum to --weight", 0)
         trees = lie.lyndon_trees_of_multidegree(md)
         rows = _documented_dual_rows(gens, md)
-        matrix = [[lie.extended_pairing(g, t) for t in trees] for g in rows]
-        env.set_value(matrix)
+        env.set_value(lie.pairing_matrix(rows, trees))
     elif args.command == "coords":
         if args.weight < 1:
             raise ParseError("--weight must be at least 1", 0)

@@ -14,14 +14,20 @@ encoding to the larger), and the sign is (-1) to the number of edges whose
 actual direction disagrees.  An edge whose two rooted encodings coincide
 (possible only for homogeneous edges) contributes no flip; such graphs
 equal their own negatives and pair to zero with everything.
+
+The distinct-vertex graphs of a multidegree are grown a leaf at a time,
+one tree per class, and each class is printed as the first of its trees
+in a scan of all Prufer codes (see ``enumerate_distinct_vertex_graphs``);
+``distinct_reduce`` solves over them by fraction-free elimination.
 """
 
 from __future__ import annotations
 
+import heapq
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, chain, permutations, product
 
 from .errors import (
     InvalidEdge,
@@ -126,50 +132,72 @@ _EDGE_RE = re.compile(r"\s*([a-zA-Z_][a-zA-Z0-9_]*)\s*->\s*([a-zA-Z_][a-zA-Z0-9_
 
 
 def parse_graph(text: str, ambient: bool = False) -> SymbolGraph:
-    """Parse ``{ v1:label, v2:label ; v1->v2, ... }`` into a validated graph."""
+    """Parse ``{ v1:label, v2:label ; v1->v2, ... }`` into a validated graph.
+
+    A ParseError gives the position in ``text`` of the offending entry, or
+    of the offending part of it.
+    """
+    lead = len(text) - len(text.lstrip())
     s = text.strip()
-    if not s.startswith("{") or not s.endswith("}"):
-        raise ParseError("graph must be enclosed in braces", 0, expected="'{'")
+    if not s.startswith("{"):
+        raise ParseError("graph must be enclosed in braces", lead, expected="'{'")
+    if not s.endswith("}"):
+        raise ParseError("graph must be enclosed in braces", lead + len(s),
+                         expected="'}'")
     body = s[1:-1]
-    if ";" in body:
-        vertex_part, edge_part = body.split(";", 1)
-    else:
-        vertex_part, edge_part = body, ""
+    semicolon = body.find(";")
+    if semicolon < 0:
+        semicolon = len(body)
     vertices: dict[str, Symbol] = {}
-    for entry in _split_top_level(vertex_part):
+    for pos, entry in _split_top_level(body[:semicolon], lead + 1):
         if ":" not in entry:
-            raise ParseError(f"vertex entry {entry.strip()!r} lacks ':'", 0)
+            raise ParseError(f"vertex entry {entry!r} lacks ':'", pos)
         vid, label_text = entry.split(":", 1)
         vid = vid.strip()
         if not re.fullmatch(r"[a-zA-Z_][a-zA-Z0-9_]*", vid):
-            raise ParseError(f"bad vertex id {vid!r}", 0)
+            raise ParseError(f"bad vertex id {vid!r}", pos)
         if vid in vertices:
-            raise ParseError(f"duplicate vertex id {vid!r}", 0)
-        vertices[vid] = parse_symbol(label_text.strip())
+            raise ParseError(f"duplicate vertex id {vid!r}", pos)
+        label_pos = pos + entry.index(":") + 1
+        label_pos += len(label_text) - len(label_text.lstrip())
+        try:
+            vertices[vid] = parse_symbol(label_text.strip())
+        except ParseError as exc:
+            raise ParseError(exc.message, label_pos + exc.position,
+                             exc.expected) from None
     edges: list[tuple[str, str]] = []
-    for entry in _split_top_level(edge_part):
+    for pos, entry in _split_top_level(body[semicolon + 1:], lead + semicolon + 2):
         m = _EDGE_RE.match(entry)
         if m is None:
-            raise ParseError(f"bad edge {entry.strip()!r}", 0, expected="'v->w'")
+            raise ParseError(f"bad edge {entry!r}", pos, expected="'v->w'")
+        for end in (1, 2):
+            if m.group(end) not in vertices:
+                raise ParseError(f"edge endpoint {m.group(end)!r} is not a "
+                                 "declared vertex", pos + m.start(end))
         edges.append((m.group(1), m.group(2)))
     return SymbolGraph.build(vertices, edges, ambient=ambient)
 
 
-def _split_top_level(text: str) -> list[str]:
-    """Split on commas outside parentheses; drops empty entries."""
-    parts, depth_count, cur = [], 0, []
-    for ch in text:
+def _split_top_level(text: str, offset: int) -> list[tuple[int, str]]:
+    """Split on commas outside parentheses into (position, entry) pairs,
+    entries stripped, empty ones dropped; ``text`` starts at ``offset`` of
+    the input, and a position is that of the entry's first character."""
+    cuts, depth_count = [-1], 0
+    for i, ch in enumerate(text):
         if ch == "(":
             depth_count += 1
         elif ch == ")":
             depth_count -= 1
-        if ch == "," and depth_count == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    parts.append("".join(cur))
-    return [p for p in parts if p.strip()]
+        elif ch == "," and depth_count == 0:
+            cuts.append(i)
+    cuts.append(len(text))
+    parts = []
+    for start, end in zip(cuts, cuts[1:]):
+        part = text[start + 1:end]
+        if part.strip():
+            parts.append((offset + start + 1 + len(part) - len(part.lstrip()),
+                          part.strip()))
+    return parts
 
 
 # --- reduction -----------------------------------------------------------
@@ -292,15 +320,20 @@ def eval_graph(g: SymbolGraph, w: Word) -> Fraction:
 # --- canonical forms -----------------------------------------------------
 
 
-def _rooted_encoding(g: SymbolGraph, root: str) -> str:
+def _rooted_encodings(g: SymbolGraph) -> dict[str, str]:
+    """The encoding of ``g`` rooted at each vertex."""
     labels = {v: sym.canonical() for v, sym in g.vertices}
     adj = g.adjacency()
 
-    def enc(v: str, parent: str | None) -> str:
-        parts = sorted(enc(u, v) for u in adj[v] if u != parent)
-        return "(" + labels[v] + "|" + "".join(parts) + ")"
+    memo: dict[tuple[str, str | None], str] = {}   # one per directed edge
 
-    return enc(root, None)
+    def enc(v: str, parent: str | None) -> str:
+        if (v, parent) not in memo:
+            parts = sorted(enc(u, v) for u in adj[v] if u != parent)
+            memo[v, parent] = "(" + labels[v] + "|" + "".join(parts) + ")"
+        return memo[v, parent]
+
+    return {v: enc(v, None) for v in labels}
 
 
 def canonical_form(g: SymbolGraph) -> tuple[str, int, SymbolGraph]:
@@ -309,7 +342,7 @@ def canonical_form(g: SymbolGraph) -> tuple[str, int, SymbolGraph]:
     The encoding ignores orientation; the sign records how many edges had
     to be flipped to reach the canonical orientation.
     """
-    rooted = {v: _rooted_encoding(g, v) for v in g.ids()}
+    rooted = _rooted_encodings(g)
     encoding = min(rooted.values())
     sign = 1
     new_edges = []
@@ -368,39 +401,142 @@ class GraphSum:
 # --- distinct-vertex spanning --------------------------------------------
 
 
+def _prufer_decode(k: int, seq) -> list[tuple[int, int]]:
+    """Edge list of the labeled tree on 0..k-1 with Prufer code ``seq``, in
+    the order the smallest leaves are removed."""
+    degree = [1] * k
+    for x in seq:
+        degree[x] += 1
+    edges = []
+    leaves = [i for i in range(k) if degree[i] == 1]
+    heapq.heapify(leaves)
+    for x in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((leaf, x))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    return edges + [(heapq.heappop(leaves), heapq.heappop(leaves))]
+
+
 def _prufer_trees(k: int):
     """Edge lists of all labeled trees on vertices 0..k-1, via Prufer codes."""
-    import heapq
-
     if k == 1:
         yield []
         return
-    if k == 2:
-        yield [(0, 1)]
-        return
     for seq in product(range(k), repeat=k - 2):
-        degree = [1] * k
-        for x in seq:
-            degree[x] += 1
-        edges = []
-        leaves = [i for i in range(k) if degree[i] == 1]
-        heapq.heapify(leaves)
-        for x in seq:
-            leaf = heapq.heappop(leaves)
-            edges.append((leaf, x))
+        yield _prufer_decode(k, seq)
+
+
+def _centre_key(letters: tuple[int, ...], adj: list[list[int]]) -> str:
+    """AHU encoding of a letter-labeled tree rooted at its centre (the
+    smaller encoding of the two, for a bicentral tree)."""
+    n = len(letters)
+    degree = [len(ns) for ns in adj]
+    layer = [v for v in range(n) if degree[v] <= 1]
+    left = n
+    while left > 2:
+        left -= len(layer)
+        nxt = []
+        for v in layer:
+            for u in adj[v]:
+                degree[u] -= 1
+                if degree[u] == 1:
+                    nxt.append(u)
+        layer = nxt
+
+    def enc(v: int, parent: int) -> str:
+        parts = sorted(enc(u, v) for u in adj[v] if u != parent)
+        return f"({letters[v]}{''.join(parts)})"
+
+    return min(enc(c, -1) for c in layer)
+
+
+def _distinct_vertex_classes(counts: list[int]):
+    """One letter-labeled tree per isomorphism class of trees with
+    ``counts[i]`` vertices of letter i and no edge joining equal letters.
+
+    Grown one leaf at a time: removing a leaf from such a tree leaves such a
+    tree with one vertex fewer, so attaching every admissible leaf to one
+    tree of each smaller class reaches every class; each level keeps one
+    tree per centre-rooted AHU key.  Trees are (letters, adjacency lists).
+    """
+    level = [((x,), [[]]) for x, c in enumerate(counts) if c]
+    for n in range(1, sum(counts)):
+        grown: dict[str, tuple] = {}
+        for letters, adj in level:
+            for x, c in enumerate(counts):
+                if letters.count(x) == c:
+                    continue
+                for u in range(n):
+                    if letters[u] == x:
+                        continue
+                    new_adj = [list(ns) for ns in adj] + [[u]]
+                    new_adj[u].append(n)
+                    new_letters = letters + (x,)
+                    grown.setdefault(_centre_key(new_letters, new_adj),
+                                     (new_letters, new_adj))
+        level = list(grown.values())
+    return level
+
+
+def _first_prufer_edges(letters: tuple[int, ...], adj: list[list[int]],
+                        start: list[int]) -> list[tuple[int, int]]:
+    """Edges, in decoding order, of the tree with the smallest Prufer code
+    among the relabelings onto 0..k-1 that send each vertex of letter i
+    into ``range(start[i], start[i + 1])``: the first tree of this class
+    in a scan of all Prufer codes."""
+    k = len(letters)
+    if k == 1:
+        return []
+    order = [v for x in range(len(start) - 1) for v in range(k) if letters[v] == x]
+    edges = [(v, u) for v in range(k) for u in adj[v] if v < u]
+    best = None
+    for images in product(*(permutations(range(start[x], start[x + 1]))
+                            for x in range(len(start) - 1))):
+        label = [0] * k
+        for v, i in zip(order, chain.from_iterable(images)):
+            label[v] = i
+        # Prufer code by leaf removal: a removed vertex gets degree 0, and
+        # a leaf's one neighbour is the XOR of its remaining neighbours
+        degree = [0] * k
+        xor = [0] * k
+        for a, b in edges:
+            a, b = label[a], label[b]
+            degree[a] += 1
+            degree[b] += 1
+            xor[a] ^= b
+            xor[b] ^= a
+        code = []
+        tied = best is not None   # stop once the code is past the best
+        for i in range(k - 2):
+            leaf = degree.index(1)
+            x = xor[leaf]
+            if tied and x != best[i]:
+                if x > best[i]:
+                    break
+                tied = False
+            code.append(x)
+            degree[leaf] = 0
             degree[x] -= 1
-            if degree[x] == 1:
-                heapq.heappush(leaves, x)
-        u = heapq.heappop(leaves)
-        v = heapq.heappop(leaves)
-        edges.append((u, v))
-        yield edges
+            xor[x] ^= leaf
+        else:
+            if not tied:
+                best = code
+    return _prufer_decode(k, best)
 
 
 def enumerate_distinct_vertex_graphs(multidegree: dict[str, int],
                                      bound: int = 7) -> list[SymbolGraph]:
     """All distinct-vertex Eil graphs of the given label multiset, one
-    canonical orientation per isomorphism class, sorted by encoding."""
+    canonical orientation per isomorphism class, sorted by encoding.
+
+    Classes are grown directly, a leaf at a time.  Vertices v1..vk carry
+    the labels in sorted order, and each class is represented by the tree
+    of the smallest Prufer code among its label-preserving relabelings,
+    with its edges in decoding order and oriented by ``canonical_form``:
+    the first tree of the class in a scan of all k^(k-2) codes.
+    """
     labels = []
     for gen in sorted(multidegree):
         if multidegree[gen] < 0:
@@ -411,17 +547,15 @@ def enumerate_distinct_vertex_graphs(multidegree: dict[str, int],
         raise ValueError("multidegree must have total count >= 1")
     if k > bound:
         raise TooLarge(f"{k} vertices exceeds bound {bound}")
-    seen: dict[str, SymbolGraph] = {}
-    for edges in _prufer_trees(k):
-        if any(labels[a] == labels[b] for a, b in edges):
-            continue
-        vertices = {f"v{i + 1}": Symbol(labels[i]) for i in range(k)}
-        g = SymbolGraph.build(
-            vertices, [(f"v{a + 1}", f"v{b + 1}") for a, b in edges]
-        )
-        enc, _, rep = canonical_form(g)
-        seen.setdefault(enc, rep)
-    return [seen[enc] for enc in sorted(seen)]
+    counts = [multidegree[gen] for gen in sorted(multidegree) if multidegree[gen]]
+    start = [0, *accumulate(counts)]
+    vertices = {f"v{i + 1}": Symbol(labels[i]) for i in range(k)}
+    forms = []
+    for letters, adj in _distinct_vertex_classes(counts):
+        edges = _first_prufer_edges(letters, adj, start)
+        forms.append(canonical_form(SymbolGraph.build(
+            vertices, [(f"v{a + 1}", f"v{b + 1}") for a, b in edges])))
+    return [rep for _, _, rep in sorted(forms, key=lambda form: form[0])]
 
 
 def distinct_reduce(g: SymbolGraph, bound: int = 7) -> GraphSum:
@@ -439,11 +573,8 @@ def distinct_reduce(g: SymbolGraph, bound: int = 7) -> GraphSum:
     multidegree = g.multidegree()
     basis_graphs = enumerate_distinct_vertex_graphs(multidegree, bound=bound)
     trees = lie.lyndon_trees_of_multidegree(multidegree)
-    matrix = [
-        [Fraction(lie.graph_tree_pairing(h, t)) for h in basis_graphs]
-        for t in trees
-    ]
-    rhs = [Fraction(lie.graph_tree_pairing(g, t)) for t in trees]
+    *columns, rhs = lie.pairing_matrix(basis_graphs + [g], trees)
+    matrix = [[column[j] for column in columns] for j in range(len(trees))]
     from .linalg import solve
 
     coeffs = solve(matrix, rhs)

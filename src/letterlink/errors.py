@@ -13,6 +13,7 @@ class LetterLinkError(Exception):
 
 class ParseError(LetterLinkError):
     def __init__(self, message: str, position: int, expected: str | None = None):
+        self.message = message
         self.position = position
         self.expected = expected
         detail = f"{message} at position {position}"

@@ -9,6 +9,10 @@ takes +1 when the tail's leaf sits left of the head's and -1 otherwise,
 multiplies over edges if that map is bijective onto the internal vertices,
 and otherwise gives zero.  For repeated labels the pairing sums over all
 label-preserving bijections between graph vertices and tree leaves.
+
+That sum is computed by recursion over the bracket tree (``pairing_matrix``),
+which cuts one graph edge per internal vertex and never lists the
+bijections; the bijection sum itself serves only as a test oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import product
 from typing import Iterable
 
 from .errors import LabelMismatch, MixedGrading, NotInGamma, ParseError, TooLarge
@@ -247,85 +251,126 @@ def lyndon_trees_of_multidegree(multidegree: dict[str, int]) -> list[BracketTree
 # --- configuration pairing ---------------------------------------------------
 
 
-def _tree_spans(tree: BracketTree):
-    """Leaf labels in planar order plus the leaf-index span of each internal
-    vertex (spans identify internal vertices uniquely)."""
-    leaves: list[str] = []
-    internals: list[tuple[int, int]] = []
+def pairing_matrix(graphs, trees) -> list[list[int]]:
+    """``graph_tree_pairing`` of every graph (rows) with every tree (columns).
 
-    def rec(node: BracketTree) -> tuple[int, int]:
-        if node.is_leaf():
-            leaves.append(node.letter)
-            return (len(leaves) - 1, len(leaves))
-        lo, _ = rec(node.left)
-        _, hi = rec(node.right)
-        internals.append((lo, hi))
-        return (lo, hi)
+    By recursion over the bracket tree: exactly one edge maps to the root,
+    and cutting it leaves the vertex sets that go to the left and right
+    subtrees.  The value at a node is the sum, over the edges of its vertex
+    set whose tail side (sign +1) or head side (sign -1) has the letter
+    content of the left subtree, of the sign times the values of the two
+    sides.  A bijection counts iff the leaves of every subtree induce a
+    connected subgraph, and these are exactly what the recursion reaches.
+    Equal subtrees share one node, and each graph keeps one memo over all
+    the trees.
+    """
+    # A letter content is a sum of per-letter units spaced so that counts up
+    # to the largest graph's size never carry.  A subtree with a larger
+    # count may alias another content, but it cannot contribute: every leaf
+    # it reaches must receive exactly one vertex of a set smaller than it.
+    shift = max([len(g.vertices) for g in graphs], default=1).bit_length()
+    unit: dict[str, int] = {}
+    node_of: dict = {}   # leaf letter, or (left node, right node) -> node
+    split: list = []     # None at a leaf, else (left, right, contents)
+    content: list[int] = []
 
-    rec(tree)
-    return leaves, internals
+    def unit_of(letter: str) -> int:
+        if letter not in unit:
+            unit[letter] = 1 << (shift * len(unit))
+        return unit[letter]
+
+    def intern(tree: BracketTree) -> int:
+        key = (tree.letter if tree.letter is not None
+               else (intern(tree.left), intern(tree.right)))
+        node = node_of.get(key)
+        if node is None:
+            node = node_of[key] = len(split)
+            if tree.letter is not None:
+                split.append(None)
+                content.append(unit_of(key))
+            else:
+                left, right = key
+                split.append((left, right, content[left], content[right]))
+                content.append(content[left] + content[right])
+        return node
+
+    roots = [intern(t) for t in trees]
+    return [_graph_row(g, roots, split, content, unit_of) for g in graphs]
 
 
-def _gcv(internals: list[tuple[int, int]], i: int, j: int) -> tuple[int, int]:
-    best = None
-    for lo, hi in internals:
-        if lo <= i < hi and lo <= j < hi:
-            if best is None or hi - lo < best[1] - best[0]:
-                best = (lo, hi)
-    return best
+def _graph_row(graph, roots, split, content, unit_of) -> list[int]:
+    n = len(graph.vertices)
+    index = {v: i for i, (v, _) in enumerate(graph.vertices)}
+    units = [unit_of(sym.letter) for _, sym in graph.vertices]
+    edges = [(index[t], index[h]) for t, h in graph.edges]
+    # Root the graph at vertex 0: the tail side of an edge in the whole
+    # graph is the subtree below it or its complement, and inside any
+    # connected vertex set s holding the edge it is s & that side.
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for t, h in edges:
+        adj[t].append(h)
+        adj[h].append(t)
+    parent = [-1] * n
+    order = [0]
+    for v in order:
+        for u in adj[v]:
+            if u != parent[v]:
+                parent[u] = v
+                order.append(u)
+    below = [1 << v for v in range(n)]
+    for v in reversed(order):
+        if v:
+            below[parent[v]] |= below[v]
+    full = (1 << n) - 1
+    cuts = [((1 << t) | (1 << h), below[t] if parent[t] == h else full ^ below[h])
+            for t, h in edges]
+    content_of = {1 << v: u for v, u in enumerate(units)}
+    memo: dict[int, int] = {}
+    nodes = len(split)
 
+    def value(s: int, node: int) -> int:
+        parts = split[node]
+        if parts is None:
+            return 1
+        key = s * nodes + node
+        if key in memo:
+            return memo[key]
+        left, right, left_content, right_content = parts
+        total = 0
+        for ends, side in cuts:
+            if s & ends == ends:
+                a = s & side
+                c = content_of.get(a)
+                if c is None:
+                    c = content_of[a] = sum(units[v] for v in range(n) if a >> v & 1)
+                if c == left_content:
+                    x = value(a, left)
+                    if x:
+                        total += x * value(s ^ a, right)
+                if c == right_content:
+                    x = value(s ^ a, left)
+                    if x:
+                        total -= x * value(a, right)
+        memo[key] = total
+        return total
 
-def _pair_assigned(edges, leaf_of_vertex, internals) -> int:
-    seen = set()
-    sign = 1
-    for tail, head in edges:
-        i, j = leaf_of_vertex[tail], leaf_of_vertex[head]
-        span = _gcv(internals, i, j)
-        if span in seen:
-            return 0
-        seen.add(span)
-        sign *= 1 if i < j else -1
-    if len(seen) != len(internals):
-        return 0
-    return sign
+    whole = sum(units)
+    return [value(full, r) if content[r] == whole else 0 for r in roots]
 
 
 def configuration_pairing(graph, tree: BracketTree) -> int:
     """Pairing in the unique-label case: every label occurs once on each side."""
-    leaves, internals = _tree_spans(tree)
-    labels = {v: sym.letter for v, sym in graph.vertices}
-    if sorted(labels.values()) != sorted(leaves) or len(set(leaves)) != len(leaves):
-        raise LabelMismatch(
-            f"graph labels {sorted(labels.values())} vs leaves {sorted(leaves)}"
-        )
-    leaf_index = {letter: i for i, letter in enumerate(leaves)}
-    leaf_of_vertex = {v: leaf_index[letter] for v, letter in labels.items()}
-    return _pair_assigned(graph.edges, leaf_of_vertex, internals)
+    labels = sorted(sym.letter for _, sym in graph.vertices)
+    leaves = tree.leaves()
+    if labels != sorted(leaves) or len(set(leaves)) != len(leaves):
+        raise LabelMismatch(f"graph labels {labels} vs leaves {sorted(leaves)}")
+    return pairing_matrix([graph], [tree])[0][0]
 
 
 def graph_tree_pairing(graph, tree: BracketTree) -> int:
-    """Single graph against single tree, summing over label-preserving
+    """Single graph against single tree, summed over label-preserving
     bijections of vertices onto leaves; zero on multidegree mismatch."""
-    leaves, internals = _tree_spans(tree)
-    labels = {v: sym.letter for v, sym in graph.vertices}
-    if sorted(labels.values()) != sorted(leaves):
-        return 0
-    by_letter_vertices: dict[str, list[str]] = {}
-    for v, letter in sorted(labels.items()):
-        by_letter_vertices.setdefault(letter, []).append(v)
-    by_letter_leaves: dict[str, list[int]] = {}
-    for i, letter in enumerate(leaves):
-        by_letter_leaves.setdefault(letter, []).append(i)
-    letters = sorted(by_letter_vertices)
-    perm_sets = [permutations(by_letter_leaves[l]) for l in letters]
-    total = 0
-    for combo in product(*perm_sets):
-        leaf_of_vertex = {}
-        for letter, perm in zip(letters, combo):
-            for v, i in zip(by_letter_vertices[letter], perm):
-                leaf_of_vertex[v] = i
-        total += _pair_assigned(graph.edges, leaf_of_vertex, internals)
-    return total
+    return pairing_matrix([graph], [tree])[0][0]
 
 
 def extended_pairing(graphs, lie_part) -> Fraction:

@@ -1,42 +1,47 @@
-"""Exact rational Gaussian elimination over Fraction matrices."""
+"""Exact linear algebra over the rationals by fraction-free elimination.
+
+Each row is scaled to integers, then eliminated with integer arithmetic
+only (Bareiss 1968): every entry stays a minor of the matrix and every
+division is exact.  Pivots are taken leftmost, so the pivot columns, the
+rank and the particular solution are those of rational Gauss-Jordan.
+"""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import InconsistentSystem
 
 
-def _eliminate(m: list[list[Fraction]], rhs: list[Fraction] | None):
-    """Forward elimination with leftmost pivots; returns pivot columns."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
+def _integer_row(values) -> list[int]:
+    """The row times the least common denominator of its entries."""
+    row = [v if type(v) is int else Fraction(v) for v in values]
+    scale = lcm(*(v.denominator for v in row if type(v) is not int))
+    return [int(v * scale) for v in row]
+
+
+def _eliminate(m: list[list[int]], cols: int) -> list[int]:
+    """Bareiss forward elimination in place on the first ``cols`` columns
+    (later columns are carried along); returns the pivot columns."""
     pivots: list[int] = []
+    previous = 1
     r = 0
     for c in range(cols):
-        pivot_row = None
-        for i in range(r, rows):
-            if m[i][c] != 0:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        if rhs is not None:
-            rhs[r], rhs[pivot_row] = rhs[pivot_row], rhs[r]
-        inv = 1 / m[r][c]
-        m[r] = [v * inv for v in m[r]]
-        if rhs is not None:
-            rhs[r] *= inv
-        for i in range(rows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-                if rhs is not None:
-                    rhs[i] -= f * rhs[r]
+        top = m[r]
+        pivot = top[c]
+        for i in range(r + 1, len(m)):
+            row = m[i]
+            f = row[c]
+            m[i] = [(pivot * a - f * b) // previous for a, b in zip(row, top)]
+        previous = pivot
         pivots.append(c)
         r += 1
-        if r == rows:
+        if r == len(m):
             break
     return pivots
 
@@ -44,8 +49,8 @@ def _eliminate(m: list[list[Fraction]], rhs: list[Fraction] | None):
 def rank(matrix: list[list[Fraction]]) -> int:
     if not matrix or not matrix[0]:
         return 0
-    m = [[Fraction(v) for v in row] for row in matrix]
-    return len(_eliminate(m, None))
+    m = [_integer_row(row) for row in matrix]
+    return len(_eliminate(m, len(m[0])))
 
 
 def solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
@@ -59,13 +64,25 @@ def solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
         if any(Fraction(v) != 0 for v in rhs):
             raise InconsistentSystem("nonzero right-hand side, empty system")
         return [Fraction(0)] * cols
-    m = [[Fraction(v) for v in row] for row in matrix]
-    b = [Fraction(v) for v in rhs]
-    pivots = _eliminate(m, b)
+    m = [_integer_row(list(row) + [b]) for row, b in zip(matrix, rhs)]
+    pivots = _eliminate(m, cols)
     for i in range(len(pivots), rows):
-        if b[i] != 0:
-            raise InconsistentSystem(f"residual {b[i]} in row {i}")
-    x = [Fraction(0)] * cols
-    for r, c in enumerate(pivots):
-        x[c] = b[r]
-    return x
+        if m[i][cols]:
+            raise InconsistentSystem(f"nonzero residual in row {i}")
+    # Back substitution in integers: with d the last pivot (the pivot
+    # minor, up to sign), y = d x is integral on the pivot columns.
+    d = m[len(pivots) - 1][pivots[-1]] if pivots else 1
+    y = [0] * cols
+    for r in reversed(range(len(pivots))):
+        c = pivots[r]
+        row = m[r]
+        y[c] = (d * row[cols] - sum(row[p] * y[p] for p in pivots[r + 1:])) // row[c]
+    return [Fraction(v, d) for v in y]
+
+
+def independent_rows(matrix: list[list[Fraction]]) -> list[int]:
+    """Indices of the rows that raise the rank of the rows above them: the
+    leftmost pivot columns of the transpose."""
+    if not matrix or not matrix[0]:
+        return []
+    return _eliminate([_integer_row(column) for column in zip(*matrix)], len(matrix))

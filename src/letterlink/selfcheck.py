@@ -170,9 +170,7 @@ def _full_column_rank(multidegree: dict[str, int]) -> bool:
     if not trees:
         return True
     graphs = eil.enumerate_distinct_vertex_graphs(multidegree)
-    matrix = [[Fraction(lie.graph_tree_pairing(h, t)) for t in trees]
-              for h in graphs]
-    return linalg.rank(matrix) == len(trees)
+    return linalg.rank(lie.pairing_matrix(graphs, trees)) == len(trees)
 
 
 def check_5_surjectivity(seed=0, scale="small"):
@@ -220,11 +218,12 @@ def check_6_exhaustive_duality(seed=0, scale="small"):
         commutators = _unique_commutators(n)
         expansions = [(words.expand_bracket(e), lie.bracket_tree(e))
                       for e in commutators]
-        for graph in _unique_label_graphs(n):
+        graphs = _unique_label_graphs(n)
+        pairings = lie.pairing_matrix(graphs, [tree for _, tree in expansions])
+        for graph, row in zip(graphs, pairings):
             reduction = eil.reduce_full(graph, eil.default_order(graph))
-            for w, tree in expansions:
+            for (w, tree), rhs in zip(expansions, row):
                 lhs = linking.eval_symbol_sum(reduction, w)
-                rhs = lie.configuration_pairing(graph, tree)
                 checked += 1
                 if lhs != rhs:
                     return False, f"mismatch at n={n}, {graph}, {tree}: {lhs} != {rhs}"

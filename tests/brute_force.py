@@ -1,0 +1,168 @@
+"""Brute-force oracles for the fast paths of eil, lie and linalg.
+
+These are the straightforward definitions: scan every Prufer code and
+canonicalize each admissible tree, sum the pairing over every
+label-preserving bijection, and eliminate over Fraction.  The tests check
+the library's fast paths against them.
+"""
+
+from fractions import Fraction
+from itertools import permutations, product
+
+from letterlink.eil import SymbolGraph, _prufer_trees, canonical_form
+from letterlink.errors import InconsistentSystem
+from letterlink.symbols import Symbol
+
+
+def prufer_scan_graphs(multidegree):
+    """Distinct-vertex Eil graphs of the multidegree: the first tree of each
+    class in a scan of all k^(k-2) Prufer codes, canonically oriented and
+    sorted by encoding."""
+    labels = []
+    for gen in sorted(multidegree):
+        labels.extend([gen] * multidegree[gen])
+    k = len(labels)
+    seen = {}
+    for edges in _prufer_trees(k):
+        if any(labels[a] == labels[b] for a, b in edges):
+            continue
+        vertices = {f"v{i + 1}": Symbol(labels[i]) for i in range(k)}
+        g = SymbolGraph.build(
+            vertices, [(f"v{a + 1}", f"v{b + 1}") for a, b in edges]
+        )
+        enc, _, rep = canonical_form(g)
+        seen.setdefault(enc, rep)
+    return [seen[enc] for enc in sorted(seen)]
+
+
+# --- the pairing as a sum over bijections ------------------------------------
+
+
+def _tree_spans(tree):
+    """Leaf labels in planar order plus the leaf-index span of each internal
+    vertex (spans identify internal vertices uniquely)."""
+    leaves = []
+    internals = []
+
+    def rec(node):
+        if node.is_leaf():
+            leaves.append(node.letter)
+            return (len(leaves) - 1, len(leaves))
+        lo, _ = rec(node.left)
+        _, hi = rec(node.right)
+        internals.append((lo, hi))
+        return (lo, hi)
+
+    rec(tree)
+    return leaves, internals
+
+
+def _gcv(internals, i, j):
+    """The deepest internal vertex above leaves i and j."""
+    best = None
+    for lo, hi in internals:
+        if lo <= i < hi and lo <= j < hi:
+            if best is None or hi - lo < best[1] - best[0]:
+                best = (lo, hi)
+    return best
+
+
+def _pair_assigned(edges, leaf_of_vertex, internals):
+    """The pairing under one bijection: each edge maps to the deepest vertex
+    above its endpoints' leaves, with sign +1 when the tail's leaf is left
+    of the head's; nonzero only if that map is onto the internal vertices."""
+    seen = set()
+    sign = 1
+    for tail, head in edges:
+        i, j = leaf_of_vertex[tail], leaf_of_vertex[head]
+        span = _gcv(internals, i, j)
+        if span in seen:
+            return 0
+        seen.add(span)
+        sign *= 1 if i < j else -1
+    if len(seen) != len(internals):
+        return 0
+    return sign
+
+
+def bijection_sum_pairing(graph, tree):
+    """Sum of the pairing over the label-preserving bijections of graph
+    vertices onto tree leaves; zero on multidegree mismatch."""
+    leaves, internals = _tree_spans(tree)
+    labels = {v: sym.letter for v, sym in graph.vertices}
+    if sorted(labels.values()) != sorted(leaves):
+        return 0
+    by_letter_vertices = {}
+    for v, letter in sorted(labels.items()):
+        by_letter_vertices.setdefault(letter, []).append(v)
+    by_letter_leaves = {}
+    for i, letter in enumerate(leaves):
+        by_letter_leaves.setdefault(letter, []).append(i)
+    letters = sorted(by_letter_vertices)
+    total = 0
+    for combo in product(*(permutations(by_letter_leaves[l]) for l in letters)):
+        leaf_of_vertex = {}
+        for letter, perm in zip(letters, combo):
+            for v, i in zip(by_letter_vertices[letter], perm):
+                leaf_of_vertex[v] = i
+        total += _pair_assigned(graph.edges, leaf_of_vertex, internals)
+    return total
+
+
+# --- rational Gauss-Jordan -----------------------------------------------------
+
+
+def _eliminate(m, rhs):
+    """Forward elimination with leftmost pivots; returns pivot columns."""
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        pivot_row = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        if rhs is not None:
+            rhs[r], rhs[pivot_row] = rhs[pivot_row], rhs[r]
+        inv = 1 / m[r][c]
+        m[r] = [v * inv for v in m[r]]
+        if rhs is not None:
+            rhs[r] *= inv
+        for i in range(rows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                if rhs is not None:
+                    rhs[i] -= f * rhs[r]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return pivots
+
+
+def fraction_rank(matrix):
+    if not matrix or not matrix[0]:
+        return 0
+    return len(_eliminate([[Fraction(v) for v in row] for row in matrix], None))
+
+
+def fraction_solve(matrix, rhs):
+    """A particular solution with free variables zero, or InconsistentSystem."""
+    rows = len(matrix)
+    cols = len(matrix[0]) if rows else 0
+    if rows == 0 or cols == 0:
+        if any(Fraction(v) != 0 for v in rhs):
+            raise InconsistentSystem("nonzero right-hand side, empty system")
+        return [Fraction(0)] * cols
+    m = [[Fraction(v) for v in row] for row in matrix]
+    b = [Fraction(v) for v in rhs]
+    pivots = _eliminate(m, b)
+    for i in range(len(pivots), rows):
+        if b[i] != 0:
+            raise InconsistentSystem(f"residual {b[i]} in row {i}")
+    x = [Fraction(0)] * cols
+    for r, c in enumerate(pivots):
+        x[c] = b[r]
+    return x

@@ -139,6 +139,9 @@ class TestArgumentErrors:
             ("matrix", "--weight", "5", "--gens", "a,b", "--multidegree", "3,x"),
             ("coords", "--word", "a b a^-1 b^-1", "--weight", "0"),
             ("coords", "--word", "a b a^-1 b^-1", "--weight", "-1"),
+            ("matrix", "--weight", "0", "--gens", "a", "--multidegree", "0"),
+            ("matrix", "--weight=5", "--gens", "a,b", "--multidegree=-1,6"),
+            ("basis", "--weight=3", "--gens", "a,b", "--multidegree=-1,4"),
         ],
     )
     def test_exit_two(self, capsys, argv):

@@ -1,11 +1,14 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from brute_force import prufer_scan_graphs
 
 from letterlink import (
     InvalidEdge,
     NotATree,
+    ParseError,
     Symbol,
     UndefinedReduction,
     canonicalize,
@@ -22,6 +25,7 @@ from letterlink import (
     reduce_at,
     reduce_full,
 )
+from letterlink import eil
 from letterlink.eil import SymbolGraph, _prufer_trees, canonical_form
 from letterlink.lie import lyndon_trees_of_multidegree
 
@@ -55,6 +59,20 @@ class TestParse:
     def test_disconnected_rejected(self):
         with pytest.raises(NotATree):
             parse_graph("{v1:a, v2:b ;}")
+
+    @pytest.mark.parametrize("text, culprit", [
+        ("{v1:a, 2v:b; v1->v2}", "2v:b"),          # bad vertex id
+        ("{v1:a, v2 b; v1->v2}", "v2 b"),          # missing ':'
+        ("{v1:a, v2:b; v1-v2}", "v1-v2"),          # bad edge
+        ("{v1:a, v2:b;  v1->v3}", "v3}"),          # undeclared endpoint
+        ("  {v1:a, v1:b; v1->v1}", "v1:b"),        # duplicate id
+        ("{v1:a, v2: (a)b c; v1->v2}", "c;"),      # bad label, inside it
+        ("v1:a}", "v1:a}"),
+    ])
+    def test_error_position_is_the_offending_entry(self, text, culprit):
+        with pytest.raises(ParseError) as info:
+            parse_graph(text)
+        assert text[info.value.position:].startswith(culprit)
 
 
 class TestReduce:
@@ -199,6 +217,34 @@ class TestEnumerate:
     def test_prufer_counts(self):
         assert len(list(_prufer_trees(4))) == 16
         assert len(list(_prufer_trees(2))) == 1
+
+    @pytest.mark.parametrize("counts", [
+        counts for total in range(1, 7)
+        for counts in product(range(total + 1), repeat=3) if sum(counts) == total
+    ] + [(3, 2, 2), (2, 2, 2, 1)])
+    def test_matches_the_prufer_scan(self, counts):
+        multidegree = dict(zip("abcd", counts))
+        fast = enumerate_distinct_vertex_graphs(multidegree)
+        scan = prufer_scan_graphs(multidegree)
+        assert [str(g) for g in fast] == [str(g) for g in scan]
+        assert fast == scan
+
+    def test_canonicalizes_only_the_kept_classes(self, monkeypatch):
+        calls = []
+        canonical = eil.canonical_form
+
+        def counted(g):
+            calls.append(g)
+            return canonical(g)
+
+        def scan(k):
+            raise AssertionError("the enumeration scans Prufer codes")
+
+        monkeypatch.setattr(eil, "canonical_form", counted)
+        monkeypatch.setattr(eil, "_prufer_trees", scan)
+        graphs = enumerate_distinct_vertex_graphs({"a": 3, "b": 2, "c": 2})
+        assert len(graphs) == 153
+        assert len(calls) <= 153
 
 
 class TestDistinctReduce:

@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from brute_force import bijection_sum_pairing
+from hypothesis import given, settings, strategies as st
 
 from letterlink import (
     BracketTree,
@@ -24,6 +26,7 @@ from letterlink import (
     parse_word,
     eval_graph,
 )
+from letterlink.eil import _prufer_trees
 from letterlink.fox import fox_eval
 from letterlink.lie import (
     bracket_polynomial,
@@ -31,6 +34,7 @@ from letterlink.lie import (
     graph_tree_pairing,
     lyndon_trees_of_multidegree,
     lyndon_words,
+    pairing_matrix,
     standard_bracketing,
 )
 from letterlink.linalg import rank, solve
@@ -359,3 +363,69 @@ class TestFoxPairingTheorem:
                     assert eval_symbol_sum(reduction, w) == configuration_pairing(
                         g, bracket_tree(expr)
                     )
+
+
+@st.composite
+def ambient_graph_and_tree(draw):
+    """A tree graph on 2-7 letter-labeled vertices, homogeneous edges
+    allowed, and a planar bracket tree of the same multidegree."""
+    k = draw(st.integers(2, 7))
+    labels = draw(st.lists(st.sampled_from("abc"), min_size=k, max_size=k))
+    edges = []
+    for v in range(1, k):
+        u = draw(st.integers(0, v - 1))
+        edges.append((f"v{u + 1}", f"v{v + 1}") if draw(st.booleans())
+                     else (f"v{v + 1}", f"v{u + 1}"))
+    graph = SymbolGraph.build({f"v{i + 1}": Symbol(l) for i, l in enumerate(labels)},
+                              edges, ambient=True)
+    leaves = draw(st.permutations(labels))
+
+    def bracketing(lo, hi):
+        if hi - lo == 1:
+            return BracketTree.leaf(leaves[lo])
+        cut = draw(st.integers(lo + 1, hi - 1))
+        return BracketTree.pair(bracketing(lo, cut), bracketing(cut, hi))
+
+    return graph, bracketing(0, k)
+
+
+class TestPairingOracle:
+    @given(ambient_graph_and_tree())
+    @settings(deadline=None, max_examples=300)
+    def test_recursion_equals_the_bijection_sum(self, case):
+        graph, tree = case
+        assert graph_tree_pairing(graph, tree) == bijection_sum_pairing(graph, tree)
+
+    @pytest.mark.parametrize("counts", [(2, 1, 1), (2, 2, 1), (3, 2), (2, 2, 2)])
+    def test_matrix_equals_the_bijection_sum(self, counts):
+        from letterlink import enumerate_distinct_vertex_graphs
+
+        md = dict(zip("abc", counts))
+        graphs = enumerate_distinct_vertex_graphs(md)
+        graphs.append(chain_graph([g for g in md for _ in range(md[g])]))
+        trees = lyndon_trees_of_multidegree(md)
+        trees.append(parse_lie("[a,[b,a]]").items()[0][1])  # another multidegree
+        assert pairing_matrix(graphs, trees) == [
+            [bijection_sum_pairing(g, t) for t in trees] for g in graphs]
+
+    def test_a_larger_tree_with_aliased_content_pairs_to_zero(self):
+        # on two vertices letter counts are two bits apart, so four a's
+        # have the content of one b and the root content matches
+        g = parse_graph("{v1:a, v2:b; v1->v2}")
+        t = bracket_tree(("a", (("a", "a"), ("a", "a"))))
+        assert pairing_matrix([g], [t]) == [[0]]
+        assert pairing_matrix([parse_graph("{v1:b}")], [bracket_tree(("a", "a"))]) == [[0]]
+
+    def test_unique_labels_match_the_single_bijection(self):
+        import itertools
+
+        gens = ("x1", "x2", "x3", "x4")
+        trees = [bracket_tree(e) for perm in itertools.permutations(gens)
+                 for e in all_bracketings(perm)]
+        rng = random.Random(4)
+        for edges in _prufer_trees(4):
+            es = [(f"v{u + 1}", f"v{v + 1}") if rng.random() < 0.5
+                  else (f"v{v + 1}", f"v{u + 1}") for u, v in edges]
+            g = SymbolGraph.build({f"v{i + 1}": Symbol(x) for i, x in enumerate(gens)}, es)
+            for t in trees:
+                assert configuration_pairing(g, t) == bijection_sum_pairing(g, t)
