@@ -4,6 +4,7 @@ organizes them, and the free differential calculus for cross-checks."""
 from .errors import (
     InconsistentSystem,
     InvalidEdge,
+    InvalidMultidegree,
     InvalidSymbol,
     LabelMismatch,
     LetterLinkError,
@@ -42,6 +43,7 @@ from .symbols import (
 )
 from .linking import (
     Cobounding,
+    Evaluator,
     List,
     count,
     enumerate_coboundings,

@@ -173,14 +173,23 @@ def _parse_graphsum(text: str) -> eil.GraphSum:
                 end += 1
             if depth != 0:
                 raise ParseError("unbalanced '{'", pos)
-            out.add(sign, eil.parse_graph(text[pos : end + 1]))
+            try:
+                graph = eil.parse_graph(text[pos : end + 1])
+            except ParseError as exc:
+                raise ParseError(exc.message, pos + exc.position,
+                                 exc.expected) from None
+            out.add(sign, graph)
             sign = Fraction(1)
             pos = end + 1
         else:
             star = text.find("*", pos)
             if star < 0:
                 raise ParseError(f"got {ch!r}", pos, expected="coefficient or '{'")
-            sign *= Fraction(text[pos:star].strip())
+            try:
+                sign *= Fraction(text[pos:star].strip())
+            except (ValueError, ZeroDivisionError):
+                raise ParseError(f"bad coefficient {text[pos:star].strip()!r}",
+                                 pos, expected="rational number") from None
             pos = star + 1
     return out
 

@@ -2,27 +2,29 @@
 
 Each non-leaf step of a symbol shows the word with the step's resulting
 multiplicities above the marked letter and the cobounding arrows of each
-child list below.  The displayed cobounding pairs occurrences like
-balanced delimiters (left-to-right stack); values are computed with
-prefix potentials, so the choice is purely presentational.
+child list below.  The steps are read from the trace of
+`linking.Evaluator`, the evaluator behind every invariant value.  The
+displayed cobounding pairs occurrences like balanced delimiters
+(left-to-right stack); values are computed with prefix potentials, so the
+choice is purely presentational.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import UndefinedInvariant
-from .linking import List, count, prefix_potential, standard_list
+from .linking import Evaluator
 from .symbols import Symbol
 from .words import Word
 
 
-def canonical_cobounding(lst: List) -> list[tuple[int, int, int]]:
-    """Stack-matched intervals (start, end, orientation) for display."""
+def canonical_cobounding(positions: list[int], signs: list[int],
+                         values: list[int]) -> list[tuple[int, int, int]]:
+    """Stack-matched intervals (start, end, orientation) for display, of the
+    list with ``values`` at the 0-based ``positions`` carrying ``signs``."""
     tokens: list[tuple[int, int]] = []
-    for j, m in sorted(lst.assoc.items()):
-        total = (1 if m > 0 else -1) * lst.word.letter_at(j).sign
-        tokens.extend([(j, total)] * abs(m))
+    for p, sign, m in zip(positions, signs, values):
+        if m != 0:
+            tokens.extend([(p + 1, (1 if m > 0 else -1) * sign)] * abs(m))
     stack: list[tuple[int, int]] = []
     intervals = []
     for pos, sign in tokens:
@@ -34,56 +36,30 @@ def canonical_cobounding(lst: List) -> list[tuple[int, int, int]]:
     return sorted(intervals)
 
 
-@dataclass
-class _Block:
-    node: Symbol
-    result: List
-    coboundings: list[list[tuple[int, int, int]]]
-
-
 def render_diagram(w: Word, sym: Symbol) -> tuple[str, int | None, UndefinedInvariant | None]:
-    """Render all evaluation levels; on an undefined invariant the diagram
-    is still produced up to the failing level."""
-    blocks: list[_Block] = []
+    """Render all evaluation levels from the evaluator's trace; on an
+    undefined invariant the diagram is still produced up to the failing
+    level."""
+    ev = Evaluator(w)
+    trace: list = []
     failure: UndefinedInvariant | None = None
     value: int | None = None
-
-    def visit(node: Symbol) -> List:
-        if not node.children:
-            return standard_list(w, node.letter)
-        potentials = []
-        coboundings = []
-        for child in node.children:
-            child_list = visit(child)
-            c = count(child_list)
-            if c != 0:
-                raise UndefinedInvariant(child, c)
-            coboundings.append(canonical_cobounding(child_list))
-            potentials.append(prefix_potential(child_list))
-        assoc = {}
-        for j in range(1, len(w) + 1):
-            if w.letter_at(j).gen == node.letter:
-                v = 1
-                for g in potentials:
-                    v *= g[j]
-                assoc[j] = v
-        result = List(w, node.letter, assoc)
-        blocks.append(_Block(node, result, coboundings))
-        return result
-
     try:
-        final = visit(sym)
+        final = ev.values(sym, trace)
         if not sym.children:
-            blocks.append(_Block(sym, final, []))
-        value = count(final)
+            trace.append((sym, final, []))
+        value = ev.value(sym)
     except UndefinedInvariant as exc:
         failure = exc
 
     lines: list[str] = []
     if len(w) == 0:
         lines.append("(empty word)")
-    for block in blocks:
-        lines.extend(_render_block(w, block))
+    for node, values, child_values in trace:
+        coboundings = [canonical_cobounding(*ev.occurrences(child.letter), vals)
+                       for child, vals in zip(node.children, child_values)]
+        lines.extend(_render_block(w, node, ev.occurrences(node.letter)[0],
+                                   values, coboundings))
         lines.append("")
     if failure is not None:
         lines.append(str(failure))
@@ -92,14 +68,12 @@ def render_diagram(w: Word, sym: Symbol) -> tuple[str, int | None, UndefinedInva
     return "\n".join(lines), value, failure
 
 
-def _render_block(w: Word, block: _Block) -> list[str]:
+def _render_block(w: Word, node: Symbol, positions: list[int], values: list[int],
+                  coboundings: list[list[tuple[int, int, int]]]) -> list[str]:
     cells = [str(l) for l in w]
-    mults = []
-    for j in range(1, len(w) + 1):
-        if w.letter_at(j).gen == block.node.letter:
-            mults.append(str(block.result.multiplicity(j)))
-        else:
-            mults.append("")
+    mults = [""] * len(w)
+    for p, m in zip(positions, values):
+        mults[p] = str(m)
     widths = [max(len(c), len(m)) + 1 for c, m in zip(cells, mults)]
     starts = []
     pos = 0
@@ -117,12 +91,12 @@ def _render_block(w: Word, block: _Block) -> list[str]:
                     line[col + i] = ch
         return "".join(line).rstrip()
 
-    out = [f"-- {block.node.canonical()} --"]
+    out = [f"-- {node.canonical()} --"]
     mult_row = row_of([(starts[i], m) for i, m in enumerate(mults) if m])
     if mult_row:
         out.append(mult_row)
     out.append(row_of([(starts[i], c) for i, c in enumerate(cells)]))
-    for intervals in block.coboundings:
+    for intervals in coboundings:
         for row in _pack_rows(intervals):
             line = [" "] * total
             for (a, b, orient) in row:

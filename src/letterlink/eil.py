@@ -31,6 +31,7 @@ from itertools import accumulate, chain, permutations, product
 
 from .errors import (
     InvalidEdge,
+    InvalidMultidegree,
     NotATree,
     ParseError,
     TooLarge,
@@ -540,11 +541,11 @@ def enumerate_distinct_vertex_graphs(multidegree: dict[str, int],
     labels = []
     for gen in sorted(multidegree):
         if multidegree[gen] < 0:
-            raise ValueError("multidegree counts must be nonnegative")
+            raise InvalidMultidegree("multidegree counts must be nonnegative")
         labels.extend([gen] * multidegree[gen])
     k = len(labels)
     if k < 1:
-        raise ValueError("multidegree must have total count >= 1")
+        raise InvalidMultidegree("multidegree must have total count >= 1")
     if k > bound:
         raise TooLarge(f"{k} vertices exceeds bound {bound}")
     counts = [multidegree[gen] for gen in sorted(multidegree) if multidegree[gen]]

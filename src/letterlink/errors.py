@@ -79,6 +79,10 @@ class LabelMismatch(LetterLinkError):
     """Graph vertex labels and tree leaf labels do not correspond."""
 
 
+class InvalidMultidegree(LetterLinkError):
+    """A multidegree has a negative count or no positive count."""
+
+
 class MixedGrading(LetterLinkError):
     """Terms of a Lie element must share one weight."""
 

@@ -5,20 +5,26 @@ positions to integer multiplicities, supported on occurrences of a single
 generator.  This is the canonical representative of its simple-equivalence
 class, so all derived counts are representation-free.
 
-The fast evaluator never builds intervals.  For a zero-count list L the
-prefix potential g(j) = sum over positions p < j of f_L(p) * sign(x_p)
-equals, at every position carrying a different generator, the signed
-interval coverage of any cobounding of L; linking is then pointwise
-multiplication by the target's associated function.  The interval-building
-oracle (`enumerate_coboundings` + `link_via_cobounding`) is kept for
-cross-checking.
+For a zero-count list L the prefix potential g(j) = sum over positions
+p < j of f_L(p) * sign(x_p) equals, at every position carrying a different
+generator, the signed interval coverage of any cobounding of L; linking is
+then pointwise multiplication by the target's associated function.
+
+`Evaluator`, behind `eval_symbol`, `eval_symbol_sum`, `symbol_list` and the
+diagrams, indexes its word once (each generator's occurrence positions and
+signs) and keeps each node's list as an int list over its letter's
+occurrences.  A child's potential is the running sum of a zero array holding
+the child's signed values, read at the parent's occurrences; lists are
+memoized per word by canonical sub-symbol.  The interval-building oracle
+(`enumerate_coboundings` + `link_via_cobounding`) is kept for cross-checking.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import accumulate, permutations
+from operator import itemgetter, mul
 from typing import Iterable
 
 from .errors import NonzeroCount, SameGenerator, TooLarge, UndefinedInvariant
@@ -154,40 +160,102 @@ def link_via_cobounding(cob: Cobounding, target: List) -> List:
     return List(target.word, target.gen, assoc)
 
 
+class Evaluator:
+    """Symbol lists on one word, memoized with their counts by canonical
+    sub-symbol; share one across every symbol evaluated on the word."""
+
+    def __init__(self, w: Word):
+        self._gens = list(map(itemgetter(0), w.letters))
+        self._signs = list(map(itemgetter(1), w.letters))
+        self._index: dict[str, tuple[list[int], list[int]]] = {}
+        self._memo: dict[str, tuple[list[int], int]] = {}
+
+    def occurrences(self, gen: str) -> tuple[list[int], list[int]]:
+        """The 0-based positions of ``gen`` in the word and the signs there."""
+        entry = self._index.get(gen)
+        if entry is None:
+            positions = [i for i, g in enumerate(self._gens) if g == gen]
+            entry = (positions, list(map(self._signs.__getitem__, positions)))
+            self._index[gen] = entry
+        return entry
+
+    def values(self, sym: Symbol, trace: list | None = None) -> list[int]:
+        """The symbol list, aligned with ``occurrences(sym.letter)``.
+
+        Raises UndefinedInvariant naming the first (leftmost, innermost)
+        sub-symbol whose count is nonzero.  A ``trace`` list receives one
+        ``(node, values, child_values)`` entry per non-leaf visit, in
+        post-order, memo hits included.
+        """
+        return self._memo[self._visit(sym, trace)][0]
+
+    def value(self, sym: Symbol) -> int:
+        """The letter-linking invariant: the count of the symbol list."""
+        return self._memo[self._visit(sym, None)][1]
+
+    def value_sum(self, terms: Iterable[tuple[object, Symbol]]) -> Fraction:
+        """Sum of coeff * invariant; undefined if any term is."""
+        total = Fraction(0)
+        for coeff, sym in terms:
+            total += Fraction(coeff) * self.value(sym)
+        return total
+
+    def _visit(self, node: Symbol, trace: list | None) -> str:
+        """Evaluate ``node`` unless memoized; return its canonical string."""
+        memo = self._memo
+        if not node.children:
+            if node.letter not in memo:
+                positions, signs = self.occurrences(node.letter)
+                memo[node.letter] = ([1] * len(positions), sum(signs))
+            return node.letter
+        keys = []
+        for child in node.children:
+            key = self._visit(child, trace)
+            c = memo[key][1]
+            if c != 0:
+                raise UndefinedInvariant(child, c)
+            keys.append(key)
+        key = "".join(sorted(f"({k})" for k in keys)) + node.letter
+        entry = memo.get(key)
+        if entry is None:
+            at, signs = self.occurrences(node.letter)
+            values = [1] * len(at)
+            for child, k in zip(node.children, keys):
+                values = list(map(mul, values,
+                                  self._potential(child.letter, memo[k][0], at)))
+            entry = memo[key] = (values, sum(map(mul, values, signs)))
+        if trace is not None:
+            trace.append((node, entry[0], [memo[k][0] for k in keys]))
+        return key
+
+    def _potential(self, gen: str, values: list[int], at: list[int]) -> list[int]:
+        """Prefix potential of a zero-count list over ``gen``, read at the
+        positions ``at``, none of which carries ``gen``."""
+        positions, signs = self.occurrences(gen)
+        running = [0] * len(self._gens)
+        for p, v in zip(positions, map(mul, values, signs)):
+            running[p] = v
+        running = list(accumulate(running))
+        return list(map(running.__getitem__, at))
+
+
 def symbol_list(sym: Symbol, w: Word) -> List:
     """The iterated linking list of a symbol on a word.
 
-    Children are cobounded via prefix potentials and multiply pointwise at
-    the free letter's positions.  Raises UndefinedInvariant naming the
-    first (leftmost, innermost) sub-symbol whose count is nonzero.
+    Raises UndefinedInvariant naming the first (leftmost, innermost)
+    sub-symbol whose count is nonzero.
     """
-    if not sym.children:
-        return standard_list(w, sym.letter)
-    potentials = []
-    for child in sym.children:
-        child_list = symbol_list(child, w)
-        c = count(child_list)
-        if c != 0:
-            raise UndefinedInvariant(child, c)
-        potentials.append(prefix_potential(child_list))
-    assoc = {}
-    for j in range(1, len(w) + 1):
-        if w.letter_at(j).gen == sym.letter:
-            value = 1
-            for g in potentials:
-                value *= g[j]
-            assoc[j] = value
-    return List(w, sym.letter, assoc)
+    ev = Evaluator(w)
+    values = ev.values(sym)
+    positions, _ = ev.occurrences(sym.letter)
+    return List(w, sym.letter, {p + 1: v for p, v in zip(positions, values)})
 
 
 def eval_symbol(sym: Symbol, w: Word) -> int:
     """The letter-linking invariant of ``sym`` on ``w``."""
-    return count(symbol_list(sym, w))
+    return Evaluator(w).value(sym)
 
 
 def eval_symbol_sum(terms: Iterable[tuple[object, Symbol]], w: Word) -> Fraction:
     """Linear extension: sum of coeff * invariant; undefined if any term is."""
-    total = Fraction(0)
-    for coeff, sym in terms:
-        total += Fraction(coeff) * eval_symbol(sym, w)
-    return total
+    return Evaluator(w).value_sum(terms)

@@ -216,14 +216,15 @@ def check_6_exhaustive_duality(seed=0, scale="small"):
     checked = 0
     for n in range(1, 5):
         commutators = _unique_commutators(n)
-        expansions = [(words.expand_bracket(e), lie.bracket_tree(e))
+        evaluators = [linking.Evaluator(words.expand_bracket(e))
                       for e in commutators]
+        trees = [lie.bracket_tree(e) for e in commutators]
         graphs = _unique_label_graphs(n)
-        pairings = lie.pairing_matrix(graphs, [tree for _, tree in expansions])
+        pairings = lie.pairing_matrix(graphs, trees)
         for graph, row in zip(graphs, pairings):
             reduction = eil.reduce_full(graph, eil.default_order(graph))
-            for (w, tree), rhs in zip(expansions, row):
-                lhs = linking.eval_symbol_sum(reduction, w)
+            for ev, tree, rhs in zip(evaluators, trees, row):
+                lhs = ev.value_sum(reduction)
                 checked += 1
                 if lhs != rhs:
                     return False, f"mismatch at n={n}, {graph}, {tree}: {lhs} != {rhs}"
@@ -259,27 +260,17 @@ def check_7_order_independence(seed=0, scale="small"):
         graph = _random_symbol_graph(rng, 5)
         ids = graph.ids()
         depth_total = sum(sym.depth for sym in graph.labels.values()) + len(ids) - 1
-        test_words = [words.random_gamma_element(depth_total, ["a", "b", "c"],
-                                                 budget=6, seed=rng)
-                      for _ in range(words_each)]
-        cache: dict[tuple[str, int], int] = {}
-
-        def evaluate(reduction, wi):
-            total = Fraction(0)
-            for coeff, sym in reduction:
-                key = (sym.canonical(), wi)
-                if key not in cache:
-                    cache[key] = linking.eval_symbol(sym, test_words[wi])
-                total += coeff * cache[key]
-            return total
-
+        evaluators = [
+            linking.Evaluator(words.random_gamma_element(
+                depth_total, ["a", "b", "c"], budget=6, seed=rng))
+            for _ in range(words_each)]
         baseline = None
         for order in itertools.permutations(ids, len(ids) - 1):
             try:
                 reduction = eil.reduce_full(graph, list(order))
             except UndefinedReduction:
                 continue
-            values = tuple(evaluate(reduction, wi) for wi in range(words_each))
+            values = tuple(ev.value_sum(reduction) for ev in evaluators)
             if baseline is None:
                 baseline = values
             elif values != baseline:

@@ -1,7 +1,8 @@
-"""Brute-force oracles for the fast paths of eil, lie and linalg.
+"""Brute-force oracles for the fast paths of linking, eil, lie and linalg.
 
-These are the straightforward definitions: scan every Prufer code and
-canonicalize each admissible tree, sum the pairing over every
+These are the straightforward definitions: evaluate a symbol by prefix
+potentials kept as maps over every word position, scan every Prufer code
+and canonicalize each admissible tree, sum the pairing over every
 label-preserving bijection, and eliminate over Fraction.  The tests check
 the library's fast paths against them.
 """
@@ -10,8 +11,40 @@ from fractions import Fraction
 from itertools import permutations, product
 
 from letterlink.eil import SymbolGraph, _prufer_trees, canonical_form
-from letterlink.errors import InconsistentSystem
+from letterlink.errors import InconsistentSystem, UndefinedInvariant
+from letterlink.linking import List, count, prefix_potential, standard_list
 from letterlink.symbols import Symbol
+
+
+# --- symbol lists by per-position potentials --------------------------------
+
+
+def position_symbol_list(sym, w):
+    """The iterated linking list of a symbol on a word, by recursion: each
+    child's prefix potential is a map over all positions 1..len(w)+1, and
+    the potentials multiply at the free letter's positions.  Raises
+    UndefinedInvariant at the first (leftmost, innermost) sub-symbol whose
+    count is nonzero."""
+    if not sym.children:
+        return standard_list(w, sym.letter)
+    potentials = []
+    for child in sym.children:
+        child_list = position_symbol_list(child, w)
+        c = count(child_list)
+        if c != 0:
+            raise UndefinedInvariant(child, c)
+        potentials.append(prefix_potential(child_list))
+    assoc = {}
+    for j in range(1, len(w) + 1):
+        if w.letter_at(j).gen == sym.letter:
+            value = 1
+            for g in potentials:
+                value *= g[j]
+            assoc[j] = value
+    return List(w, sym.letter, assoc)
+
+
+# --- distinct-vertex graphs by the Prufer scan -------------------------------
 
 
 def prufer_scan_graphs(multidegree):

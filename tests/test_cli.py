@@ -142,11 +142,28 @@ class TestArgumentErrors:
             ("matrix", "--weight", "0", "--gens", "a", "--multidegree", "0"),
             ("matrix", "--weight=5", "--gens", "a,b", "--multidegree=-1,6"),
             ("basis", "--weight=3", "--gens", "a,b", "--multidegree=-1,4"),
+            ("pair", "--graphsum", "x * {v1:a}", "--lie", "a"),
+            ("pair", "--graphsum", "1/0 * {v1:a}", "--lie", "a"),
         ],
     )
     def test_exit_two(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("parse error: ")
+
+    @pytest.mark.parametrize(
+        "graphsum, position",
+        [
+            ("2 * {v1:a, v2:b; v1->v3}", 21),
+            ("{v1:a, v2:b; v1->v2} - 1/2 * {v1:a, v2:b; v1->v3}", 46),
+            ("{v1:a} + 3 * {v1:a, v1:b}", 20),
+            ("1 * {v1:a} + y * {v1:a}", 13),
+        ],
+    )
+    def test_graphsum_positions(self, capsys, graphsum, position):
+        code, out, err = run(capsys, "pair", "--graphsum", graphsum,
+                             "--lie", "[a,b]")
+        assert code == 2 and out == ""
+        assert f" at position {position}" in err
 
 
 class TestDiagram:

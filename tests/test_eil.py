@@ -7,6 +7,7 @@ from brute_force import prufer_scan_graphs
 
 from letterlink import (
     InvalidEdge,
+    InvalidMultidegree,
     NotATree,
     ParseError,
     Symbol,
@@ -213,6 +214,11 @@ class TestEnumerate:
 
     def test_four_star(self):
         assert len(enumerate_distinct_vertex_graphs({"a": 4, "b": 1})) == 1
+
+    @pytest.mark.parametrize("multidegree", [{"a": -1, "b": 2}, {}, {"a": 0}])
+    def test_invalid_multidegree(self, multidegree):
+        with pytest.raises(InvalidMultidegree):
+            enumerate_distinct_vertex_graphs(multidegree)
 
     def test_prufer_counts(self):
         assert len(list(_prufer_trees(4))) == 16

@@ -1,12 +1,15 @@
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from brute_force import position_symbol_list
+from hypothesis import example, given, settings, strategies as st
 
 from letterlink import (
     List,
     NonzeroCount,
     SameGenerator,
+    Symbol,
     UndefinedInvariant,
     Word,
     count,
@@ -20,9 +23,11 @@ from letterlink import (
     parse_word,
     prefix_potential,
     standard_list,
+    symbol_list,
 )
+from letterlink.diagram import render_diagram
 from letterlink.linking import _signed_tokens
-from letterlink.words import Letter, random_word
+from letterlink.words import Letter, commutator, random_word
 
 WORKED = free_reduce(parse_word("[a a, [b, a c]]"))
 
@@ -232,3 +237,147 @@ class TestAdditivityAndInverse:
         w = parse_word("[a, b]")
         assert eval_symbol(parse_symbol("(a)b"), w) == 1
         assert eval_symbol(parse_symbol("(b)a"), w) == -1
+
+
+GENS = "abcd"
+
+
+@st.composite
+def oracle_words(draw):
+    """Random words, products of commutators and nested commutators over
+    a, b, c (d never occurs), possibly with an uncancelled pair inserted."""
+    def short(max_size):
+        letters = draw(st.lists(st.tuples(st.sampled_from("abc"),
+                                          st.sampled_from((1, -1))),
+                                max_size=max_size))
+        return Word(tuple(Letter(g, e) for g, e in letters))
+
+    kind = draw(st.sampled_from(("random", "commutators", "nested")))
+    if kind == "random":
+        w = short(12)
+    elif kind == "commutators":
+        w = commutator(short(4), short(4)) * commutator(short(4), short(4))
+    else:
+        w = commutator(commutator(short(3), short(3)), short(3))
+    if draw(st.booleans()):
+        cut = draw(st.integers(0, len(w)))
+        gen = draw(st.sampled_from("abc"))
+        w = Word(w.letters[:cut] + (Letter(gen, 1), Letter(gen, -1))
+                 + w.letters[cut:])
+    return w
+
+
+@st.composite
+def oracle_symbols(draw, levels=4, forbid=None):
+    """Valid symbols nested at most ``levels`` deep; a node sometimes
+    repeats its previous child."""
+    letter = draw(st.sampled_from([g for g in GENS if g != forbid]))
+    if levels == 0 or draw(st.integers(0, 2)) == 0:
+        return Symbol(letter)
+    children = []
+    for _ in range(draw(st.integers(1, 3))):
+        if children and draw(st.booleans()):
+            children.append(children[-1])
+        else:
+            children.append(draw(oracle_symbols(levels - 1, letter)))
+    return Symbol(letter, tuple(children))
+
+
+def _oracle(sym, w):
+    """(list, None) or (None, UndefinedInvariant) from the position oracle."""
+    try:
+        return position_symbol_list(sym, w), None
+    except UndefinedInvariant as exc:
+        return None, exc
+
+
+def _same_failure(got, expected):
+    assert got.subsymbol.canonical() == expected.subsymbol.canonical()
+    assert got.count == expected.count
+
+
+class TestPositionOracle:
+    @given(oracle_words(), st.lists(oracle_symbols(), min_size=1, max_size=3),
+           st.lists(st.fractions(max_denominator=6), min_size=6, max_size=6))
+    @example(Word(), [parse_symbol("((a)b)((a)b)c")], [1] * 6)
+    @example(parse_word("[[a,b],c]"), [parse_symbol("(((a)b)c)(((a)b)c)d")], [1] * 6)
+    @settings(deadline=None, max_examples=300)
+    def test_matches_the_position_recursion(self, w, syms, coeffs):
+        # every symbol and, to share sub-symbols across terms, its children
+        terms = list(zip(coeffs, syms + [c for s in syms for c in s.children]))
+        expected_total, expected_failure = Fraction(0), None
+        for coeff, sym in terms:
+            lst, failure = _oracle(sym, w)
+            if failure is None:
+                assert eval_symbol(sym, w) == count(lst)
+                assert symbol_list(sym, w).assoc == lst.assoc
+                if expected_failure is None:
+                    expected_total += coeff * count(lst)
+            else:
+                for fn in (eval_symbol, symbol_list):
+                    with pytest.raises(UndefinedInvariant) as err:
+                        fn(sym, w)
+                    _same_failure(err.value, failure)
+                expected_failure = expected_failure or failure
+        if expected_failure is None:
+            assert eval_symbol_sum(terms, w) == expected_total
+        else:
+            with pytest.raises(UndefinedInvariant) as err:
+                eval_symbol_sum(terms, w)
+            _same_failure(err.value, expected_failure)
+
+
+def _non_leaf_postorder(sym):
+    out = []
+    for child in sym.children:
+        out.extend(_non_leaf_postorder(child))
+    return out + [sym.canonical()] if sym.children else out
+
+
+class TestDiagram:
+    REPEATED = (
+        "-- (a)b --\n"
+        "  1      0      0   1\n"
+        "a b a^-1 b^-1 c b a b^-1 a^-1 c^-1\n"
+        ">----->           >-------->\n"
+        "\n"
+    ) * 2 + (
+        "-- ((a)b)((a)b)c --\n"
+        "              1               0\n"
+        "a b a^-1 b^-1 c b a b^-1 a^-1 c^-1\n"
+        "  >------------------->\n"
+        "  >------------------->\n"
+        "\n"
+        "count = 1"
+    )
+    PARTIAL = (
+        "-- (a)b --\n"
+        "  1      0      0   1\n"
+        "a b a^-1 b^-1 d b a b^-1 a^-1 d^-1 c\n"
+        ">----->           >-------->\n"
+        "\n"
+        "undefined at c (count=1)"
+    )
+
+    def test_repeated_subsymbol(self):
+        text, value, failure = render_diagram(parse_word("[[a,b],c]"),
+                                              parse_symbol("((a)b)((a)b)c"))
+        assert (text, value, failure) == (self.REPEATED, 1, None)
+
+    def test_partial_diagram(self):
+        text, value, failure = render_diagram(parse_word("[[a,b],d] c"),
+                                              parse_symbol("((a)b)(c)d"))
+        assert text == self.PARTIAL and value is None
+        assert str(failure) == "undefined at c (count=1)"
+
+    @pytest.mark.parametrize("text", [
+        "((a)b)((a)b)c", "(((a)b)c)(((a)b)c)a", "(a)(a)b", "((a)b)a", "a",
+    ])
+    def test_one_block_per_visit(self, text):
+        # memo hits still draw their whole subtree
+        sym = parse_symbol(text)
+        diagram, _, failure = render_diagram(parse_word("[[[a,b],c],[a,b]]"), sym)
+        headers = [line[3:-3] for line in diagram.splitlines()
+                   if line.startswith("-- ")]
+        assert failure is None
+        assert headers == (_non_leaf_postorder(sym) or [text])
