@@ -3,6 +3,7 @@ organizes them, and the free differential calculus for cross-checks."""
 
 from .errors import (
     InconsistentSystem,
+    InvalidArgument,
     InvalidEdge,
     InvalidMultidegree,
     InvalidSymbol,

@@ -16,7 +16,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import diagram, eil, fox, lie, linalg, linking, selfcheck, symbols, words
+from . import diagram, eil, fox, lie, linking, selfcheck, symbols, words
 from .errors import LetterLinkError, ParseError, UndefinedInvariant
 
 
@@ -215,39 +215,6 @@ def _multidegree_from(gens: list[str], counts_text: str) -> dict[str, int]:
     return dict(zip(gens, counts))
 
 
-def _documented_dual_rows(gens: list[str], md: dict[str, int]) -> list[eil.SymbolGraph]:
-    """Row graphs for the matrix command: curated duals for the
-    two-generator weight-5 block shapes, star graphs when one count is 1,
-    greedy rank-increasing selection otherwise."""
-    counts = [md[g] for g in gens]
-    if len(gens) == 2:
-        relabel = {"a": gens[0], "b": gens[1]}
-        if counts == [3, 2] or counts == [2, 3]:
-            texts = (selfcheck.DOCUMENTED_DUALS_32 if counts == [3, 2]
-                     else selfcheck.DOCUMENTED_DUALS_23)
-            rows = []
-            for text in texts:
-                g = eil.parse_graph(text)
-                rows.append(eil.SymbolGraph.build(
-                    {v: symbols.Symbol(relabel[s.letter])
-                     for v, s in g.vertices},
-                    list(g.edges)))
-            return rows
-    singles = [g for g in gens if md[g] == 1]
-    if len(singles) == 1 and len([g for g in gens if md[g] > 0]) == 2:
-        center = singles[0]
-        (other,) = [g for g in gens if md[g] > 0 and g != center]
-        vertices = {f"v{i + 1}": symbols.Symbol(other) for i in range(md[other])}
-        vertices[f"v{md[other] + 1}"] = symbols.Symbol(center)
-        edges = [(f"v{i + 1}", f"v{md[other] + 1}") for i in range(md[other])]
-        return [eil.SymbolGraph.build(vertices, edges)]
-    # greedy: the rank-increasing rows of the canonical enumeration
-    trees = lie.lyndon_trees_of_multidegree(md)
-    graphs = eil.enumerate_distinct_vertex_graphs(md)
-    return [graphs[i]
-            for i in linalg.independent_rows(lie.pairing_matrix(graphs, trees))]
-
-
 def _run(args) -> int:
     env = _Envelope(args.command, {k: v for k, v in vars(args).items()
                                    if k not in ("command", "json", "timing") and v is not None},
@@ -303,8 +270,7 @@ def _run(args) -> int:
         if sum(md.values()) != args.weight:
             raise ParseError("multidegree does not sum to --weight", 0)
         trees = lie.lyndon_trees_of_multidegree(md)
-        rows = _documented_dual_rows(gens, md)
-        env.set_value(lie.pairing_matrix(rows, trees))
+        env.set_value(lie.pairing_matrix(eil.dual_graphs(gens, md), trees))
     elif args.command == "coords":
         if args.weight < 1:
             raise ParseError("--weight must be at least 1", 0)

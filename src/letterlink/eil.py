@@ -18,7 +18,9 @@ equal their own negatives and pair to zero with everything.
 The distinct-vertex graphs of a multidegree are grown a leaf at a time,
 one tree per class, and each class is printed as the first of its trees
 in a scan of all Prufer codes (see ``enumerate_distinct_vertex_graphs``);
-``distinct_reduce`` solves over them by fraction-free elimination.
+``distinct_reduce`` solves over them by fraction-free elimination, and
+``dual_graphs`` picks the rows that the ``matrix`` command pairs with the
+Lyndon basis.
 """
 
 from __future__ import annotations
@@ -37,8 +39,25 @@ from .errors import (
     TooLarge,
     UndefinedReduction,
 )
+from .lie import lyndon_trees_of_multidegree, pairing_matrix
+from .linalg import independent_rows, solve
+from .linking import eval_symbol_sum
 from .symbols import Symbol, SymbolSum, parse_symbol
 from .words import Word
+
+# most vertices of a graph that the distinct-vertex computations accept
+DISTINCT_VERTEX_LIMIT = 7
+
+# the two documented dual graphs per weight-5 mixed multidegree of F_2,
+# in the documented row order
+DOCUMENTED_DUALS_32 = (
+    "{v1:b, v2:a, v3:b, v4:a, v5:a; v1->v2, v2->v3, v3->v4, v5->v3}",
+    "{v1:a, v2:b, v3:a, v4:b, v5:a; v1->v2, v2->v3, v3->v4, v4->v5}",
+)
+DOCUMENTED_DUALS_23 = (
+    "{v1:a, v2:b, v3:a, v4:b, v5:b; v1->v2, v2->v3, v3->v4, v5->v3}",
+    "{v1:b, v2:a, v3:b, v4:a, v5:b; v1->v2, v2->v3, v3->v4, v4->v5}",
+)
 
 
 @dataclass(frozen=True)
@@ -313,8 +332,6 @@ def graph_of_symbol(sym: Symbol) -> tuple[SymbolGraph, list[str]]:
 
 def eval_graph(g: SymbolGraph, w: Word) -> Fraction:
     """Reduce along the default order, then evaluate the symbol sum."""
-    from .linking import eval_symbol_sum
-
     return eval_symbol_sum(reduce_full(g, default_order(g)), w)
 
 
@@ -527,8 +544,7 @@ def _first_prufer_edges(letters: tuple[int, ...], adj: list[list[int]],
     return _prufer_decode(k, best)
 
 
-def enumerate_distinct_vertex_graphs(multidegree: dict[str, int],
-                                     bound: int = 7) -> list[SymbolGraph]:
+def enumerate_distinct_vertex_graphs(multidegree: dict[str, int]) -> list[SymbolGraph]:
     """All distinct-vertex Eil graphs of the given label multiset, one
     canonical orientation per isomorphism class, sorted by encoding.
 
@@ -546,8 +562,8 @@ def enumerate_distinct_vertex_graphs(multidegree: dict[str, int],
     k = len(labels)
     if k < 1:
         raise InvalidMultidegree("multidegree must have total count >= 1")
-    if k > bound:
-        raise TooLarge(f"{k} vertices exceeds bound {bound}")
+    if k > DISTINCT_VERTEX_LIMIT:
+        raise TooLarge(f"{k} vertices exceeds bound {DISTINCT_VERTEX_LIMIT}")
     counts = [multidegree[gen] for gen in sorted(multidegree) if multidegree[gen]]
     start = [0, *accumulate(counts)]
     vertices = {f"v{i + 1}": Symbol(labels[i]) for i in range(k)}
@@ -559,27 +575,52 @@ def enumerate_distinct_vertex_graphs(multidegree: dict[str, int],
     return [rep for _, _, rep in sorted(forms, key=lambda form: form[0])]
 
 
-def distinct_reduce(g: SymbolGraph, bound: int = 7) -> GraphSum:
+def distinct_reduce(g: SymbolGraph) -> GraphSum:
     """Rewrite an Eil graph (homogeneous edges allowed) as a rational
     combination of distinct-vertex graphs with the same functional.
 
     Solved exactly against the basis of bracket trees of the multidegree:
     the output pairs equally with every such tree.
     """
-    from . import lie
-
     g.validate(ambient=True)
-    if len(g.labels) > bound:
-        raise TooLarge(f"{len(g.labels)} vertices exceeds bound {bound}")
     multidegree = g.multidegree()
-    basis_graphs = enumerate_distinct_vertex_graphs(multidegree, bound=bound)
-    trees = lie.lyndon_trees_of_multidegree(multidegree)
-    *columns, rhs = lie.pairing_matrix(basis_graphs + [g], trees)
+    basis_graphs = enumerate_distinct_vertex_graphs(multidegree)
+    trees = lyndon_trees_of_multidegree(multidegree)
+    *columns, rhs = pairing_matrix(basis_graphs + [g], trees)
     matrix = [[column[j] for column in columns] for j in range(len(trees))]
-    from .linalg import solve
-
     coeffs = solve(matrix, rhs)
     out = GraphSum()
     for c, h in zip(coeffs, basis_graphs):
         out.add(c, h)
     return out
+
+
+def dual_graphs(gens: list[str], multidegree: dict[str, int]) -> list[SymbolGraph]:
+    """Row graphs of the ``matrix`` command, paired with the Lyndon trees of
+    ``multidegree``: the documented duals for the two-generator weight-5
+    block shapes (written over a, b, which stand for ``gens[0]``,
+    ``gens[1]``), the star graph when one of two nonzero counts is 1, and
+    otherwise the rank-increasing rows of the distinct-vertex enumeration."""
+    counts = [multidegree[g] for g in gens]
+    if len(gens) == 2 and counts in ([3, 2], [2, 3]):
+        relabel = {"a": gens[0], "b": gens[1]}
+        texts = DOCUMENTED_DUALS_32 if counts == [3, 2] else DOCUMENTED_DUALS_23
+        rows = []
+        for text in texts:
+            g = parse_graph(text)
+            rows.append(SymbolGraph.build(
+                {v: Symbol(relabel[s.letter]) for v, s in g.vertices},
+                list(g.edges)))
+        return rows
+    singles = [g for g in gens if multidegree[g] == 1]
+    if len(singles) == 1 and len([g for g in gens if multidegree[g] > 0]) == 2:
+        center = singles[0]
+        (other,) = [g for g in gens if multidegree[g] > 0 and g != center]
+        n = multidegree[other]
+        vertices = {f"v{i + 1}": Symbol(other) for i in range(n)}
+        vertices[f"v{n + 1}"] = Symbol(center)
+        return [SymbolGraph.build(
+            vertices, [(f"v{i + 1}", f"v{n + 1}") for i in range(n)])]
+    trees = lyndon_trees_of_multidegree(multidegree)
+    graphs = enumerate_distinct_vertex_graphs(multidegree)
+    return [graphs[i] for i in independent_rows(pairing_matrix(graphs, trees))]

@@ -22,6 +22,10 @@ class ParseError(LetterLinkError):
         super().__init__(detail)
 
 
+class InvalidArgument(LetterLinkError, ValueError):
+    """A library call got an argument outside its domain."""
+
+
 class UnknownGenerator(LetterLinkError):
     def __init__(self, name: str):
         self.name = name

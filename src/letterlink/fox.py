@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
+from .errors import InvalidArgument
 from .words import Letter, Word, free_reduce
 
 
@@ -118,7 +119,7 @@ def iterated_fox(w: Word, seq: Iterable[str]) -> GroupRingElement:
     """d_{a_1,...,a_k} applied to a word: a_k first, then a_{k-1}, and so on."""
     seq = list(seq)
     if not seq:
-        raise ValueError("need at least one generator")
+        raise InvalidArgument("need at least one generator")
     x = GroupRingElement.from_word(w)
     for gen in reversed(seq):
         x = fox_derivative(x, gen)
@@ -130,7 +131,7 @@ def fox_eval(w: Word, seq: Iterable[str]) -> int:
     coefficient of X_{a_1}...X_{a_k}, computed along with its prefixes."""
     seq = list(seq)
     if not seq:
-        raise ValueError("need at least one generator")
+        raise InvalidArgument("need at least one generator")
     # monomial j + 1 is monomial j followed by X_{seq[j]}
     return magnus_coefficients(w, [(0, "")] + list(enumerate(seq)))[-1]
 

@@ -25,7 +25,7 @@ from typing import Iterable
 
 from .errors import LabelMismatch, MixedGrading, NotInGamma, ParseError, TooLarge
 from .fox import magnus_coefficients
-from .words import GENERATOR_RE, Word
+from .words import GENERATOR_RE, Word, _check_nesting, _skip_ws
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ def parse_lie(text: str) -> LieElement:
             raise ParseError(f"got {text[pos]!r}", pos, expected="'+' or '-'")
         pos = _skip_ws(text, pos)
         coeff, pos = _parse_coefficient(text, pos)
-        tree, pos = _parse_tree(text, pos)
+        tree, pos = _parse_tree(text, pos, 0)
         terms[tree] = terms.get(tree, Fraction(0)) + sign * coeff
         first = False
     return LieElement(terms)
@@ -167,16 +167,17 @@ def _parse_coefficient(text: str, pos: int) -> tuple[Fraction, int]:
     return Fraction(num, den), m.end()
 
 
-def _parse_tree(text: str, pos: int) -> tuple[BracketTree, int]:
+def _parse_tree(text: str, pos: int, depth: int) -> tuple[BracketTree, int]:
     pos = _skip_ws(text, pos)
     if pos >= len(text):
         raise ParseError("unexpected end of input", pos, expected="tree")
     if text[pos] == "[":
-        left, pos = _parse_tree(text, pos + 1)
+        _check_nesting(depth + 1, pos)
+        left, pos = _parse_tree(text, pos + 1, depth + 1)
         pos = _skip_ws(text, pos)
         if pos >= len(text) or text[pos] != ",":
             raise ParseError("missing ','", pos, expected="','")
-        right, pos = _parse_tree(text, pos + 1)
+        right, pos = _parse_tree(text, pos + 1, depth + 1)
         pos = _skip_ws(text, pos)
         if pos >= len(text) or text[pos] != "]":
             raise ParseError("missing ']'", pos, expected="']'")
@@ -185,12 +186,6 @@ def _parse_tree(text: str, pos: int) -> tuple[BracketTree, int]:
     if m is None:
         raise ParseError(f"got {text[pos]!r}", pos, expected="identifier or '['")
     return BracketTree.leaf(m.group()), m.end()
-
-
-def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
 
 
 # --- Lyndon basis ----------------------------------------------------------
@@ -374,32 +369,20 @@ def graph_tree_pairing(graph, tree: BracketTree) -> int:
 
 
 def extended_pairing(graphs, lie_part) -> Fraction:
-    """Bilinear extension of the pairing to graph sums and Lie elements."""
-    graph_terms = _as_graph_terms(graphs)
-    tree_terms = _as_tree_terms(lie_part)
+    """Bilinear extension of the pairing to graph sums and Lie elements.
+
+    ``graphs`` is one graph or an ``eil.GraphSum``, ``lie_part`` one bracket
+    tree or a ``LieElement``.
+    """
+    graph_terms = graphs.items() if hasattr(graphs, "items") else [(1, graphs)]
+    tree_terms = (lie_part.items() if isinstance(lie_part, LieElement)
+                  else [(1, lie_part)])
+    matrix = pairing_matrix([g for _, g in graph_terms], [t for _, t in tree_terms])
     total = Fraction(0)
-    for cg, g in graph_terms:
-        for ct, t in tree_terms:
-            total += cg * ct * graph_tree_pairing(g, t)
+    for (cg, _), row in zip(graph_terms, matrix):
+        for (ct, _), entry in zip(tree_terms, row):
+            total += cg * ct * entry
     return total
-
-
-def _as_graph_terms(graphs):
-    from .eil import GraphSum, SymbolGraph
-
-    if isinstance(graphs, SymbolGraph):
-        return [(Fraction(1), graphs)]
-    if isinstance(graphs, GraphSum):
-        return list(graphs.items())
-    return [(Fraction(c), g) for c, g in graphs]
-
-
-def _as_tree_terms(lie_part):
-    if isinstance(lie_part, BracketTree):
-        return [(Fraction(1), lie_part)]
-    if isinstance(lie_part, LieElement):
-        return list(lie_part.items())
-    return [(Fraction(c), t) for c, t in lie_part]
 
 
 def bracket_polynomial(tree: BracketTree) -> dict[tuple[str, ...], int]:
@@ -452,7 +435,7 @@ def lie_image_of_bracket_word(text: str) -> LieElement:
         pos = _skip_ws(text, pos)
         if pos >= len(text):
             break
-        tree, pos = _parse_tree(text, pos)
+        tree, pos = _parse_tree(text, pos, 0)
         factors.append(tree)
     if not factors:
         return LieElement()

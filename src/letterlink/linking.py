@@ -27,7 +27,13 @@ from itertools import accumulate, permutations
 from operator import itemgetter, mul
 from typing import Iterable
 
-from .errors import NonzeroCount, SameGenerator, TooLarge, UndefinedInvariant
+from .errors import (
+    InvalidArgument,
+    NonzeroCount,
+    SameGenerator,
+    TooLarge,
+    UndefinedInvariant,
+)
 from .symbols import Symbol
 from .words import Word
 
@@ -43,7 +49,7 @@ class List:
         self.assoc = {j: m for j, m in assoc.items() if m != 0}
         for j in self.assoc:
             if word.letter_at(j).gen != gen:
-                raise ValueError(
+                raise InvalidArgument(
                     f"position {j} carries {word.letter_at(j).gen!r}, not {gen!r}"
                 )
 
@@ -108,7 +114,7 @@ def link(cobounded: List, target: List) -> List:
     if cobounded.gen == target.gen:
         raise SameGenerator(f"both lists are over {target.gen!r}")
     if cobounded.word != target.word:
-        raise ValueError("lists must be drawn from the same word")
+        raise InvalidArgument("lists must be drawn from the same word")
     g = prefix_potential(cobounded)
     return List(target.word, target.gen,
                 {j: m * g[j] for j, m in target.assoc.items()})

@@ -12,21 +12,10 @@ import random
 from fractions import Fraction
 
 from . import eil, fox, lie, linalg, linking, symbols, words
-from .errors import UndefinedInvariant, UndefinedReduction
+from .errors import InvalidEdge, InvalidSymbol, UndefinedInvariant, UndefinedReduction
 from .words import Word
 
 WORKED_WORD_TEXT = "[a a, [b, a c]]"
-
-# the two documented dual graphs per weight-5 mixed multidegree of F_2,
-# in the documented row order
-DOCUMENTED_DUALS_32 = (
-    "{v1:b, v2:a, v3:b, v4:a, v5:a; v1->v2, v2->v3, v3->v4, v5->v3}",
-    "{v1:a, v2:b, v3:a, v4:b, v5:a; v1->v2, v2->v3, v3->v4, v4->v5}",
-)
-DOCUMENTED_DUALS_23 = (
-    "{v1:a, v2:b, v3:a, v4:b, v5:b; v1->v2, v2->v3, v3->v4, v5->v3}",
-    "{v1:b, v2:a, v3:b, v4:a, v5:b; v1->v2, v2->v3, v3->v4, v4->v5}",
-)
 
 WORKED_REDUCTION_INPUT = (
     "{v1:b, v2:a, v3:a, v4:c, v5:d; v1->v2, v2->v3, v3->v4, v3->v5}"
@@ -142,23 +131,11 @@ def check_3_star_24(seed=0, scale="small"):
     return value == 24, f"pairing = {value}"
 
 
-def weight5_matrix(multidegree: dict[str, int]) -> list[list[int]]:
-    if multidegree == {"a": 3, "b": 2}:
-        rows = DOCUMENTED_DUALS_32
-    elif multidegree == {"a": 2, "b": 3}:
-        rows = DOCUMENTED_DUALS_23
-    else:
-        raise ValueError(f"no documented duals for {multidegree}")
-    trees = lie.lyndon_trees_of_multidegree(multidegree)
-    return [
-        [int(lie.extended_pairing(eil.parse_graph(g), t)) for t in trees]
-        for g in rows
-    ]
-
-
 def check_4_weight5_matrices(seed=0, scale="small"):
-    m32 = weight5_matrix({"a": 3, "b": 2})
-    m23 = weight5_matrix({"a": 2, "b": 3})
+    # the rows `letterlink matrix --gens a,b` prints
+    m32, m23 = (lie.pairing_matrix(eil.dual_graphs(["a", "b"], md),
+                                   lie.lyndon_trees_of_multidegree(md))
+                for md in ({"a": 3, "b": 2}, {"a": 2, "b": 3}))
     det = lambda m: m[0][0] * m[1][1] - m[0][1] * m[1][0]
     ok = (m32 == [[4, -2], [4, 4]] and m23 == [[6, -2], [0, 4]]
           and det(m32) == 24 and det(m23) == 24)
@@ -190,17 +167,32 @@ def check_5_surjectivity(seed=0, scale="small"):
                           if not failures else f"rank deficits: {failures}")
 
 
+def _named_edges(edges, flips) -> list[tuple[str, str]]:
+    """Edges on 0..k-1 as edges between v1..vk, each reversed where its flip
+    is true."""
+    return [(f"v{v + 1}", f"v{u + 1}") if flip else (f"v{u + 1}", f"v{v + 1}")
+            for (u, v), flip in zip(edges, flips)]
+
+
+def _random_tree(rng: random.Random, k: int) -> list[tuple[int, int]]:
+    """A uniformly random labeled tree on 0..k-1, k >= 2: the same tree, from
+    the same random draw, as ``rng.choice(list(eil._prufer_trees(k)))``."""
+    index = rng.randrange(k ** (k - 2))
+    code = []
+    for _ in range(k - 2):
+        index, digit = divmod(index, k)
+        code.append(digit)
+    return eil._prufer_decode(k, code[::-1])
+
+
 def _unique_label_graphs(n: int) -> list[eil.SymbolGraph]:
     gens = [f"x{i + 1}" for i in range(n)]
     out = []
     for edges in eil._prufer_trees(n):
-        for orient in itertools.product((0, 1), repeat=len(edges)):
-            es = []
-            for (u, v), o in zip(edges, orient):
-                a, b = (u, v) if o == 0 else (v, u)
-                es.append((f"v{a + 1}", f"v{b + 1}"))
+        for flips in itertools.product((False, True), repeat=len(edges)):
             out.append(eil.SymbolGraph.build(
-                {f"v{i + 1}": symbols.Symbol(gens[i]) for i in range(n)}, es))
+                {f"v{i + 1}": symbols.Symbol(gens[i]) for i in range(n)},
+                _named_edges(edges, flips)))
     return out
 
 
@@ -234,20 +226,16 @@ def check_6_exhaustive_duality(seed=0, scale="small"):
 def _random_symbol_graph(rng: random.Random, max_vertices: int) -> eil.SymbolGraph:
     alphabet = ["a", "b", "c"]
     k = rng.randint(2, max_vertices)
-    edges = rng.choice(list(eil._prufer_trees(k)))
+    edges = _random_tree(rng, k)
     while True:
         labels = {}
         for i in range(k):
             labels[f"v{i + 1}"] = _random_symbol(rng, alphabet,
                                                  rng.choice((0, 0, 1)))
         try:
-            es = []
-            for (u, v) in edges:
-                if rng.random() < 0.5:
-                    u, v = v, u
-                es.append((f"v{u + 1}", f"v{v + 1}"))
-            return eil.SymbolGraph.build(labels, es)
-        except Exception:
+            return eil.SymbolGraph.build(labels, _named_edges(
+                edges, (rng.random() < 0.5 for _ in edges)))
+        except InvalidEdge:
             continue
 
 
@@ -449,8 +437,6 @@ def _random_unique_letter_symbol(rng, letters: list[str]) -> symbols.Symbol:
 
 
 def _check_lifts(rng, trials):
-    from .errors import InvalidSymbol
-
     done = 0
     while done < trials:
         n = rng.randint(2, 5)
@@ -506,7 +492,9 @@ def check_11_distinct_reduce(seed=0, scale="small"):
     rng = random.Random(seed + 11)
     g = eil.parse_graph(WORKED_REDUCTION_INPUT, ambient=True)
     reduced = eil.distinct_reduce(g)
-    expected = [(c, eil.parse_graph(text)) for c, text in WORKED_REDUCTION_TARGET]
+    expected = eil.GraphSum()
+    for c, text in WORKED_REDUCTION_TARGET:
+        expected.add(c, eil.parse_graph(text))
     for tree in lie.lyndon_trees_of_multidegree(g.multidegree()):
         value = lie.extended_pairing(g, tree)
         if lie.extended_pairing(reduced, tree) != value:
@@ -518,17 +506,13 @@ def check_11_distinct_reduce(seed=0, scale="small"):
     while done < trials:
         k = rng.randint(3, 6)
         labels = [rng.choice(["a", "b", "c"]) for _ in range(k)]
-        edges = rng.choice(list(eil._prufer_trees(k)))
+        edges = _random_tree(rng, k)
         if not any(labels[u] == labels[v] for u, v in edges):
             continue
-        es = []
-        for u, v in edges:
-            if rng.random() < 0.5:
-                u, v = v, u
-            es.append((f"v{u + 1}", f"v{v + 1}"))
         graph = eil.SymbolGraph.build(
             {f"v{i + 1}": symbols.Symbol(labels[i]) for i in range(k)},
-            es, ambient=True)
+            _named_edges(edges, (rng.random() < 0.5 for _ in edges)),
+            ambient=True)
         done += 1
         reduced = eil.distinct_reduce(graph)
         for tree in lie.lyndon_trees_of_multidegree(graph.multidegree()):

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Mapping
 
 from .errors import InvalidSymbol, ParseError, UnknownGenerator
-from .words import GENERATOR_RE
+from .words import GENERATOR_RE, _check_nesting, _skip_ws
 
 
 @dataclass(frozen=True)
@@ -60,19 +61,13 @@ def symbol(text: str) -> Symbol:
 
 
 def parse_symbol(text: str) -> Symbol:
-    sym, pos = _parse_symbol_body(text, 0, closer=None)
+    sym, pos = _parse_symbol_body(text, 0, closer=None, depth=0)
     if pos != len(text):
         raise ParseError(f"trailing input {text[pos:]!r}", pos)
     return sym
 
 
-def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
-
-
-def _parse_symbol_body(text: str, pos: int, closer: str | None):
+def _parse_symbol_body(text: str, pos: int, closer: str | None, depth: int):
     free: str | None = None
     children: list[Symbol] = []
     while True:
@@ -81,7 +76,9 @@ def _parse_symbol_body(text: str, pos: int, closer: str | None):
             break
         ch = text[pos]
         if ch == "(":
-            child, pos = _parse_symbol_body(text, pos + 1, closer=")")
+            _check_nesting(depth + 1, pos)
+            child, pos = _parse_symbol_body(text, pos + 1, closer=")",
+                                            depth=depth + 1)
             if pos >= len(text) or text[pos] != ")":
                 raise ParseError("unbalanced parenthesis", pos, expected="')'")
             pos += 1
@@ -131,23 +128,14 @@ def preimages_of_symbol(mapping: Mapping[str, str], sym: Symbol) -> list[Symbol]
         child_options = [build(c) for c in node.children]
         out = []
         for letter in choices:
-            for combo in _product(child_options):
+            for combo in product(*child_options):
                 try:
-                    out.append(Symbol(letter, tuple(combo)))
+                    out.append(Symbol(letter, combo))
                 except InvalidSymbol:
                     pass
         return out
 
     return build(sym)
-
-
-def _product(options: list[list[Symbol]]):
-    if not options:
-        yield ()
-        return
-    for head in options[0]:
-        for rest in _product(options[1:]):
-            yield (head,) + rest
 
 
 @dataclass

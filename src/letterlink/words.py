@@ -11,7 +11,8 @@ Grammar accepted by :func:`parse_word` (shared with the CLI)::
     atom := ident | '[' word ',' word ']' | '(' word ')'
 
 Commutators ``[u,v]`` expand to ``u v u^-1 v^-1`` and exponents expand to
-repetition; no cancellation is performed.
+repetition; no cancellation is performed.  Brackets and parentheses nest at
+most ``NESTING_LIMIT`` deep, here and in the symbol and Lie grammars.
 """
 
 from __future__ import annotations
@@ -21,9 +22,25 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import ParseError, UnknownGenerator
+from .errors import InvalidArgument, ParseError, UnknownGenerator
 
 GENERATOR_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
+
+# deepest bracket nesting any parser accepts, so no input can exhaust the stack
+NESTING_LIMIT = 100
+
+
+def _check_nesting(depth: int, position: int) -> None:
+    """Raise ParseError at the bracket at ``position`` if the level it opens,
+    ``depth``, is deeper than ``NESTING_LIMIT``."""
+    if depth > NESTING_LIMIT:
+        raise ParseError(f"nesting deeper than {NESTING_LIMIT} levels", position)
+
+
+def _skip_ws(text: str, pos: int) -> int:
+    while pos < len(text) and text[pos].isspace():
+        pos += 1
+    return pos
 
 
 class Letter(NamedTuple):
@@ -62,6 +79,9 @@ class Word:
 
     def letter_at(self, position: int) -> Letter:
         """Letter at a 1-based position."""
+        if not 1 <= position <= len(self.letters):
+            raise InvalidArgument(
+                f"position {position} outside 1..{len(self.letters)}")
         return self.letters[position - 1]
 
     def generators(self) -> set[str]:
@@ -132,24 +152,25 @@ def parse_word(text: str, alphabet: Iterable[str] | None = None) -> Word:
     """
     allowed = set(alphabet) if alphabet is not None else None
     toks = _Tokens(text)
-    w = _parse_word_body(toks, allowed, closers=set())
+    w = _parse_word_body(toks, allowed, closers=set(), depth=0)
     kind, val, pos = toks.peek()
     if kind is not None:
         raise ParseError(f"trailing input {val!r}", pos)
     return w
 
 
-def _parse_word_body(toks: _Tokens, allowed, closers: set[str]) -> Word:
+def _parse_word_body(toks: _Tokens, allowed, closers: set[str],
+                     depth: int) -> Word:
     out: list[Letter] = []
     while True:
         kind, val, pos = toks.peek()
         if kind is None or (kind == "punct" and val in closers):
             return Word(tuple(out))
-        out.extend(_parse_term(toks, allowed).letters)
+        out.extend(_parse_term(toks, allowed, depth).letters)
 
 
-def _parse_term(toks: _Tokens, allowed) -> Word:
-    base = _parse_atom(toks, allowed)
+def _parse_term(toks: _Tokens, allowed, depth: int) -> Word:
+    base = _parse_atom(toks, allowed, depth)
     kind, val, pos = toks.peek()
     if kind == "punct" and val == "^":
         toks.next()
@@ -163,20 +184,22 @@ def _parse_term(toks: _Tokens, allowed) -> Word:
     return base
 
 
-def _parse_atom(toks: _Tokens, allowed) -> Word:
+def _parse_atom(toks: _Tokens, allowed, depth: int) -> Word:
     kind, val, pos = toks.next()
     if kind == "ident":
         if allowed is not None and val not in allowed:
             raise UnknownGenerator(val)
         return Word((Letter(val, 1),))
+    if kind == "punct" and val in ("[", "("):
+        _check_nesting(depth + 1, pos)
     if kind == "punct" and val == "[":
-        u = _parse_word_body(toks, allowed, closers={","})
+        u = _parse_word_body(toks, allowed, closers={","}, depth=depth + 1)
         toks.expect(",")
-        v = _parse_word_body(toks, allowed, closers={"]"})
+        v = _parse_word_body(toks, allowed, closers={"]"}, depth=depth + 1)
         toks.expect("]")
         return commutator(u, v)
     if kind == "punct" and val == "(":
-        w = _parse_word_body(toks, allowed, closers={")"})
+        w = _parse_word_body(toks, allowed, closers={")"}, depth=depth + 1)
         toks.expect(")")
         return w
     raise ParseError(f"got {val!r}" if kind else "unexpected end of input", pos,
@@ -232,12 +255,6 @@ def expand_bracket(expr) -> Word:
     return commutator(expand_bracket(left), expand_bracket(right))
 
 
-def bracket_weight(expr) -> int:
-    if isinstance(expr, str):
-        return 1
-    return bracket_weight(expr[0]) + bracket_weight(expr[1])
-
-
 def random_bracket(weight: int, alphabet: list[str], rng: random.Random):
     """Random commutator shape of the given weight with random leaf labels."""
     if weight == 1:
@@ -278,7 +295,7 @@ def random_gamma_element(depth: int, alphabet: Iterable[str],
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     gens = sorted(alphabet)
     if not gens:
-        raise ValueError("alphabet must be nonempty")
+        raise InvalidArgument("alphabet must be nonempty")
     if depth == 0:
         return random_word(gens, rng.randint(1, max(1, budget)), rng)
     factors = rng.randint(1, 2)

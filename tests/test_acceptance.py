@@ -2,7 +2,9 @@
 arithmetic, zero tolerance.  One PASS/FAIL line is printed per criterion
 (visible with `pytest -s` or on failure)."""
 
-from letterlink import selfcheck
+import random
+
+from letterlink import eil, selfcheck
 
 CRITERIA = {name: fn for name, fn in selfcheck.CHECKS}
 
@@ -66,3 +68,14 @@ def test_selfcheck_is_deterministic():
     second = selfcheck.run_all(seed=3, scale="small")
     assert first == second
     assert all(ok for _, ok, _ in first)
+
+
+def test_random_tree_is_the_draw_from_the_full_prufer_list():
+    # checks 7 and 11 draw this way in place of rng.choice over all k^(k-2)
+    # trees: both must give the same tree and leave the same state
+    for k in range(2, 7):
+        trees = list(eil._prufer_trees(k))
+        for seed in range(40):
+            listed, drawn = random.Random(seed), random.Random(seed)
+            assert selfcheck._random_tree(drawn, k) == listed.choice(trees)
+            assert drawn.getstate() == listed.getstate()

@@ -115,6 +115,14 @@ class TestGraphCommands:
                            "--graph", "{v1:a, v2:a; v1->v2}")
         assert code == 0 and out.strip() == "0"
 
+    def test_distinct_refuses_eight_vertices(self, capsys):
+        code, out, err = run(
+            capsys, "distinct", "--graph",
+            "{v1:a, v2:a, v3:a, v4:a, v5:b, v6:b, v7:b, v8:b; "
+            "v1->v2, v2->v3, v3->v4, v4->v5, v5->v6, v6->v7, v7->v8}")
+        assert code == 1 and out == ""
+        assert err == "error: 8 vertices exceeds bound 7\n"
+
     def test_basis_multidegree(self, capsys):
         code, out, _ = run(capsys, "basis", "--weight", "5", "--gens", "a,b",
                            "--multidegree", "3,2")
@@ -144,6 +152,12 @@ class TestArgumentErrors:
             ("basis", "--weight=3", "--gens", "a,b", "--multidegree=-1,4"),
             ("pair", "--graphsum", "x * {v1:a}", "--lie", "a"),
             ("pair", "--graphsum", "1/0 * {v1:a}", "--lie", "a"),
+            ("eval", "--word", "(" * 5000 + "a" + ")" * 5000, "--symbol", "a"),
+            ("eval", "--word", "a", "--symbol", "(" * 5000 + "a" + ")b" * 5000),
+            ("eval", "--word", "a",
+             "--graph", "{v1:" + "(" * 5000 + "a" + ")b" * 5000 + "}"),
+            ("pair", "--graph", "{v1:a, v2:b; v1->v2}",
+             "--lie", "[" * 5000 + "a" + ",b]" * 5000),
         ],
     )
     def test_exit_two(self, capsys, argv):

@@ -11,6 +11,7 @@ from letterlink import (
     NotATree,
     ParseError,
     Symbol,
+    TooLarge,
     UndefinedReduction,
     canonicalize,
     default_order,
@@ -27,8 +28,10 @@ from letterlink import (
     reduce_full,
 )
 from letterlink import eil
-from letterlink.eil import SymbolGraph, _prufer_trees, canonical_form
+from letterlink.eil import SymbolGraph, _prufer_trees, canonical_form, dual_graphs
 from letterlink.lie import lyndon_trees_of_multidegree
+from letterlink.linalg import rank
+from letterlink.words import NESTING_LIMIT
 
 
 class TestParse:
@@ -52,6 +55,11 @@ class TestParse:
     def test_symbol_labels(self):
         g = parse_graph("{v1:(a)b, v2:c ; v1->v2}")
         assert g.labels["v1"].canonical() == "(a)b"
+
+    def test_deeply_nested_label_fails_at_the_first_bracket_past_the_limit(self):
+        with pytest.raises(ParseError) as err:
+            parse_graph("{v1:" + "(" * 5000 + "a" + ")b" * 5000 + "}")
+        assert err.value.position == len("{v1:") + NESTING_LIMIT
 
     def test_cycle_rejected(self):
         with pytest.raises(NotATree):
@@ -220,6 +228,10 @@ class TestEnumerate:
         with pytest.raises(InvalidMultidegree):
             enumerate_distinct_vertex_graphs(multidegree)
 
+    def test_eight_vertices_are_refused(self):
+        with pytest.raises(TooLarge):
+            enumerate_distinct_vertex_graphs({"a": 4, "b": 4})
+
     def test_prufer_counts(self):
         assert len(list(_prufer_trees(4))) == 16
         assert len(list(_prufer_trees(2))) == 1
@@ -259,6 +271,13 @@ class TestDistinctReduce:
         reduced = distinct_reduce(g)
         for t in lyndon_trees_of_multidegree(g.multidegree()):
             assert extended_pairing(reduced, t) == extended_pairing(g, t)
+
+    def test_eight_vertices_are_refused(self):
+        g = parse_graph("{v1:a, v2:a, v3:a, v4:a, v5:b, v6:b, v7:b, v8:c; "
+                        "v1->v2, v2->v3, v3->v4, v4->v5, v5->v6, v6->v7, v7->v8}",
+                        ambient=True)
+        with pytest.raises(TooLarge):
+            distinct_reduce(g)
 
     def test_homogeneous_pair_is_zero_functional(self):
         g = parse_graph("{v1:a, v2:a; v1->v2}", ambient=True)
@@ -313,6 +332,29 @@ class TestDistinctReduce:
         flipped = parse_graph("{v1:a, v2:b, v3:a; v1->v2, v3->v2}")
         for t in lyndon_trees_of_multidegree({"a": 2, "b": 1}):
             assert extended_pairing(g, t) + extended_pairing(flipped, t) == 0
+
+
+class TestDualGraphs:
+    def test_documented_duals_follow_the_generator_order(self):
+        # in the order b, a the counts read (3, 2): the (3, 2) duals with
+        # a and b swapped
+        assert [str(g) for g in dual_graphs(["b", "a"], {"a": 2, "b": 3})] == [
+            "{v1:a, v2:b, v3:a, v4:b, v5:b; v1->v2, v2->v3, v3->v4, v5->v3}",
+            "{v1:b, v2:a, v3:b, v4:a, v5:b; v1->v2, v2->v3, v3->v4, v4->v5}",
+        ]
+
+    def test_star(self):
+        assert [str(g) for g in dual_graphs(["a", "b"], {"a": 1, "b": 3})] == [
+            "{v1:b, v2:b, v3:b, v4:a; v1->v4, v2->v4, v3->v4}"]
+
+    @pytest.mark.parametrize("multidegree", [
+        {"a": 2, "b": 2}, {"a": 3, "b": 3}, {"a": 2, "b": 1, "c": 1}])
+    def test_rank_increasing_rows_span_the_basis(self, multidegree):
+        rows = dual_graphs(sorted(multidegree), multidegree)
+        trees = lyndon_trees_of_multidegree(multidegree)
+        assert len(rows) == len(trees)
+        matrix = [[extended_pairing(g, t) for t in trees] for g in rows]
+        assert rank(matrix) == len(trees)
 
 
 class TestEvalGraph:

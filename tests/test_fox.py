@@ -5,6 +5,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from letterlink import (
     GroupRingElement,
+    InvalidArgument,
     Letter,
     Word,
     augmentation,
@@ -179,3 +180,8 @@ class TestMagnusPassMatchesGroupRing:
     def test_empty_sequence_is_rejected(self):
         with pytest.raises(ValueError):
             fox_eval(parse_word("a"), [])
+
+    @pytest.mark.parametrize("fn", [fox_eval, iterated_fox])
+    def test_empty_sequence_is_a_package_error(self, fn):
+        with pytest.raises(InvalidArgument):
+            fn(parse_word("a"), [])

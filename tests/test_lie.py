@@ -9,10 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from letterlink import (
     BracketTree,
+    GraphSum,
     LabelMismatch,
     LieElement,
     MixedGrading,
     NotInGamma,
+    ParseError,
     Symbol,
     SymbolGraph,
     TooLarge,
@@ -39,6 +41,7 @@ from letterlink.lie import (
 )
 from letterlink.linalg import rank, solve
 from letterlink.words import (
+    NESTING_LIMIT,
     all_bracketings,
     expand_bracket,
     random_bracket,
@@ -126,6 +129,12 @@ class TestParse:
         ((c, _),) = e.items()
         assert c == Fraction(1, 2)
 
+    @pytest.mark.parametrize("parse", [parse_lie, lie_image_of_bracket_word])
+    def test_deep_nesting_fails_at_the_first_bracket_past_the_limit(self, parse):
+        with pytest.raises(ParseError) as err:
+            parse("[" * 5000 + "a" + ",b]" * 5000)
+        assert err.value.position == NESTING_LIMIT
+
 
 class TestLyndon:
     def test_weight_one(self):
@@ -188,6 +197,22 @@ class TestExtendedPairing:
     def test_multidegree_mismatch_is_zero(self):
         g = parse_graph("{v1:a, v2:b; v1->v2}")
         assert extended_pairing(g, parse_lie("[a,c]")) == 0
+
+    def test_sums_against_sums_are_the_double_sum(self):
+        graphs = GraphSum()
+        for coeff, text in [
+            (2, "{v1:a, v2:b, v3:a, v4:c; v1->v2, v2->v3, v3->v4}"),
+            (Fraction(-1, 3), "{v1:a, v2:b, v3:c, v4:a; v1->v2, v4->v2, v3->v2}"),
+            (5, "{v1:b, v2:a, v3:c, v4:a; v1->v2, v3->v2, v3->v4}"),
+            (7, "{v1:a, v2:b, v3:c, v4:c; v1->v2, v2->v3, v1->v4}"),
+        ]:
+            graphs.add(coeff, parse_graph(text, ambient=True))
+        lie_part = parse_lie("[a,[b,[a,c]]] - 1/2*[[a,b],[a,c]] + 3*[[a,c],[a,b]]"
+                             " + [[[a,b],c],a]")
+        expected = sum(cg * ct * graph_tree_pairing(g, t)
+                       for cg, g in graphs for ct, t in lie_part.items())
+        assert expected != 0
+        assert extended_pairing(graphs, lie_part) == expected
 
     def test_jacobi_identity(self):
         rng = random.Random(3)

@@ -6,6 +6,7 @@ from brute_force import position_symbol_list
 from hypothesis import example, given, settings, strategies as st
 
 from letterlink import (
+    InvalidArgument,
     List,
     NonzeroCount,
     SameGenerator,
@@ -55,6 +56,16 @@ class TestLists:
         with pytest.raises(ValueError):
             List(w, "a", {2: 1})
 
+    def test_wrong_generator_is_a_package_error(self):
+        with pytest.raises(InvalidArgument):
+            List(parse_word("a b"), "a", {2: 1})
+
+    @pytest.mark.parametrize("position", [0, 3, 7])
+    def test_positions_outside_the_word_are_rejected(self, position):
+        # position 0 must not wrap round to the last letter, an 'a'
+        with pytest.raises(InvalidArgument):
+            List(parse_word("b a"), "a", {position: 1})
+
 
 class TestPrefixPotential:
     def test_requires_zero_count(self):
@@ -95,6 +106,11 @@ class TestLink:
         w = parse_word("a a^-1 b")
         lb = link(standard_list(w, "a"), standard_list(w, "b"))
         assert lb.assoc == {}
+
+    def test_lists_from_different_words_rejected(self):
+        with pytest.raises(InvalidArgument):
+            link(standard_list(parse_word("a a^-1"), "a"),
+                 standard_list(parse_word("b"), "b"))
 
     def test_same_generator_rejected(self):
         w = parse_word("a a^-1")

@@ -13,7 +13,7 @@ from letterlink import (
     preimages_of_symbol,
     relabel_symbol,
 )
-from letterlink.words import random_word
+from letterlink.words import NESTING_LIMIT, random_word
 
 
 class TestParse:
@@ -45,6 +45,16 @@ class TestParse:
     def test_unbalanced(self):
         with pytest.raises(ParseError):
             parse_symbol("((a)b")
+
+    def test_deep_nesting_fails_at_the_first_bracket_past_the_limit(self):
+        with pytest.raises(ParseError) as err:
+            parse_symbol("(" * 5000 + "a" + ")b" * 5000)
+        assert err.value.position == NESTING_LIMIT
+
+    def test_nesting_at_the_limit_parses(self):
+        text = "(" * NESTING_LIMIT + "a" + "".join(
+            ")b" if i % 2 == 0 else ")a" for i in range(NESTING_LIMIT))
+        assert parse_symbol(text).depth == NESTING_LIMIT
 
 
 class TestDepth:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from letterlink import (
+    InvalidArgument,
     Letter,
     ParseError,
     UnknownGenerator,
@@ -16,7 +17,7 @@ from letterlink import (
     random_gamma_element,
     relabel,
 )
-from letterlink.words import all_bracketings, expand_bracket
+from letterlink.words import NESTING_LIMIT, all_bracketings, expand_bracket
 
 
 def letters(text):
@@ -61,6 +62,35 @@ class TestParse:
     def test_bad_exponent(self):
         with pytest.raises(ParseError):
             parse_word("a^b")
+
+    @pytest.mark.parametrize("text", [
+        "(" * 5000 + "a" + ")" * 5000,
+        "[" * 5000 + "a" + ", b]" * 5000,
+        "a [b, " * 5000 + "a" + "]" * 5000,
+    ])
+    def test_deep_nesting_fails_at_the_first_bracket_past_the_limit(self, text):
+        with pytest.raises(ParseError) as err:
+            parse_word(text)
+        opening = [i for i, ch in enumerate(text) if ch in "[("]
+        assert err.value.position == opening[NESTING_LIMIT]
+
+    def test_nesting_at_the_limit_parses(self):
+        limit, outer = NESTING_LIMIT, NESTING_LIMIT - 1
+        assert parse_word("(" * limit + "a" + ")" * limit) == letters("a")
+        assert (parse_word("(" * outer + "[a, b]" + ")" * outer)
+                == letters("a b a^-1 b^-1"))
+
+
+class TestLetterAt:
+    def test_positions_are_one_based(self):
+        w = parse_word("a b^-1")
+        assert w.letter_at(1) == Letter("a", 1)
+        assert w.letter_at(2) == Letter("b", -1)
+
+    @pytest.mark.parametrize("position", [0, -1, 3, 7])
+    def test_positions_outside_the_word_are_rejected(self, position):
+        with pytest.raises(InvalidArgument):
+            parse_word("a b").letter_at(position)
 
 
 class TestArithmetic:
@@ -151,6 +181,10 @@ class TestGammaElements:
         assert len(all_bracketings(("x1", "x2"))) == 1
         assert len(all_bracketings(("x1", "x2", "x3"))) == 2
         assert len(all_bracketings(("x1", "x2", "x3", "x4"))) == 5
+
+    def test_empty_alphabet_is_rejected(self):
+        with pytest.raises(InvalidArgument):
+            random_gamma_element(2, [], seed=0)
 
     def test_commutator_exponent_sums_vanish(self):
         rng = random.Random(3)
