@@ -145,55 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_graphsum(text: str) -> eil.GraphSum:
-    """Parse `coeff * {...} + ...`; bare graphs get coefficient 1."""
-    out = eil.GraphSum()
-    pos = 0
-    sign = Fraction(1)
-    while pos < len(text):
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-        elif ch == "+":
-            sign = Fraction(1)
-            pos += 1
-        elif ch == "-":
-            sign = Fraction(-1)
-            pos += 1
-        elif ch == "{":
-            depth = 0
-            end = pos
-            while end < len(text):
-                if text[end] == "{":
-                    depth += 1
-                elif text[end] == "}":
-                    depth -= 1
-                    if depth == 0:
-                        break
-                end += 1
-            if depth != 0:
-                raise ParseError("unbalanced '{'", pos)
-            try:
-                graph = eil.parse_graph(text[pos : end + 1])
-            except ParseError as exc:
-                raise ParseError(exc.message, pos + exc.position,
-                                 exc.expected) from None
-            out.add(sign, graph)
-            sign = Fraction(1)
-            pos = end + 1
-        else:
-            star = text.find("*", pos)
-            if star < 0:
-                raise ParseError(f"got {ch!r}", pos, expected="coefficient or '{'")
-            try:
-                sign *= Fraction(text[pos:star].strip())
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(f"bad coefficient {text[pos:star].strip()!r}",
-                                 pos, expected="rational number") from None
-            pos = star + 1
-    return out
-
-
 def _split_gens(text: str) -> list[str]:
     return [g.strip() for g in text.split(",") if g.strip()]
 
@@ -219,6 +170,8 @@ def _run(args) -> int:
     env = _Envelope(args.command, {k: v for k, v in vars(args).items()
                                    if k not in ("command", "json", "timing") and v is not None},
                     args.json, args.timing)
+    if args.command in ("basis", "coords") and args.weight < 1:
+        raise ParseError("--weight must be at least 1", 0)
     if args.command == "eval":
         w = words.parse_word(args.word)
         try:
@@ -254,7 +207,7 @@ def _run(args) -> int:
         if args.graph is not None:
             graphs = eil.parse_graph(args.graph, ambient=True)
         else:
-            graphs = _parse_graphsum(args.graphsum)
+            graphs = eil.parse_graph_sum(args.graphsum)
         env.set_value(lie.extended_pairing(graphs, lie_part))
     elif args.command == "basis":
         gens = _split_gens(args.gens)
@@ -272,8 +225,6 @@ def _run(args) -> int:
         trees = lie.lyndon_trees_of_multidegree(md)
         env.set_value(lie.pairing_matrix(eil.dual_graphs(gens, md), trees))
     elif args.command == "coords":
-        if args.weight < 1:
-            raise ParseError("--weight must be at least 1", 0)
         w = words.parse_word(args.word)
         element = lie.lie_coordinates(w, args.weight)
         env.set_value([[_plain(c), str(t)] for c, t in element.items()],

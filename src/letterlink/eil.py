@@ -32,6 +32,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, permutations, product
 
 from .errors import (
+    InvalidArgument,
     InvalidEdge,
     InvalidMultidegree,
     NotATree,
@@ -42,8 +43,8 @@ from .errors import (
 from .lie import lyndon_trees_of_multidegree, pairing_matrix
 from .linalg import independent_rows, solve
 from .linking import eval_symbol_sum
-from .symbols import Symbol, SymbolSum, parse_symbol
-from .words import Word
+from .symbols import Symbol, SymbolSum, _read_symbol
+from .words import Scanner, Word, _read_sum
 
 # most vertices of a graph that the distinct-vertex computations accept
 DISTINCT_VERTEX_LIMIT = 7
@@ -94,8 +95,8 @@ class SymbolGraph:
             raise NotATree("graph has no vertices")
         for t, h in self.edges:
             if t not in labels or h not in labels:
-                raise ParseError(f"edge endpoint {t if t not in labels else h!r}"
-                                 " is not a declared vertex", 0)
+                raise InvalidArgument(f"edge endpoint {t if t not in labels else h!r}"
+                                      " is not a declared vertex")
         if len(self.edges) != len(labels) - 1:
             raise NotATree(
                 f"{len(self.edges)} edges on {len(labels)} vertices"
@@ -148,76 +149,68 @@ def _id_key(vid: str):
     return (vid, -1)
 
 
-_EDGE_RE = re.compile(r"\s*([a-zA-Z_][a-zA-Z0-9_]*)\s*->\s*([a-zA-Z_][a-zA-Z0-9_]*)\s*$")
+_VERTEX_ID_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*")
 
 
 def parse_graph(text: str, ambient: bool = False) -> SymbolGraph:
     """Parse ``{ v1:label, v2:label ; v1->v2, ... }`` into a validated graph.
 
-    A ParseError gives the position in ``text`` of the offending entry, or
-    of the offending part of it.
+    Empty entries are skipped.  A ParseError gives the position in ``text``
+    of the offending entry, or of the offending part of it.
     """
-    lead = len(text) - len(text.lstrip())
-    s = text.strip()
-    if not s.startswith("{"):
-        raise ParseError("graph must be enclosed in braces", lead, expected="'{'")
-    if not s.endswith("}"):
-        raise ParseError("graph must be enclosed in braces", lead + len(s),
-                         expected="'}'")
-    body = s[1:-1]
-    semicolon = body.find(";")
-    if semicolon < 0:
-        semicolon = len(body)
-    vertices: dict[str, Symbol] = {}
-    for pos, entry in _split_top_level(body[:semicolon], lead + 1):
-        if ":" not in entry:
-            raise ParseError(f"vertex entry {entry!r} lacks ':'", pos)
-        vid, label_text = entry.split(":", 1)
-        vid = vid.strip()
-        if not re.fullmatch(r"[a-zA-Z_][a-zA-Z0-9_]*", vid):
-            raise ParseError(f"bad vertex id {vid!r}", pos)
-        if vid in vertices:
-            raise ParseError(f"duplicate vertex id {vid!r}", pos)
-        label_pos = pos + entry.index(":") + 1
-        label_pos += len(label_text) - len(label_text.lstrip())
-        try:
-            vertices[vid] = parse_symbol(label_text.strip())
-        except ParseError as exc:
-            raise ParseError(exc.message, label_pos + exc.position,
-                             exc.expected) from None
-    edges: list[tuple[str, str]] = []
-    for pos, entry in _split_top_level(body[semicolon + 1:], lead + semicolon + 2):
-        m = _EDGE_RE.match(entry)
-        if m is None:
-            raise ParseError(f"bad edge {entry!r}", pos, expected="'v->w'")
-        for end in (1, 2):
-            if m.group(end) not in vertices:
-                raise ParseError(f"edge endpoint {m.group(end)!r} is not a "
-                                 "declared vertex", pos + m.start(end))
-        edges.append((m.group(1), m.group(2)))
+    sc = Scanner(text)
+    vertices, edges = _read_graph(sc)
+    if sc.char:
+        sc.fail("end of input")
     return SymbolGraph.build(vertices, edges, ambient=ambient)
 
 
-def _split_top_level(text: str, offset: int) -> list[tuple[int, str]]:
-    """Split on commas outside parentheses into (position, entry) pairs,
-    entries stripped, empty ones dropped; ``text`` starts at ``offset`` of
-    the input, and a position is that of the entry's first character."""
-    cuts, depth_count = [-1], 0
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth_count += 1
-        elif ch == ")":
-            depth_count -= 1
-        elif ch == "," and depth_count == 0:
-            cuts.append(i)
-    cuts.append(len(text))
-    parts = []
-    for start, end in zip(cuts, cuts[1:]):
-        part = text[start + 1:end]
-        if part.strip():
-            parts.append((offset + start + 1 + len(part) - len(part.lstrip()),
-                          part.strip()))
-    return parts
+def parse_graph_sum(text: str) -> "GraphSum":
+    """Parse ``[+|-] [coeff *] graph``, then terms each after ``+`` or ``-``,
+    with coefficients as in ``lie.parse_lie``; each graph is validated, as
+    by ``parse_graph`` outside the ambient model, as soon as it is read."""
+    out = GraphSum()
+    for coeff, graph in _read_sum(Scanner(text),
+                                  lambda sc: SymbolGraph.build(*_read_graph(sc))):
+        out.add(coeff, graph)
+    return out
+
+
+def _read_graph(sc: Scanner) -> tuple[dict[str, Symbol], list[tuple[str, str]]]:
+    if not sc.take("{"):
+        sc.fail("'{'", "graph must be enclosed in braces")
+    vertices: dict[str, Symbol] = {}
+    while sc.char not in ";}":
+        if sc.take(","):
+            continue
+        start = sc.pos
+        vid = sc.match(_VERTEX_ID_RE)
+        if vid is None:
+            sc.fail("vertex id", "bad vertex id")
+        if not sc.take(":"):
+            raise ParseError(f"vertex entry {vid!r} lacks ':'", start)
+        if vid in vertices:
+            raise ParseError(f"duplicate vertex id {vid!r}", start)
+        vertices[vid] = _read_symbol(sc, ",;}")
+    edges: list[tuple[str, str]] = []
+    if sc.take(";"):
+        while sc.char not in "}":
+            if sc.take(","):
+                continue
+            start = sc.pos
+            tail = sc.match(_VERTEX_ID_RE)
+            arrow = tail is not None and sc.take("->")
+            head_pos = sc.pos
+            head = sc.match(_VERTEX_ID_RE) if arrow else None
+            if head is None or sc.char not in ",}":
+                raise ParseError("bad edge", start, expected="'v->w'")
+            for vid, pos in ((tail, start), (head, head_pos)):
+                if vid not in vertices:
+                    raise ParseError(f"edge endpoint {vid!r} is not a "
+                                     "declared vertex", pos)
+            edges.append((tail, head))
+    sc.expect("}")
+    return vertices, edges
 
 
 # --- reduction -----------------------------------------------------------

@@ -17,15 +17,15 @@ bijections; the bijection sum itself serves only as a test oracle.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Iterable
 
-from .errors import LabelMismatch, MixedGrading, NotInGamma, ParseError, TooLarge
+from .errors import (InvalidArgument, LabelMismatch, MixedGrading, NotInGamma,
+                     TooLarge)
 from .fox import magnus_coefficients
-from .words import GENERATOR_RE, Word, _check_nesting, _skip_ws
+from .words import GENERATOR_RE, Scanner, Word, _read_sum
 
 
 @dataclass(frozen=True)
@@ -132,60 +132,26 @@ class LieElement:
 
 
 def parse_lie(text: str) -> LieElement:
-    pos = 0
+    """Parse ``[+|-] [coeff *] tree``, then terms each after ``+`` or ``-``,
+    where a tree is an identifier or ``[tree,tree]`` and a coefficient is an
+    unsigned ``fractions.Fraction`` string, with spaces allowed around ``/``."""
     terms: dict[BracketTree, Fraction] = {}
-    first = True
-    while True:
-        pos = _skip_ws(text, pos)
-        if pos >= len(text):
-            if first:
-                raise ParseError("empty Lie expression", pos)
-            break
-        sign = Fraction(1)
-        if text[pos] in "+-":
-            sign = Fraction(-1) if text[pos] == "-" else Fraction(1)
-            pos += 1
-        elif not first:
-            raise ParseError(f"got {text[pos]!r}", pos, expected="'+' or '-'")
-        pos = _skip_ws(text, pos)
-        coeff, pos = _parse_coefficient(text, pos)
-        tree, pos = _parse_tree(text, pos, 0)
-        terms[tree] = terms.get(tree, Fraction(0)) + sign * coeff
-        first = False
+    for coeff, tree in _read_sum(Scanner(text), _read_tree):
+        terms[tree] = terms.get(tree, Fraction(0)) + coeff
     return LieElement(terms)
 
 
-_RATIONAL_RE = re.compile(r"(\d+)(?:\s*/\s*(\d+))?\s*\*")
-
-
-def _parse_coefficient(text: str, pos: int) -> tuple[Fraction, int]:
-    m = _RATIONAL_RE.match(text, pos)
-    if m is None:
-        return Fraction(1), pos
-    num = int(m.group(1))
-    den = int(m.group(2)) if m.group(2) else 1
-    return Fraction(num, den), m.end()
-
-
-def _parse_tree(text: str, pos: int, depth: int) -> tuple[BracketTree, int]:
-    pos = _skip_ws(text, pos)
-    if pos >= len(text):
-        raise ParseError("unexpected end of input", pos, expected="tree")
-    if text[pos] == "[":
-        _check_nesting(depth + 1, pos)
-        left, pos = _parse_tree(text, pos + 1, depth + 1)
-        pos = _skip_ws(text, pos)
-        if pos >= len(text) or text[pos] != ",":
-            raise ParseError("missing ','", pos, expected="','")
-        right, pos = _parse_tree(text, pos + 1, depth + 1)
-        pos = _skip_ws(text, pos)
-        if pos >= len(text) or text[pos] != "]":
-            raise ParseError("missing ']'", pos, expected="']'")
-        return BracketTree.pair(left, right), pos + 1
-    m = GENERATOR_RE.match(text, pos)
-    if m is None:
-        raise ParseError(f"got {text[pos]!r}", pos, expected="identifier or '['")
-    return BracketTree.leaf(m.group()), m.end()
+def _read_tree(sc: Scanner) -> BracketTree:
+    if sc.open("["):
+        left = _read_tree(sc)
+        sc.expect(",")
+        right = _read_tree(sc)
+        sc.close("]")
+        return BracketTree.pair(left, right)
+    name = sc.match(GENERATOR_RE)
+    if name is None:
+        sc.fail("identifier or '['")
+    return BracketTree.leaf(name)
 
 
 # --- Lyndon basis ----------------------------------------------------------
@@ -227,6 +193,8 @@ def standard_bracketing(word: tuple[str, ...]) -> BracketTree:
 
 
 def lyndon_basis(weight: int, alphabet: Iterable[str]) -> list[BracketTree]:
+    if weight < 1:
+        raise InvalidArgument(f"weight {weight} is below 1")
     return [standard_bracketing(w) for w in lyndon_words(weight, list(alphabet))]
 
 
@@ -429,14 +397,10 @@ def _to_lyndon(coefficient, weight: int, alphabet: list[str]) -> LieElement:
 def lie_image_of_bracket_word(text: str) -> LieElement:
     """Lie image of a formal product of iterated commutators of generators,
     expressed in the Lyndon basis."""
-    pos = 0
+    sc = Scanner(text)
     factors: list[BracketTree] = []
-    while True:
-        pos = _skip_ws(text, pos)
-        if pos >= len(text):
-            break
-        tree, pos = _parse_tree(text, pos, 0)
-        factors.append(tree)
+    while sc.char:
+        factors.append(_read_tree(sc))
     if not factors:
         return LieElement()
     weights = {t.weight for t in factors}

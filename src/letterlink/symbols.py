@@ -19,7 +19,7 @@ from itertools import product
 from typing import Mapping
 
 from .errors import InvalidSymbol, ParseError, UnknownGenerator
-from .words import GENERATOR_RE, _check_nesting, _skip_ws
+from .words import GENERATOR_RE, Scanner
 
 
 @dataclass(frozen=True)
@@ -61,42 +61,30 @@ def symbol(text: str) -> Symbol:
 
 
 def parse_symbol(text: str) -> Symbol:
-    sym, pos = _parse_symbol_body(text, 0, closer=None, depth=0)
-    if pos != len(text):
-        raise ParseError(f"trailing input {text[pos:]!r}", pos)
-    return sym
+    return _read_symbol(Scanner(text), "")
 
 
-def _parse_symbol_body(text: str, pos: int, closer: str | None, depth: int):
+def _read_symbol(sc: Scanner, closers: str) -> Symbol:
+    """One level of a symbol, up to a character of ``closers`` or the end of
+    the text; a graph reads its vertex labels with it in place."""
     free: str | None = None
     children: list[Symbol] = []
-    while True:
-        pos = _skip_ws(text, pos)
-        if pos >= len(text) or text[pos] == closer:
-            break
-        ch = text[pos]
-        if ch == "(":
-            _check_nesting(depth + 1, pos)
-            child, pos = _parse_symbol_body(text, pos + 1, closer=")",
-                                            depth=depth + 1)
-            if pos >= len(text) or text[pos] != ")":
-                raise ParseError("unbalanced parenthesis", pos, expected="')'")
-            pos += 1
-            children.append(child)
-        else:
-            m = GENERATOR_RE.match(text, pos)
-            if m is None:
-                raise ParseError(f"got {ch!r}", pos, expected="identifier or '('")
-            if free is not None:
-                raise ParseError(
-                    f"second bare letter {m.group()!r}", pos,
-                    expected="exactly one free letter per level",
-                )
-            free = m.group()
-            pos = m.end()
+    while sc.char not in closers:
+        if sc.open("("):
+            children.append(_read_symbol(sc, ")"))
+            sc.close(")")
+            continue
+        start = sc.pos
+        name = sc.match(GENERATOR_RE)
+        if name is None:
+            sc.fail("identifier or '('")
+        if free is not None:
+            raise ParseError(f"second bare letter {name!r}", start,
+                             expected="exactly one free letter per level")
+        free = name
     if free is None:
-        raise ParseError("level has no free letter", pos, expected="identifier")
-    return Symbol(free, tuple(children)), pos
+        sc.fail("identifier", "level has no free letter")
+    return Symbol(free, tuple(children))
 
 
 def equivalent(a: Symbol, b: Symbol) -> bool:

@@ -10,9 +10,15 @@ Grammar accepted by :func:`parse_word` (shared with the CLI)::
     word := term* ; term := atom ('^' int)? ;
     atom := ident | '[' word ',' word ']' | '(' word ')'
 
+Whitespace may stand between any two tokens and separates identifiers.
 Commutators ``[u,v]`` expand to ``u v u^-1 v^-1`` and exponents expand to
-repetition; no cancellation is performed.  Brackets and parentheses nest at
-most ``NESTING_LIMIT`` deep, here and in the symbol and Lie grammars.
+repetition; no cancellation is performed.  An expansion longer than
+``LENGTH_LIMIT`` letters is refused with TooLarge before it is built.
+
+Every grammar of the package (words, symbols, Lie sums, graphs and graph
+sums) is read through one :class:`Scanner`, so a ParseError's position is
+an offset into the text the reader was given.  Brackets and parentheses
+nest at most ``NESTING_LIMIT`` deep in all of them.
 """
 
 from __future__ import annotations
@@ -20,27 +26,126 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from fractions import Fraction
+from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn
 
-from .errors import InvalidArgument, ParseError, UnknownGenerator
+from .errors import InvalidArgument, ParseError, TooLarge, UnknownGenerator
 
 GENERATOR_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
 
 # deepest bracket nesting any parser accepts, so no input can exhaust the stack
 NESTING_LIMIT = 100
 
+# most letters a parsed word may expand to, 40 times the longest word any
+# benchmark workload parses; checked before the letters are allocated
+LENGTH_LIMIT = 2 ** 22
 
-def _check_nesting(depth: int, position: int) -> None:
-    """Raise ParseError at the bracket at ``position`` if the level it opens,
-    ``depth``, is deeper than ``NESTING_LIMIT``."""
-    if depth > NESTING_LIMIT:
-        raise ParseError(f"nesting deeper than {NESTING_LIMIT} levels", position)
+_INT_RE = re.compile(r"-?\d+")
+# most digits CPython's int() converts to or from text by default
+_DIGIT_LIMIT = 4300
+# the unsigned forms of a fractions.Fraction string, with spaces allowed
+# around '/': 3, 1/2, 1 / 2, 0.5, .5, 1e-3, 1_000
+_COEFFICIENT_RE = re.compile(
+    r"(?=\.?\d)(?:\d+(?:_\d+)*)?"
+    r"(?:\s*/\s*\d+(?:_\d+)*|(?:\.(?:\d+(?:_\d+)*)?)?(?:[eE][-+]?\d+(?:_\d+)*)?)")
 
 
-def _skip_ws(text: str, pos: int) -> int:
-    while pos < len(text) and text[pos].isspace():
-        pos += 1
-    return pos
+class Scanner:
+    """A cursor over one text, under every reader of the package's grammars.
+
+    Whitespace is skipped after each token, so ``pos`` is always at the next
+    token or at the end of the text and ``char`` is the character there ('' at
+    the end); ``depth`` counts the open brackets.
+    """
+
+    __slots__ = ("text", "pos", "char", "depth")
+
+    def __init__(self, text: str):
+        self.text = text
+        self.depth = 0
+        self._skip_to(0)
+
+    def _skip_to(self, pos: int) -> None:
+        text = self.text
+        while text[pos:pos + 1].isspace():
+            pos += 1
+        self.pos = pos
+        self.char = text[pos:pos + 1]
+
+    def take(self, token: str) -> bool:
+        """Consume ``token`` if it comes next."""
+        if not self.text.startswith(token, self.pos):
+            return False
+        self._skip_to(self.pos + len(token))
+        return True
+
+    def match(self, pattern: re.Pattern) -> str | None:
+        """Consume and return what ``pattern`` matches here, if anything."""
+        m = pattern.match(self.text, self.pos)
+        if m is None:
+            return None
+        self._skip_to(m.end())
+        return m.group()
+
+    def expect(self, token: str) -> None:
+        if not self.take(token):
+            self.fail(repr(token))
+
+    def open(self, bracket: str) -> bool:
+        """Consume ``bracket`` if it comes next, entering one nesting level."""
+        if self.char != bracket:
+            return False
+        if self.depth == NESTING_LIMIT:
+            raise ParseError(f"nesting deeper than {NESTING_LIMIT} levels",
+                             self.pos)
+        self.depth += 1
+        self._skip_to(self.pos + 1)
+        return True
+
+    def close(self, bracket: str) -> None:
+        """Consume ``bracket``, leaving the level the matching ``open`` entered."""
+        self.expect(bracket)
+        self.depth -= 1
+
+    def fail(self, expected: str, message: str | None = None) -> NoReturn:
+        """Raise ParseError here; the message defaults to what comes next."""
+        if message is None:
+            message = (f"got {self.char!r}" if self.char
+                       else "unexpected end of input")
+        raise ParseError(message, self.pos, expected)
+
+
+def _read_sum(sc: Scanner, read_term: Callable[[Scanner], object]
+              ) -> list[tuple[Fraction, object]]:
+    """``[+|-] [coeff *] term``, then terms each after ``+`` or ``-``, up to
+    the end of the text, as (signed coefficient, term) pairs."""
+    out = []
+    while not out or sc.char:
+        if sc.take("-"):
+            sign = -1
+        elif sc.take("+") or not out:
+            sign = 1
+        else:
+            sc.fail("'+' or '-'")
+        out.append((sign * _read_coefficient(sc), read_term(sc)))
+    return out
+
+
+def _read_coefficient(sc: Scanner) -> Fraction:
+    """``coeff *`` if a coefficient comes next, else 1."""
+    start = sc.pos
+    text = sc.match(_COEFFICIENT_RE)
+    if text is None:
+        return Fraction(1)
+    sc.expect("*")
+    mantissa, _, exponent = text.lower().partition("e")
+    try:  # past _DIGIT_LIMIT digits int() raises ValueError
+        if exponent and len(mantissa) + abs(int(exponent)) > _DIGIT_LIMIT:
+            raise ValueError  # refused before 10**exponent is computed
+        return Fraction("".join(text.split()))
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad coefficient {text!r}", start,
+                         expected="rational number") from None
 
 
 class Letter(NamedTuple):
@@ -106,44 +211,6 @@ def word(text: str, alphabet: Iterable[str] | None = None) -> Word:
     return parse_word(text, alphabet)
 
 
-class _Tokens:
-    """Tokenizer for the word grammar: identifiers, integers, punctuation."""
-
-    _TOKEN_RE = re.compile(
-        r"\s*(?:(?P<ident>[a-zA-Z][a-zA-Z0-9_]*)|(?P<int>-?\d+)|(?P<punct>[\[\](),^]))"
-    )
-
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-        self.tokens: list[tuple[str, str, int]] = []
-        while self.pos < len(text):
-            m = self._TOKEN_RE.match(text, self.pos)
-            if m is None:
-                if text[self.pos :].strip() == "":
-                    break
-                raise ParseError("unexpected character", self.pos)
-            kind = m.lastgroup
-            self.tokens.append((kind, m.group(kind), m.start(kind)))
-            self.pos = m.end()
-        self.index = 0
-
-    def peek(self):
-        if self.index < len(self.tokens):
-            return self.tokens[self.index]
-        return (None, "", len(self.text))
-
-    def next(self):
-        tok = self.peek()
-        self.index += 1
-        return tok
-
-    def expect(self, value: str):
-        kind, val, pos = self.next()
-        if val != value:
-            raise ParseError(f"got {val!r}", pos, expected=repr(value))
-
-
 def parse_word(text: str, alphabet: Iterable[str] | None = None) -> Word:
     """Parse ``text`` into a Word, expanding commutators and exponents.
 
@@ -151,59 +218,55 @@ def parse_word(text: str, alphabet: Iterable[str] | None = None) -> Word:
     No free reduction is applied.
     """
     allowed = set(alphabet) if alphabet is not None else None
-    toks = _Tokens(text)
-    w = _parse_word_body(toks, allowed, closers=set(), depth=0)
-    kind, val, pos = toks.peek()
-    if kind is not None:
-        raise ParseError(f"trailing input {val!r}", pos)
-    return w
+    return Word(_read_word(Scanner(text), allowed, ""))
 
 
-def _parse_word_body(toks: _Tokens, allowed, closers: set[str],
-                     depth: int) -> Word:
+def _check_length(n: int) -> None:
+    if n > LENGTH_LIMIT:
+        raise TooLarge(f"word of {n} letters exceeds bound {LENGTH_LIMIT}")
+
+
+def _read_word(sc: Scanner, allowed, closer: str) -> tuple[Letter, ...]:
+    """Terms up to ``closer`` or the end of the text."""
     out: list[Letter] = []
-    while True:
-        kind, val, pos = toks.peek()
-        if kind is None or (kind == "punct" and val in closers):
-            return Word(tuple(out))
-        out.extend(_parse_term(toks, allowed, depth).letters)
+    while sc.char not in closer:
+        term = _read_term(sc, allowed)
+        _check_length(len(out) + len(term))
+        out += term
+    return tuple(out)
 
 
-def _parse_term(toks: _Tokens, allowed, depth: int) -> Word:
-    base = _parse_atom(toks, allowed, depth)
-    kind, val, pos = toks.peek()
-    if kind == "punct" and val == "^":
-        toks.next()
-        k2, v2, p2 = toks.next()
-        if k2 != "int":
-            raise ParseError(f"got {v2!r}", p2, expected="integer exponent")
-        n = int(v2)
-        if n >= 0:
-            return Word(base.letters * n)
-        return Word(base.inverse().letters * (-n))
-    return base
-
-
-def _parse_atom(toks: _Tokens, allowed, depth: int) -> Word:
-    kind, val, pos = toks.next()
-    if kind == "ident":
-        if allowed is not None and val not in allowed:
-            raise UnknownGenerator(val)
-        return Word((Letter(val, 1),))
-    if kind == "punct" and val in ("[", "("):
-        _check_nesting(depth + 1, pos)
-    if kind == "punct" and val == "[":
-        u = _parse_word_body(toks, allowed, closers={","}, depth=depth + 1)
-        toks.expect(",")
-        v = _parse_word_body(toks, allowed, closers={"]"}, depth=depth + 1)
-        toks.expect("]")
-        return commutator(u, v)
-    if kind == "punct" and val == "(":
-        w = _parse_word_body(toks, allowed, closers={")"}, depth=depth + 1)
-        toks.expect(")")
-        return w
-    raise ParseError(f"got {val!r}" if kind else "unexpected end of input", pos,
-                     expected="identifier, '[' or '('")
+def _read_term(sc: Scanner, allowed) -> tuple[Letter, ...]:
+    name = sc.match(GENERATOR_RE)
+    if name is not None:
+        if allowed is not None and name not in allowed:
+            raise UnknownGenerator(name)
+        base = (Letter(name, 1),)
+    elif sc.open("["):
+        u = _read_word(sc, allowed, ",")
+        sc.expect(",")
+        v = _read_word(sc, allowed, "]")
+        sc.close("]")
+        _check_length(2 * (len(u) + len(v)))
+        base = commutator(Word(u), Word(v)).letters
+    elif sc.open("("):
+        base = _read_word(sc, allowed, ")")
+        sc.close(")")
+    else:
+        sc.fail("identifier, '[' or '('")
+    if not sc.take("^"):
+        return base
+    exponent = sc.match(_INT_RE)
+    if exponent is None:
+        sc.fail("integer exponent")
+    if not base:
+        return base
+    try:
+        n = int(exponent)
+    except ValueError:  # more digits than int() converts
+        raise TooLarge(f"exponent of {len(exponent)} digits") from None
+    _check_length(len(base) * abs(n))
+    return (base if n >= 0 else Word(base).inverse().letters) * abs(n)
 
 
 def free_reduce(w: Word) -> Word:

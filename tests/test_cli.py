@@ -158,6 +158,20 @@ class TestArgumentErrors:
              "--graph", "{v1:" + "(" * 5000 + "a" + ")b" * 5000 + "}"),
             ("pair", "--graph", "{v1:a, v2:b; v1->v2}",
              "--lie", "[" * 5000 + "a" + ",b]" * 5000),
+            ("pair", "--graph", "{v1:a,v2:b;v1->v2}", "--lie", "1/0*[a,b]"),
+            ("pair", "--graphsum", "1e5000 * {v1:a,v2:b;v1->v2}",
+             "--lie", "[a,b]"),
+            ("basis", "--weight", "-3", "--gens", "a,b"),
+            ("basis", "--weight", "0", "--gens", "a,b"),
+            # graph sums outside the form `coeff * {...} + ...`
+            ("pair", "--graphsum", "", "--lie", "[a,b]"),
+            ("pair", "--graphsum", "+", "--lie", "[a,b]"),
+            ("pair", "--graphsum=-2*", "--lie", "[a,b]"),
+            ("pair", "--graphsum", "{v1:a,v2:b;v1->v2} {v1:a,v2:b;v1->v2}",
+             "--lie", "[a,b]"),
+            ("pair", "--graphsum", "2*3*{v1:a,v2:b;v1->v2}", "--lie", "[a,b]"),
+            ("pair", "--graphsum", "{v1:a,v2:b;v1->v2} + -{v1:a,v2:b;v1->v2}",
+             "--lie", "[a,b]"),
         ],
     )
     def test_exit_two(self, capsys, argv):
@@ -178,6 +192,12 @@ class TestArgumentErrors:
                              "--lie", "[a,b]")
         assert code == 2 and out == ""
         assert f" at position {position}" in err
+
+    def test_an_expansion_past_the_length_limit_exits_one(self, capsys):
+        code, out, err = run(capsys, "eval", "--word",
+                             "a^99999999999999999999999", "--symbol", "a")
+        assert code == 1 and out == ""
+        assert err.startswith("error: word of ") and "exceeds bound" in err
 
 
 class TestDiagram:

@@ -6,6 +6,8 @@ import pytest
 from brute_force import prufer_scan_graphs
 
 from letterlink import (
+    GraphSum,
+    InvalidArgument,
     InvalidEdge,
     InvalidMultidegree,
     NotATree,
@@ -82,6 +84,18 @@ class TestParse:
         with pytest.raises(ParseError) as info:
             parse_graph(text)
         assert text[info.value.position:].startswith(culprit)
+
+    def test_build_rejects_an_undeclared_endpoint_without_a_position(self):
+        with pytest.raises(InvalidArgument):
+            SymbolGraph.build({"v1": Symbol("a")}, [("v1", "v2")])
+
+    def test_graph_sum(self):
+        edge = parse_graph("{v1:a, v2:b; v1->v2}")
+        total = eil.parse_graph_sum(
+            " 1 / 2 * {v1:a,v2:b; v1->v2} - {v2:b, v1:a; v2 -> v1}+0.5*{v1:a}")
+        expected = GraphSum().add(Fraction(3, 2), edge)
+        expected.add(Fraction(1, 2), parse_graph("{v1:a}"))
+        assert total.terms == expected.terms
 
 
 class TestReduce:

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from letterlink import (
     BracketTree,
     GraphSum,
+    InvalidArgument,
     LabelMismatch,
     LieElement,
     MixedGrading,
@@ -129,6 +130,24 @@ class TestParse:
         ((c, _),) = e.items()
         assert c == Fraction(1, 2)
 
+    @pytest.mark.parametrize("text, coeff", [
+        ("1 / 2*[a,b]", Fraction(1, 2)),
+        ("- 0.5 * [a,b]", Fraction(-1, 2)),
+        ("1e-1*[a,b]", Fraction(1, 10)),
+        ("1_000*[a,b]", Fraction(1000)),
+    ])
+    def test_coefficients_take_the_graph_sum_forms(self, text, coeff):
+        assert parse_lie(text).items() == [(coeff, parse_lie("[a,b]").items()[0][1])]
+
+    @pytest.mark.parametrize("text, position", [
+        ("[a,b] - 1/0*[a,b]", 8),      # a zero denominator
+        ("[a,b] - 1e5000*[a,b]", 8),   # a value of 5001 digits
+    ])
+    def test_bad_coefficients_are_parse_errors(self, text, position):
+        with pytest.raises(ParseError) as err:
+            parse_lie(text)
+        assert err.value.position == position
+
     @pytest.mark.parametrize("parse", [parse_lie, lie_image_of_bracket_word])
     def test_deep_nesting_fails_at_the_first_bracket_past_the_limit(self, parse):
         with pytest.raises(ParseError) as err:
@@ -142,6 +161,11 @@ class TestLyndon:
 
     def test_weight_two(self):
         assert [str(t) for t in lyndon_basis(2, ["a", "b"])] == ["[a,b]"]
+
+    @pytest.mark.parametrize("weight", [0, -3])
+    def test_weight_below_one_is_rejected(self, weight):
+        with pytest.raises(InvalidArgument):
+            lyndon_basis(weight, ["a", "b"])
 
     def test_weight_five_count_and_multidegree(self):
         basis = lyndon_basis(5, ["a", "b"])

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 from letterlink import (
     InvalidArgument,
     Letter,
+    LetterLinkError,
     ParseError,
+    TooLarge,
     UnknownGenerator,
     Word,
     commutator,
@@ -15,8 +18,14 @@ from letterlink import (
     multiply,
     parse_word,
     random_gamma_element,
+    lie_image_of_bracket_word,
+    parse_graph,
+    parse_lie,
+    parse_symbol,
     relabel,
 )
+from letterlink import words
+from letterlink.eil import parse_graph_sum
 from letterlink.words import NESTING_LIMIT, all_bracketings, expand_bracket
 
 
@@ -79,6 +88,66 @@ class TestParse:
         assert parse_word("(" * limit + "a" + ")" * limit) == letters("a")
         assert (parse_word("(" * outer + "[a, b]" + ")" * outer)
                 == letters("a b a^-1 b^-1"))
+
+
+    @pytest.mark.parametrize("text", [
+        "a^99999999999999999999999",
+        "(a b)^3000000",
+        "[a, b]^-2000000",
+    ])
+    def test_expansions_past_the_length_limit_are_refused(self, text):
+        with pytest.raises(TooLarge):
+            parse_word(text)
+
+    @pytest.mark.parametrize("text", [
+        "[a b c, d e f]",        # a commutator of 12 letters
+        "a b c d e f g h i j k",  # a product of 11 letters
+        "(a b c d)^3",
+    ])
+    def test_every_expansion_is_checked_against_the_limit(self, monkeypatch,
+                                                          text):
+        monkeypatch.setattr(words, "LENGTH_LIMIT", 10)
+        with pytest.raises(TooLarge):
+            parse_word(text)
+        assert len(parse_word("[a b c, d e]")) == 10
+
+    def test_a_power_of_the_empty_word_is_empty(self):
+        assert parse_word("()^99999999999999999999999") == Word()
+
+
+# tokens of each grammar; a drawn text keeps no run of more than 2 digits,
+# so no expansion it asks for is large
+_GRAPH_TOKENS = ["{", "}", "v1", "v2", "_w", ":", "a", "b", "(", ")", ",",
+                 ";", "->", "-", ">", " "]
+_COEFFICIENT_TOKENS = ["+", "-", "*", "/", "1", "0", "2", ".", "e", "_", " ",
+                       "1/0*", "1 / 2*"]
+READERS = [
+    (parse_word, ["a", "b", "x1", " ", "[", "]", ",", "(", ")", "^", "-",
+                  "2", "-1", "12", "$"], 30),
+    (parse_symbol, ["a", "b", " ", "(", ")", ",", "$"], 30),
+    (parse_graph, _GRAPH_TOKENS, 30),
+    (lambda text: parse_graph(text, ambient=True), _GRAPH_TOKENS, 30),
+    (parse_lie, ["[", "]", ",", "a", "b"] + _COEFFICIENT_TOKENS, 30),
+    (lie_image_of_bracket_word, ["[", "]", ",", "a", "b", " "], 16),
+    (parse_graph_sum, _GRAPH_TOKENS + _COEFFICIENT_TOKENS, 40),
+]
+
+
+class TestReaders:
+    @pytest.mark.parametrize("reader, tokens, size", READERS,
+                             ids=["word", "symbol", "graph", "ambient-graph",
+                                  "lie", "bracket-word", "graph-sum"])
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=150)
+    def test_any_text_raises_only_letterlink_errors(self, reader, tokens, size,
+                                                    data):
+        text = data.draw(st.lists(st.sampled_from(tokens), max_size=size)
+                         .map("".join)
+                         .filter(lambda t: not re.search(r"\d{3}", t)))
+        try:
+            reader(text)
+        except LetterLinkError:
+            pass
 
 
 class TestLetterAt:
