@@ -21,12 +21,14 @@ from .errors import (
     UnknownGenerator,
 )
 from .words import (
+    CompactWord,
     Letter,
     Word,
     commutator,
     free_reduce,
     invert,
     multiply,
+    parse_compact,
     parse_word,
     random_gamma_element,
     relabel,

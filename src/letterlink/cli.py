@@ -17,15 +17,30 @@ import time
 from fractions import Fraction
 
 from . import diagram, eil, fox, lie, linking, selfcheck, symbols, words
-from .errors import LetterLinkError, ParseError, UndefinedInvariant
+from .errors import LetterLinkError, ParseError, TooLarge, UndefinedInvariant
+
+
+# the least integer whose decimal form int() and str() refuse
+_UNPRINTABLE = 10 ** words._DIGIT_LIMIT
+
+
+def _printable(n: int) -> int:
+    if abs(n) >= _UNPRINTABLE:
+        raise TooLarge(f"a value of more than {words._DIGIT_LIMIT} digits")
+    return n
 
 
 def _plain(value):
-    """JSON-friendly form: exact integers stay ints, rationals become 'p/q'."""
+    """JSON-friendly form: exact integers stay ints, rationals become 'p/q'.
+    A value past ``words._DIGIT_LIMIT`` digits raises TooLarge."""
     if isinstance(value, Fraction):
+        _printable(value.numerator)
+        _printable(value.denominator)
         return int(value) if value.denominator == 1 else f"{value}"
     if isinstance(value, (list, tuple)):
         return [_plain(v) for v in value]
+    if isinstance(value, int):
+        return _printable(value)
     return value
 
 
@@ -173,7 +188,7 @@ def _run(args) -> int:
     if args.command in ("basis", "coords") and args.weight < 1:
         raise ParseError("--weight must be at least 1", 0)
     if args.command == "eval":
-        w = words.parse_word(args.word)
+        w = words.parse_compact(args.word)
         try:
             if args.symbol is not None:
                 value = linking.eval_symbol(symbols.parse_symbol(args.symbol), w)

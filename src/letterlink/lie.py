@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from typing import Iterable
 
@@ -380,8 +381,12 @@ def _to_lyndon(coefficient, weight: int, alphabet: list[str]) -> LieElement:
     The standard bracketing of a Lyndon word l has coefficient 1 on l and 0
     on smaller words (Reutenauer, *Free Lie Algebras*, Thm 5.1): the
     Lyndon-word/bracket matrix is lower unitriangular in lexicographic
-    order, so forward substitution solves it without division.
+    order, so forward substitution solves it without division.  Refused
+    with TooLarge before any Lyndon word is listed when the words of the
+    weight number more than ``MAGNUS_TERM_LIMIT``.
     """
+    if len(alphabet) ** weight > MAGNUS_TERM_LIMIT:
+        raise TooLarge(f"{len(alphabet)}^{weight} words of weight {weight}")
     residual = {l: coefficient(l) for l in lyndon_words(weight, alphabet)}
     out = {}
     for l, c in residual.items():  # each value is final when it is reached
@@ -406,9 +411,10 @@ def lie_image_of_bracket_word(text: str) -> LieElement:
     weights = {t.weight for t in factors}
     if len(weights) != 1:
         raise MixedGrading(f"mixed weights {sorted(weights)}")
-    polys = [bracket_polynomial(t) for t in factors]
     alphabet = sorted({l for t in factors for l in t.leaves()})
-    return _to_lyndon(lambda u: sum(p.get(u, 0) for p in polys),
+    # expanded on the first coefficient, once _to_lyndon has checked the size
+    polys = cache(lambda: [bracket_polynomial(t) for t in factors])
+    return _to_lyndon(lambda u: sum(p.get(u, 0) for p in polys()),
                       weights.pop(), alphabet)
 
 

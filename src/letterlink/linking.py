@@ -17,13 +17,26 @@ occurrences.  A child's potential is the running sum of a zero array holding
 the child's signed values, read at the parent's occurrences; lists are
 memoized per word by canonical sub-symbol.  The interval-building oracle
 (`enumerate_coboundings` + `link_via_cobounding`) is kept for cross-checking.
+
+`eval_symbol` and `eval_symbol_sum` also take a `words.CompactWord`.  One
+longer than ``LEAF_LETTERS`` letters is folded, not expanded: the signed
+placement counts of every pruning of every subtree of the symbols form a
+group homomorphism (Chen's identity for tree-ordered sums), so the counts
+of a product compose from its factors' counts, ``u^N`` takes O(log N)
+products, and `Evaluator` counts only the short leaves.  Definedness is
+then decided by one post-order walk over the folded counts.  The fold is
+refused with TooLarge when a count could pass ``words._DIGIT_LIMIT``
+digits; symbols with more than ``TERM_LIMIT`` product terms are evaluated
+on the expanded word instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, permutations
+from functools import reduce
+from itertools import accumulate, chain, permutations, product
+from math import log10
 from operator import itemgetter, mul
 from typing import Iterable
 
@@ -35,7 +48,14 @@ from .errors import (
     UndefinedInvariant,
 )
 from .symbols import Symbol
-from .words import Word
+from .words import _DIGIT_LIMIT, CompactWord, Letter, Word
+
+# subtrees of a CompactWord of at most this many letters are evaluated on
+# their letters; longer products, powers and commutators are folded
+LEAF_LETTERS = 256
+# most product terms a fold composes; symbols with more prunings are
+# evaluated on the expanded word
+TERM_LIMIT = 4096
 
 
 class List:
@@ -206,7 +226,13 @@ class Evaluator:
             total += Fraction(coeff) * self.value(sym)
         return total
 
-    def _visit(self, node: Symbol, trace: list | None) -> str:
+    def placements(self, sym: Symbol) -> int:
+        """The signed count of placements of the symbol's nodes on letters,
+        each child before its parent, whether or not the invariant is
+        defined."""
+        return self._memo[self._visit(sym, None, False)][1]
+
+    def _visit(self, node: Symbol, trace: list | None, check: bool = True) -> str:
         """Evaluate ``node`` unless memoized; return its canonical string."""
         memo = self._memo
         if not node.children:
@@ -216,9 +242,9 @@ class Evaluator:
             return node.letter
         keys = []
         for child in node.children:
-            key = self._visit(child, trace)
+            key = self._visit(child, trace, check)
             c = memo[key][1]
-            if c != 0:
+            if c != 0 and check:
                 raise UndefinedInvariant(child, c)
             keys.append(key)
         key = "".join(sorted(f"({k})" for k in keys)) + node.letter
@@ -245,6 +271,176 @@ class Evaluator:
         return list(map(running.__getitem__, at))
 
 
+class _Prunings:
+    """Every pruning of every subtree of some symbols, keyed by canonical
+    string, and the product that composes their placement counts over a
+    concatenation (Chen's identity for tree-ordered sums).
+
+    Index 0 is the empty pruning, whose count is 1.  The placements of a
+    pruning P on ``uv`` split by the set D of nodes placed in ``u``: D is
+    closed under taking children, so it is a union of whole subtrees, and P
+    minus D is a pruning that keeps P's root.  ``terms[i]`` lists, for each
+    D, the indices of D's maximal subtrees and of P minus D.
+    """
+
+    def __init__(self):
+        self.symbols: list[Symbol | None] = [None]
+        self.terms: list[list[tuple[tuple[int, ...], int]]] = [[]]
+        self.size = 0
+        self.index = {"": 0}  # canonical string -> index
+
+    def add(self, sym: Symbol) -> int:
+        key = sym.canonical()
+        i = self.index.get(key)
+        if i is not None:
+            return i
+        i = self.index[key] = len(self.symbols)
+        self.symbols.append(sym)
+        self.terms.append([])
+        self.size += _pruning_count(sym) + 1
+        if self.size > TERM_LIMIT:
+            raise TooLarge(f"more than {TERM_LIMIT} product terms")
+        self.terms[i] = [((i,), 0)] + [
+            (tuple(map(self.add, inside)), self.add(rest))
+            for inside, rest in _splits(sym)]
+        return i
+
+    def multiply(self, x: list[int], y: list[int]) -> list[int]:
+        """The counts on ``uv`` from the counts ``x`` on u and ``y`` on v."""
+        out = [1]
+        for terms in self.terms[1:]:
+            total = 0
+            for inside, rest in terms:
+                t = y[rest]
+                if t:
+                    for j in inside:
+                        t *= x[j]
+                    total += t
+            out.append(total)
+        return out
+
+    def power(self, x: list[int], n: int) -> list[int]:
+        """The counts on ``u^n``, n >= 1, from the counts ``x`` on u."""
+        out = None
+        while True:
+            if n & 1:
+                out = x if out is None else self.multiply(out, x)
+            n >>= 1
+            if not n:
+                return out
+            x = self.multiply(x, x)
+
+
+def _pruning_count(sym: Symbol) -> int:
+    """Prunings of ``sym`` that keep its root."""
+    out = 1
+    for child in sym.children:
+        out *= 1 + _pruning_count(child)
+    return out
+
+
+def _splits(sym: Symbol) -> list[tuple[tuple[Symbol, ...], Symbol]]:
+    """(maximal subtrees of D, ``sym`` minus D) for each set D of nodes that
+    is closed under taking children and misses the root."""
+    options = [[((c,), None)] + _splits(c) for c in sym.children]
+    return [(tuple(chain.from_iterable(inside for inside, _ in combo)),
+             Symbol(sym.letter, tuple(rest for _, rest in combo if rest)))
+            for combo in product(*options)]
+
+
+class _Fold:
+    """Placement counts of every pruning in a ``_Prunings`` over a
+    CompactWord, composed over its products, powers and commutators.
+
+    A subtree of at most ``LEAF_LETTERS`` letters, and every run, is a leaf:
+    its letters are built and `Evaluator` counts the placements on them.
+    Inverting a subtree reverses its runs and flips their signs, so ``u^-1``
+    and ``[u,v]^-1 = [v,u]`` are folded as written; ``u^N`` is repeated
+    squaring.  The counts are a group homomorphism, because a child's letter
+    differs from its parent's and ``x x^-1`` therefore adds no count.
+    """
+
+    def __init__(self, w: CompactWord, prunings: _Prunings):
+        self._prunings = prunings
+        self._memo: dict[tuple[int, bool], list[int]] = {}
+        self.counts = dict(zip(prunings.index, self._fold(w, False)))
+
+    def value(self, sym: Symbol) -> int:
+        _check_defined(sym, self.counts)
+        return self.counts[sym.canonical()]
+
+    value_sum = Evaluator.value_sum
+
+    def _fold(self, node: CompactWord, inverted: bool) -> list[int]:
+        key = (id(node), inverted)
+        out = self._memo.get(key)
+        if out is not None:
+            return out
+        kind, parts, algebra = node.kind, node.parts, self._prunings
+        if kind == "run" or node.length <= LEAF_LETTERS:
+            out = self._leaf(node.letters(inverted))
+        elif kind == "product":
+            vectors, run = [], []
+            for f in parts[::-1] if inverted else parts:
+                if run and len(run) + f.length > LEAF_LETTERS:
+                    vectors.append(self._leaf(tuple(run)))
+                    run = []
+                if f.length > LEAF_LETTERS:
+                    vectors.append(self._fold(f, inverted))
+                else:
+                    run += f.letters(inverted)
+            if run:
+                vectors.append(self._leaf(tuple(run)))
+            out = reduce(algebra.multiply, vectors)
+        elif kind == "power":
+            out = algebra.power(
+                self._fold(parts[0], inverted != (node.exponent < 0)),
+                abs(node.exponent))
+        else:
+            u, v = parts[::-1] if inverted else parts
+            out = algebra.multiply(
+                algebra.multiply(self._fold(u, False), self._fold(v, False)),
+                algebra.multiply(self._fold(u, True), self._fold(v, True)))
+        self._memo[key] = out
+        return out
+
+    def _leaf(self, letters: tuple[Letter, ...]) -> list[int]:
+        ev = Evaluator(Word(letters))
+        return [1] + [ev.placements(sym) for sym in self._prunings.symbols[1:]]
+
+
+def _check_defined(sym: Symbol, counts: dict[str, int]) -> None:
+    """Raise UndefinedInvariant at the first sub-symbol, in post-order
+    (leftmost, innermost), whose count is nonzero."""
+    for child in sym.children:
+        _check_defined(child, counts)
+        c = counts[child.canonical()]
+        if c != 0:
+            raise UndefinedInvariant(child, c)
+
+
+def _evaluator(w: Word | CompactWord, syms: list[Symbol]) -> Evaluator | _Fold:
+    """The fold when ``w`` is a CompactWord longer than one leaf, else the
+    Evaluator on its letters; also the Evaluator when the symbols have more
+    prunings than ``TERM_LIMIT`` allows."""
+    if isinstance(w, Word):
+        return Evaluator(w)
+    if w.kind == "run" or w.length <= LEAF_LETTERS:
+        return Evaluator(w.expand())
+    prunings = _Prunings()
+    try:
+        for sym in syms:
+            prunings.add(sym)
+    except TooLarge:
+        return Evaluator(w.expand())
+    nodes = max((sym.node_count() for sym in syms), default=0)
+    if nodes * log10(w.length) > _DIGIT_LIMIT:
+        raise TooLarge(f"a {nodes}-node symbol on a word of about "
+                       f"10^{int(log10(w.length))} letters can count past "
+                       f"{_DIGIT_LIMIT} digits")
+    return _Fold(w, prunings)
+
+
 def symbol_list(sym: Symbol, w: Word) -> List:
     """The iterated linking list of a symbol on a word.
 
@@ -257,11 +453,13 @@ def symbol_list(sym: Symbol, w: Word) -> List:
     return List(w, sym.letter, {p + 1: v for p, v in zip(positions, values)})
 
 
-def eval_symbol(sym: Symbol, w: Word) -> int:
+def eval_symbol(sym: Symbol, w: Word | CompactWord) -> int:
     """The letter-linking invariant of ``sym`` on ``w``."""
-    return Evaluator(w).value(sym)
+    return _evaluator(w, [sym]).value(sym)
 
 
-def eval_symbol_sum(terms: Iterable[tuple[object, Symbol]], w: Word) -> Fraction:
+def eval_symbol_sum(terms: Iterable[tuple[object, Symbol]],
+                    w: Word | CompactWord) -> Fraction:
     """Linear extension: sum of coeff * invariant; undefined if any term is."""
-    return Evaluator(w).value_sum(terms)
+    terms = list(terms)
+    return _evaluator(w, [sym for _, sym in terms]).value_sum(terms)

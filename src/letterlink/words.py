@@ -5,15 +5,19 @@ Words are stored as raw letter sequences and are never reduced implicitly;
 ``[a-zA-Z][a-zA-Z0-9_]*``.  Positions in the rest of the package are
 1-based to ease checking against hand calculations.
 
-Grammar accepted by :func:`parse_word` (shared with the CLI)::
+Grammar accepted by :func:`parse_compact` and :func:`parse_word` (shared
+with the CLI)::
 
     word := term* ; term := atom ('^' int)? ;
     atom := ident | '[' word ',' word ']' | '(' word ')'
 
 Whitespace may stand between any two tokens and separates identifiers.
-Commutators ``[u,v]`` expand to ``u v u^-1 v^-1`` and exponents expand to
-repetition; no cancellation is performed.  An expansion longer than
-``LENGTH_LIMIT`` letters is refused with TooLarge before it is built.
+``parse_compact`` keeps the text's products, powers and commutators as a
+:class:`CompactWord` with exact lengths, which ``linking`` folds without
+expanding; ``parse_word`` expands it: commutators ``[u,v]`` to
+``u v u^-1 v^-1`` and exponents to repetition, with no cancellation.  An
+expansion longer than ``LENGTH_LIMIT`` letters is refused with TooLarge
+before it is built.
 
 Every grammar of the package (words, symbols, Lie sums, graphs and graph
 sums) is read through one :class:`Scanner`, so a ParseError's position is
@@ -27,6 +31,8 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import log10
 from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn
 
 from .errors import InvalidArgument, ParseError, TooLarge, UnknownGenerator
@@ -36,8 +42,8 @@ GENERATOR_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*")
 # deepest bracket nesting any parser accepts, so no input can exhaust the stack
 NESTING_LIMIT = 100
 
-# most letters a parsed word may expand to, 40 times the longest word any
-# benchmark workload parses; checked before the letters are allocated
+# most letters a parsed word may expand to; checked before the letters are
+# allocated (folding a CompactWord expands only its short leaves)
 LENGTH_LIMIT = 2 ** 22
 
 _INT_RE = re.compile(r"-?\d+")
@@ -206,6 +212,64 @@ class Word:
 EMPTY_WORD = Word()
 
 
+class CompactWord:
+    """A word kept as the expression its text writes, never expanded until
+    ``expand``: a run of letters, a product of factors, a power or a
+    commutator.
+
+    ``kind`` is "run", "product", "power" or "commutator", and ``parts``
+    holds the letters, the factors, the base alone, or the two commutands.
+    ``length`` is the exact expanded length, computed from the parts; read
+    it rather than ``len()``, which fails past ``sys.maxsize``.
+    """
+
+    __slots__ = ("kind", "parts", "exponent", "length")
+
+    def __init__(self, kind: str, parts: tuple, exponent: int = 1):
+        self.kind, self.parts, self.exponent = kind, parts, exponent
+        if kind == "run":
+            self.length = len(parts)
+        elif kind == "product":
+            self.length = sum(p.length for p in parts)
+        elif kind == "power":
+            self.length = parts[0].length * abs(exponent)
+        else:
+            self.length = 2 * (parts[0].length + parts[1].length)
+
+    def __len__(self) -> int:
+        return self.length
+
+    def letters(self, inverted: bool = False) -> tuple[Letter, ...]:
+        """The expanded letters of the word, or of its inverse; unchecked."""
+        kind, parts = self.kind, self.parts
+        if kind == "run":
+            return (tuple(l.inverse() for l in reversed(parts)) if inverted
+                    else parts)
+        if kind == "product":
+            return tuple(chain.from_iterable(
+                p.letters(inverted) for p in (parts[::-1] if inverted else parts)))
+        if kind == "power":
+            return (parts[0].letters(inverted != (self.exponent < 0))
+                    * abs(self.exponent))
+        u, v = parts[::-1] if inverted else parts
+        return u.letters() + v.letters() + u.letters(True) + v.letters(True)
+
+    def expand(self) -> Word:
+        """The Word, refused with TooLarge past ``LENGTH_LIMIT`` letters
+        before any letter is built."""
+        if self.length > LENGTH_LIMIT:
+            size = (self.length if self.length < 10 ** 30
+                    else f"about 10^{int(log10(self.length))}")
+            raise TooLarge(f"word of {size} letters exceeds bound {LENGTH_LIMIT}")
+        return Word(self.letters())
+
+    def __repr__(self) -> str:
+        return f"CompactWord({self.kind}, length={self.length})"
+
+
+_EMPTY_RUN = CompactWord("run", ())
+
+
 def word(text: str, alphabet: Iterable[str] | None = None) -> Word:
     """Shorthand for :func:`parse_word`."""
     return parse_word(text, alphabet)
@@ -217,38 +281,55 @@ def parse_word(text: str, alphabet: Iterable[str] | None = None) -> Word:
     If ``alphabet`` is given, identifiers outside it raise UnknownGenerator.
     No free reduction is applied.
     """
+    return parse_compact(text, alphabet).expand()
+
+
+def parse_compact(text: str, alphabet: Iterable[str] | None = None
+                  ) -> CompactWord:
+    """Parse ``text`` into a CompactWord, expanding nothing.
+
+    Letters written side by side, ``x^-1`` and parentheses without an
+    exponent join one run, so a text without powers or commutators is a
+    single run; ``u^0`` and powers of the empty word are the empty run.
+    """
     allowed = set(alphabet) if alphabet is not None else None
-    return Word(_read_word(Scanner(text), allowed, ""))
+    return _read_word(Scanner(text), allowed, "")
 
 
-def _check_length(n: int) -> None:
-    if n > LENGTH_LIMIT:
-        raise TooLarge(f"word of {n} letters exceeds bound {LENGTH_LIMIT}")
-
-
-def _read_word(sc: Scanner, allowed, closer: str) -> tuple[Letter, ...]:
+def _read_word(sc: Scanner, allowed, closer: str) -> CompactWord:
     """Terms up to ``closer`` or the end of the text."""
-    out: list[Letter] = []
+    factors: list[CompactWord] = []
+    run: list[Letter] = []
     while sc.char not in closer:
         term = _read_term(sc, allowed)
-        _check_length(len(out) + len(term))
-        out += term
-    return tuple(out)
+        for f in term.parts if term.kind == "product" else (term,):
+            if not f.length:
+                continue
+            if f.kind == "run":
+                run += f.parts
+                continue
+            if run:
+                factors.append(CompactWord("run", tuple(run)))
+                run = []
+            factors.append(f)
+    if run or not factors:
+        factors.append(CompactWord("run", tuple(run)))
+    return factors[0] if len(factors) == 1 else CompactWord("product",
+                                                            tuple(factors))
 
 
-def _read_term(sc: Scanner, allowed) -> tuple[Letter, ...]:
+def _read_term(sc: Scanner, allowed) -> CompactWord:
     name = sc.match(GENERATOR_RE)
     if name is not None:
         if allowed is not None and name not in allowed:
             raise UnknownGenerator(name)
-        base = (Letter(name, 1),)
+        base = CompactWord("run", (Letter(name, 1),))
     elif sc.open("["):
         u = _read_word(sc, allowed, ",")
         sc.expect(",")
         v = _read_word(sc, allowed, "]")
         sc.close("]")
-        _check_length(2 * (len(u) + len(v)))
-        base = commutator(Word(u), Word(v)).letters
+        base = CompactWord("commutator", (u, v))
     elif sc.open("("):
         base = _read_word(sc, allowed, ")")
         sc.close(")")
@@ -259,14 +340,19 @@ def _read_term(sc: Scanner, allowed) -> tuple[Letter, ...]:
     exponent = sc.match(_INT_RE)
     if exponent is None:
         sc.fail("integer exponent")
-    if not base:
+    if not base.length:
         return base
     try:
         n = int(exponent)
     except ValueError:  # more digits than int() converts
         raise TooLarge(f"exponent of {len(exponent)} digits") from None
-    _check_length(len(base) * abs(n))
-    return (base if n >= 0 else Word(base).inverse().letters) * abs(n)
+    if n == 0:
+        return _EMPTY_RUN
+    if n == 1:
+        return base
+    if n == -1 and base.kind == "run":
+        return CompactWord("run", base.letters(True))
+    return CompactWord("power", (base,), n)
 
 
 def free_reduce(w: Word) -> Word:

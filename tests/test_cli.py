@@ -194,10 +194,29 @@ class TestArgumentErrors:
         assert f" at position {position}" in err
 
     def test_an_expansion_past_the_length_limit_exits_one(self, capsys):
-        code, out, err = run(capsys, "eval", "--word",
+        code, out, err = run(capsys, "diagram", "--word",
                              "a^99999999999999999999999", "--symbol", "a")
         assert code == 1 and out == ""
         assert err.startswith("error: word of ") and "exceeds bound" in err
+
+    def test_a_value_past_the_digit_limit_exits_one(self, capsys):
+        sevens = "7" * 2500
+        code, out, err = run(capsys, "pair",
+                             "--graphsum", f"{sevens}*{{v1:a,v2:b;v1->v2}}",
+                             "--lie", f"{sevens}*[a,b]")
+        assert code == 1 and out == ""
+        assert err == "error: a value of more than 4300 digits\n"
+
+    def test_a_fold_past_the_digit_limit_exits_one(self, capsys):
+        code, out, err = run(capsys, "eval", "--word", f"[a,b]^{10 ** 2200}",
+                             "--symbol", "(a)b")
+        assert code == 1 and out == ""
+        assert err.startswith("error: a 2-node symbol on a word of about 10^2200")
+
+    def test_eval_folds_a_power_past_the_length_limit(self, capsys):
+        code, out, _ = run(capsys, "eval", "--word",
+                           "a^99999999999999999999999", "--symbol", "a")
+        assert (code, out) == (0, "99999999999999999999999\n")
 
 
 class TestDiagram:

@@ -1,0 +1,186 @@
+"""The fold of placement counts over compact words against `Evaluator` on
+the expanded word."""
+
+from fractions import Fraction
+from unittest.mock import patch
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from letterlink import (
+    Symbol,
+    TooLarge,
+    UndefinedInvariant,
+    eval_graph,
+    eval_symbol,
+    eval_symbol_sum,
+    parse_graph,
+    parse_symbol,
+    parse_word,
+)
+from letterlink import linking
+from letterlink.linking import Evaluator
+from letterlink.words import parse_compact
+
+
+@st.composite
+def word_texts(draw, depth=3):
+    """Products, powers from -40 to 40 and nested commutators over a-c."""
+    kind = draw(st.sampled_from(("letters", "product", "power", "commutator"))
+                if depth else st.just("letters"))
+    if kind == "letters":
+        return " ".join(draw(st.lists(st.sampled_from(["a", "b", "c", "a^-1",
+                                                       "b^-1", "c^-1"]),
+                                      min_size=1, max_size=4)))
+    if kind == "product":
+        return " ".join(f"({draw(word_texts(depth - 1))})"
+                        for _ in range(draw(st.integers(2, 3))))
+    if kind == "power":
+        return f"({draw(word_texts(depth - 1))})^{draw(st.integers(-40, 40))}"
+    return f"[{draw(word_texts(depth - 1))},{draw(word_texts(depth - 1))}]"
+
+
+@st.composite
+def tree_symbols(draw, nodes=None, forbid=None):
+    """Valid symbols of ``nodes`` nodes (2 to 5 if not given) over a-c."""
+    if nodes is None:
+        nodes = draw(st.integers(2, 5))
+    letter = draw(st.sampled_from([g for g in "abc" if g != forbid]))
+    children = []
+    left = nodes - 1
+    while left:
+        size = draw(st.integers(1, left))
+        children.append(draw(tree_symbols(size, letter)))
+        left -= size
+    return Symbol(letter, tuple(children))
+
+
+@st.composite
+def graph_texts(draw):
+    """Trees of 2 to 5 vertices over a-c, adjacent labels distinct."""
+    k = draw(st.integers(2, 5))
+    labels, edges = [draw(st.sampled_from("abc"))], []
+    for v in range(1, k):
+        u = draw(st.integers(0, v - 1))
+        labels.append(draw(st.sampled_from([g for g in "abc" if g != labels[u]])))
+        edges.append(f"v{u + 1}->v{v + 1}" if draw(st.booleans())
+                     else f"v{v + 1}->v{u + 1}")
+    vertices = ", ".join(f"v{i + 1}:{lab}" for i, lab in enumerate(labels))
+    return "{" + vertices + "; " + ", ".join(edges) + "}"
+
+
+def _outcome(f):
+    """The value, or the failing sub-symbol and its count."""
+    try:
+        return f()
+    except UndefinedInvariant as exc:
+        return exc.subsymbol.canonical(), exc.count
+
+
+def _small_leaves(leaf):
+    return patch.object(linking, "LEAF_LETTERS", leaf)
+
+
+class TestAgreement:
+    @given(word_texts(), st.lists(tree_symbols(), min_size=1, max_size=3),
+           st.sampled_from([1, 4, 16, 64]))
+    @settings(deadline=None, max_examples=150)
+    def test_symbols(self, text, syms, leaf):
+        w = parse_compact(text)
+        if w.length > 3000:
+            return
+        expanded = parse_word(text)
+        terms = [(Fraction(i + 1, 2), s) for i, s in enumerate(syms)]
+        with _small_leaves(leaf):
+            folded = _outcome(lambda: eval_symbol_sum(terms, w))
+            single = _outcome(lambda: eval_symbol(syms[0], w))
+        assert folded == _outcome(lambda: Evaluator(expanded).value_sum(terms))
+        assert single == _outcome(lambda: Evaluator(expanded).value(syms[0]))
+
+    @given(word_texts(), graph_texts(), st.sampled_from([1, 8, 64]))
+    @settings(deadline=None, max_examples=60)
+    def test_graphs(self, text, graph, leaf):
+        w = parse_compact(text)
+        if w.length > 3000:
+            return
+        g = parse_graph(graph)
+        with _small_leaves(leaf):
+            folded = _outcome(lambda: eval_graph(g, w))
+        assert folded == _outcome(lambda: eval_graph(g, parse_word(text)))
+
+    def test_undefined_names_the_same_subsymbol(self):
+        text = "(a b)^300 [a,b]^200"
+        sym = parse_symbol("((a)b)(c)a")
+        with pytest.raises(UndefinedInvariant) as folded:
+            eval_symbol(sym, parse_compact(text))
+        with pytest.raises(UndefinedInvariant) as expanded:
+            eval_symbol(sym, parse_word(text))
+        assert str(folded.value) == str(expanded.value) == \
+            "undefined at a (count=300)"
+
+
+def _interpolate(points: dict[int, int], x: int) -> Fraction:
+    """The Lagrange polynomial through ``points`` at ``x``."""
+    total = Fraction(0)
+    for xi, yi in points.items():
+        term = Fraction(yi)
+        for xj in points:
+            if xj != xi:
+                term *= Fraction(x - xj, xi - xj)
+        total += term
+    return total
+
+
+class TestPowers:
+    @pytest.mark.parametrize("base, text", [
+        ("[a a,[b,a c]]", "((a)b)a"),
+        ("[a a,[b,a c]]", "(a)(c)b"),
+        ("a b c a^-1", "((a)b)c"),
+        ("[[a,b],c] a", "(((a)b)c)a"),
+        ("[a,b] [b,c]^3", "((a)(c)b)(c)a"),
+    ])
+    def test_counts_on_a_huge_power_are_the_interpolated_polynomial(
+            self, base, text):
+        # every count on u^N is a polynomial in N of degree at most the
+        # pruning's node count
+        sym = parse_symbol(text)
+        k = sym.node_count()
+        prunings = linking._Prunings()
+        prunings.add(sym)
+        samples = {}
+        for n in range(-k, k + 1):
+            ev = Evaluator(parse_word(f"({base})^{n}"))
+            samples[n] = [ev.placements(p) for p in prunings.symbols[1:]]
+        for n in (10 ** 100, -10 ** 100):
+            folded = linking._Fold(parse_compact(f"({base})^{n}"), prunings)
+            expected = [_interpolate({m: s[i] for m, s in samples.items()}, n)
+                        for i in range(len(prunings.symbols) - 1)]
+            assert list(folded.counts.values())[1:] == expected
+
+    def test_the_worked_example_at_a_googol(self):
+        w = parse_compact(f"[a a,[b,a c]]^{10 ** 100}")
+        assert eval_symbol(parse_symbol("((a)b)a"), w) == 4 * 10 ** 100
+
+
+class TestLimits:
+    def test_len_is_the_expanded_length(self):
+        assert len(parse_compact("[a b,c]^1000 a^-3")) == 6003
+        assert parse_compact("a^" + "9" * 30).length == 10 ** 30 - 1
+        with pytest.raises(OverflowError):
+            len(parse_compact("a^" + "9" * 30))
+
+    def test_counts_past_the_digit_limit_are_refused(self):
+        # 2 nodes on about 10^2200 letters could count to 4400 digits
+        with pytest.raises(TooLarge):
+            eval_symbol(parse_symbol("(a)b"),
+                        parse_compact(f"[a,b]^{10 ** 2200}"))
+        assert eval_symbol(parse_symbol("(a)b"),
+                           parse_compact(f"[a,b]^{10 ** 2000}")) == 10 ** 2000
+
+    def test_too_many_prunings_evaluate_the_expanded_word(self):
+        star = parse_symbol("(a)" * 13 + "b")  # 2^13 prunings at the root
+        w = "[a,b]^100 [a b,b a]"
+        assert (eval_symbol(star, parse_compact(w))
+                == Evaluator(parse_word(w)).value(star) != 0)
+        with pytest.raises(TooLarge):
+            eval_symbol(star, parse_compact("[a,b]^99999999999999999999999"))

@@ -329,6 +329,12 @@ class TestLieCoordinates:
         with pytest.raises(TooLarge):
             lie_coordinates(parse_word("a a^-1 b b^-1"), 40)
 
+    def test_a_large_bracket_word_is_refused_before_its_lyndon_words(self):
+        # 4^14 words of weight 14 over four letters
+        with pytest.raises(TooLarge):
+            lie_image_of_bracket_word(
+                "[[[[c,a],[b,c]],[a,[a,d]]],[[[a,b],[a,a]],[d,[b,c]]]]")
+
     def test_shallow_word_fails_fast_at_a_high_weight(self):
         with pytest.raises(NotInGamma) as info:
             lie_coordinates(parse_word("[a,b]"), 60)

@@ -26,7 +26,8 @@ from letterlink import (
 )
 from letterlink import words
 from letterlink.eil import parse_graph_sum
-from letterlink.words import NESTING_LIMIT, all_bracketings, expand_bracket
+from letterlink.words import (NESTING_LIMIT, all_bracketings, expand_bracket,
+                              parse_compact)
 
 
 def letters(text):
@@ -113,6 +114,24 @@ class TestParse:
 
     def test_a_power_of_the_empty_word_is_empty(self):
         assert parse_word("()^99999999999999999999999") == Word()
+
+
+class TestCompact:
+    @pytest.mark.parametrize("text, kind, expanded", [
+        ("a b^-1 (c d) (a b)^-1", "run", "a b^-1 c d b^-1 a^-1"),
+        ("[a,b]^2", "power", "a b a^-1 b^-1 a b a^-1 b^-1"),
+        ("[a, b c]", "commutator", "a b c a^-1 c^-1 b^-1"),
+        ("a [a,b] (c)^-2", "product", "a a b a^-1 b^-1 c^-1 c^-1"),
+        ("[a,b]^0 ()^5", "run", ""),
+    ])
+    def test_shape_length_and_expansion(self, text, kind, expanded):
+        w = parse_compact(text)
+        assert (w.kind, w.length) == (kind, len(letters(expanded)))
+        assert w.expand() == letters(expanded)
+
+    def test_inverted_letters(self):
+        w = parse_compact("[a b,c]^2 a")
+        assert Word(w.letters(True)) == parse_word("([a b,c]^2 a)^-1")
 
 
 # tokens of each grammar; a drawn text keeps no run of more than 2 digits,
