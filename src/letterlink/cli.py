@@ -164,6 +164,22 @@ def _split_gens(text: str) -> list[str]:
     return [g.strip() for g in text.split(",") if g.strip()]
 
 
+def _distinct_gens(text: str) -> list[str]:
+    """The generators of ``--gens``; a generator named twice is a parse
+    error at its second occurrence."""
+    gens: list[str] = []
+    position = 0
+    for part in text.split(","):
+        g = part.strip()
+        if g in gens:
+            raise ParseError(f"generator {g!r} is repeated in --gens",
+                             position + part.index(g))
+        if g:
+            gens.append(g)
+        position += len(part) + 1
+    return gens
+
+
 def _multidegree_from(gens: list[str], counts_text: str) -> dict[str, int]:
     parts = counts_text.split(",")
     try:
@@ -225,7 +241,7 @@ def _run(args) -> int:
             graphs = eil.parse_graph_sum(args.graphsum)
         env.set_value(lie.extended_pairing(graphs, lie_part))
     elif args.command == "basis":
-        gens = _split_gens(args.gens)
+        gens = _distinct_gens(args.gens)
         trees = lie.lyndon_basis(args.weight, gens)
         if args.multidegree:
             md = _multidegree_from(gens, args.multidegree)
@@ -233,7 +249,7 @@ def _run(args) -> int:
                      if t.multidegree() == {g: c for g, c in md.items() if c}]
         env.set_value([str(t) for t in trees], "\n".join(str(t) for t in trees))
     elif args.command == "matrix":
-        gens = _split_gens(args.gens)
+        gens = _distinct_gens(args.gens)
         md = _multidegree_from(gens, args.multidegree)
         if sum(md.values()) != args.weight:
             raise ParseError("multidegree does not sum to --weight", 0)

@@ -17,10 +17,15 @@ equal their own negatives and pair to zero with everything.
 
 The distinct-vertex graphs of a multidegree are grown a leaf at a time,
 one tree per class, and each class is printed as the first of its trees
-in a scan of all Prufer codes (see ``enumerate_distinct_vertex_graphs``);
+in a scan of all Prufer codes (see ``_distinct_basis``);
 ``distinct_reduce`` solves over them by fraction-free elimination, and
 ``dual_graphs`` picks the rows that the ``matrix`` command pairs with the
-Lyndon basis.
+Lyndon basis.  The graphs, the Lyndon trees and the pairing of each graph
+with each tree depend only on the multidegree, so they are built once per
+multidegree per process, kept as tuples in a bounded cache and shared by
+``distinct``, ``matrix`` and selfcheck; ``distinct_reduce`` then pairs only
+its input graph.  A one-shot process gains nothing: it still builds its
+multidegree once.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import heapq
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, chain, permutations, product
 
 from .errors import (
@@ -537,35 +543,54 @@ def _first_prufer_edges(letters: tuple[int, ...], adj: list[list[int]],
     return _prufer_decode(k, best)
 
 
-def enumerate_distinct_vertex_graphs(multidegree: dict[str, int]) -> list[SymbolGraph]:
-    """All distinct-vertex Eil graphs of the given label multiset, one
-    canonical orientation per isomorphism class, sorted by encoding.
+def _multidegree_key(multidegree: dict[str, int]) -> tuple[tuple[str, int], ...]:
+    """The multidegree as sorted (generator, count) pairs without the zero
+    counts, once it is known to be one the distinct-vertex computations
+    accept."""
+    if any(c < 0 for c in multidegree.values()):
+        raise InvalidMultidegree("multidegree counts must be nonnegative")
+    k = sum(multidegree.values())
+    if k < 1:
+        raise InvalidMultidegree("multidegree must have total count >= 1")
+    if k > DISTINCT_VERTEX_LIMIT:
+        raise TooLarge(f"{k} vertices exceeds bound {DISTINCT_VERTEX_LIMIT}")
+    return tuple((gen, c) for gen, c in sorted(multidegree.items()) if c)
+
+
+@lru_cache(maxsize=64)
+def _distinct_basis(key: tuple[tuple[str, int], ...]):
+    """(graphs, trees, rows) of a ``_multidegree_key``: the distinct-vertex
+    graphs, the Lyndon trees of the multidegree and each graph's pairing
+    with each tree, all tuples.  Everything in ``distinct_reduce`` and
+    ``dual_graphs`` but the input's own row depends only on the
+    multidegree, so this is built once per multidegree per process.
 
     Classes are grown directly, a leaf at a time.  Vertices v1..vk carry
     the labels in sorted order, and each class is represented by the tree
     of the smallest Prufer code among its label-preserving relabelings,
     with its edges in decoding order and oriented by ``canonical_form``:
-    the first tree of the class in a scan of all k^(k-2) codes.
+    the first tree of the class in a scan of all k^(k-2) codes.  The
+    graphs are sorted by encoding.
     """
-    labels = []
-    for gen in sorted(multidegree):
-        if multidegree[gen] < 0:
-            raise InvalidMultidegree("multidegree counts must be nonnegative")
-        labels.extend([gen] * multidegree[gen])
-    k = len(labels)
-    if k < 1:
-        raise InvalidMultidegree("multidegree must have total count >= 1")
-    if k > DISTINCT_VERTEX_LIMIT:
-        raise TooLarge(f"{k} vertices exceeds bound {DISTINCT_VERTEX_LIMIT}")
-    counts = [multidegree[gen] for gen in sorted(multidegree) if multidegree[gen]]
+    counts = [c for _, c in key]
     start = [0, *accumulate(counts)]
-    vertices = {f"v{i + 1}": Symbol(labels[i]) for i in range(k)}
+    labels = [gen for gen, c in key for _ in range(c)]
+    vertices = {f"v{i + 1}": Symbol(gen) for i, gen in enumerate(labels)}
     forms = []
     for letters, adj in _distinct_vertex_classes(counts):
         edges = _first_prufer_edges(letters, adj, start)
         forms.append(canonical_form(SymbolGraph.build(
             vertices, [(f"v{a + 1}", f"v{b + 1}") for a, b in edges])))
-    return [rep for _, _, rep in sorted(forms, key=lambda form: form[0])]
+    graphs = tuple(rep for _, _, rep in sorted(forms, key=lambda form: form[0]))
+    trees = tuple(lyndon_trees_of_multidegree(dict(key)))
+    return graphs, trees, tuple(map(tuple, pairing_matrix(graphs, trees)))
+
+
+def enumerate_distinct_vertex_graphs(multidegree: dict[str, int]) -> list[SymbolGraph]:
+    """All distinct-vertex Eil graphs of the given label multiset, one
+    canonical orientation per isomorphism class, sorted by encoding (see
+    ``_distinct_basis``), as a new list on every call."""
+    return list(_distinct_basis(_multidegree_key(multidegree))[0])
 
 
 def distinct_reduce(g: SymbolGraph) -> GraphSum:
@@ -576,14 +601,10 @@ def distinct_reduce(g: SymbolGraph) -> GraphSum:
     the output pairs equally with every such tree.
     """
     g.validate(ambient=True)
-    multidegree = g.multidegree()
-    basis_graphs = enumerate_distinct_vertex_graphs(multidegree)
-    trees = lyndon_trees_of_multidegree(multidegree)
-    *columns, rhs = pairing_matrix(basis_graphs + [g], trees)
-    matrix = [[column[j] for column in columns] for j in range(len(trees))]
-    coeffs = solve(matrix, rhs)
+    graphs, trees, rows = _distinct_basis(_multidegree_key(g.multidegree()))
+    (rhs,) = pairing_matrix([g], trees)
     out = GraphSum()
-    for c, h in zip(coeffs, basis_graphs):
+    for c, h in zip(solve(list(zip(*rows)), rhs), graphs):
         out.add(c, h)
     return out
 
@@ -614,6 +635,5 @@ def dual_graphs(gens: list[str], multidegree: dict[str, int]) -> list[SymbolGrap
         vertices[f"v{n + 1}"] = Symbol(center)
         return [SymbolGraph.build(
             vertices, [(f"v{i + 1}", f"v{n + 1}") for i in range(n)])]
-    trees = lyndon_trees_of_multidegree(multidegree)
-    graphs = enumerate_distinct_vertex_graphs(multidegree)
-    return [graphs[i] for i in independent_rows(pairing_matrix(graphs, trees))]
+    graphs, _, rows = _distinct_basis(_multidegree_key(multidegree))
+    return [graphs[i] for i in independent_rows(rows)]

@@ -196,7 +196,11 @@ def standard_bracketing(word: tuple[str, ...]) -> BracketTree:
 def lyndon_basis(weight: int, alphabet: Iterable[str]) -> list[BracketTree]:
     if weight < 1:
         raise InvalidArgument(f"weight {weight} is below 1")
-    return [standard_bracketing(w) for w in lyndon_words(weight, list(alphabet))]
+    alphabet = list(alphabet)
+    for i, gen in enumerate(alphabet):
+        if gen in alphabet[:i]:
+            raise InvalidArgument(f"generator {gen!r} is repeated in the alphabet")
+    return [standard_bracketing(w) for w in lyndon_words(weight, alphabet)]
 
 
 def lyndon_trees_of_multidegree(multidegree: dict[str, int]) -> list[BracketTree]:

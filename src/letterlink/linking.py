@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain, permutations, product
-from math import log10
+from math import lcm, log10
 from operator import itemgetter, mul
 from typing import Iterable
 
@@ -195,6 +195,9 @@ class Evaluator:
         self._signs = list(map(itemgetter(1), w.letters))
         self._index: dict[str, tuple[list[int], list[int]]] = {}
         self._memo: dict[str, tuple[list[int], int]] = {}
+        # keys whose every proper sub-symbol has count zero; `placements`
+        # memoizes entries without that check
+        self._defined: set[str] = set()
 
     def occurrences(self, gen: str) -> tuple[list[int], list[int]]:
         """The 0-based positions of ``gen`` in the word and the signs there."""
@@ -220,11 +223,20 @@ class Evaluator:
         return self._memo[self._visit(sym, None)][1]
 
     def value_sum(self, terms: Iterable[tuple[object, Symbol]]) -> Fraction:
-        """Sum of coeff * invariant; undefined if any term is."""
-        total = Fraction(0)
+        """Sum of coeff * invariant; undefined if any term is.  Summed in
+        integers over the least common denominator of the coefficients."""
+        num, den = 0, 1
         for coeff, sym in terms:
-            total += Fraction(coeff) * self.value(sym)
-        return total
+            if not isinstance(coeff, (int, Fraction)):
+                coeff = Fraction(coeff)
+            value = self.value(sym)
+            if value:
+                d = coeff.denominator
+                if den % d:
+                    scale = lcm(den, d)
+                    num, den = num * (scale // den), scale
+                num += coeff.numerator * (den // d) * value
+        return Fraction(num, den)
 
     def placements(self, sym: Symbol) -> int:
         """The signed count of placements of the symbol's nodes on letters,
@@ -233,21 +245,26 @@ class Evaluator:
         return self._memo[self._visit(sym, None, False)][1]
 
     def _visit(self, node: Symbol, trace: list | None, check: bool = True) -> str:
-        """Evaluate ``node`` unless memoized; return its canonical string."""
+        """Evaluate ``node`` unless memoized; return its canonical string.
+        Without a trace, a key that has passed a checked visit is a single
+        lookup."""
+        key = node.canonical()
+        if trace is None and key in self._defined:
+            return key
         memo = self._memo
         if not node.children:
-            if node.letter not in memo:
+            if key not in memo:
                 positions, signs = self.occurrences(node.letter)
-                memo[node.letter] = ([1] * len(positions), sum(signs))
-            return node.letter
+                memo[key] = ([1] * len(positions), sum(signs))
+            self._defined.add(key)
+            return key
         keys = []
         for child in node.children:
-            key = self._visit(child, trace, check)
-            c = memo[key][1]
+            k = self._visit(child, trace, check)
+            c = memo[k][1]
             if c != 0 and check:
                 raise UndefinedInvariant(child, c)
-            keys.append(key)
-        key = "".join(sorted(f"({k})" for k in keys)) + node.letter
+            keys.append(k)
         entry = memo.get(key)
         if entry is None:
             at, signs = self.occurrences(node.letter)
@@ -256,6 +273,8 @@ class Evaluator:
                 values = list(map(mul, values,
                                   self._potential(child.letter, memo[k][0], at)))
             entry = memo[key] = (values, sum(map(mul, values, signs)))
+        if check:
+            self._defined.add(key)
         if trace is not None:
             trace.append((node, entry[0], [memo[k][0] for k in keys]))
         return key

@@ -143,11 +143,9 @@ def check_4_weight5_matrices(seed=0, scale="small"):
 
 
 def _full_column_rank(multidegree: dict[str, int]) -> bool:
-    trees = lie.lyndon_trees_of_multidegree(multidegree)
-    if not trees:
-        return True
-    graphs = eil.enumerate_distinct_vertex_graphs(multidegree)
-    return linalg.rank(lie.pairing_matrix(graphs, trees)) == len(trees)
+    # the rows `distinct` solves over and `matrix` picks its rows from
+    _, trees, rows = eil._distinct_basis(eil._multidegree_key(multidegree))
+    return not trees or linalg.rank(rows) == len(trees)
 
 
 def check_5_surjectivity(seed=0, scale="small"):
@@ -214,7 +212,7 @@ def check_6_exhaustive_duality(seed=0, scale="small"):
         graphs = _unique_label_graphs(n)
         pairings = lie.pairing_matrix(graphs, trees)
         for graph, row in zip(graphs, pairings):
-            reduction = eil.reduce_full(graph, eil.default_order(graph))
+            reduction = eil.reduce_full(graph, eil.default_order(graph)).items()
             for ev, tree, rhs in zip(evaluators, trees, row):
                 lhs = ev.value_sum(reduction)
                 checked += 1
@@ -255,7 +253,7 @@ def check_7_order_independence(seed=0, scale="small"):
         baseline = None
         for order in itertools.permutations(ids, len(ids) - 1):
             try:
-                reduction = eil.reduce_full(graph, list(order))
+                reduction = eil.reduce_full(graph, list(order)).items()
             except UndefinedReduction:
                 continue
             values = tuple(ev.value_sum(reduction) for ev in evaluators)

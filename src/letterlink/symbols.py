@@ -48,9 +48,17 @@ class Symbol:
         return out
 
     def canonical(self) -> str:
-        """Canonical string: children sorted by encoding, free letter last."""
-        parts = sorted(f"({c.canonical()})" for c in self.children)
-        return "".join(parts) + self.letter
+        """Canonical string: children sorted by encoding, free letter last.
+
+        Computed once per object and kept in the instance ``__dict__``,
+        outside the dataclass fields, so equality, hashing and repr do not
+        see it.
+        """
+        out = self.__dict__.get("_canonical")
+        if out is None:
+            parts = sorted(f"({c.canonical()})" for c in self.children)
+            out = self.__dict__["_canonical"] = "".join(parts) + self.letter
+        return out
 
     def __str__(self) -> str:
         return self.canonical()

@@ -193,6 +193,21 @@ class TestArgumentErrors:
         assert code == 2 and out == ""
         assert f" at position {position}" in err
 
+    @pytest.mark.parametrize("argv, position", [
+        (("basis", "--weight", "3", "--gens", "a,a"), 2),
+        (("basis", "--weight", "3", "--gens", "a, b ,b"), 6),
+        (("matrix", "--weight", "3", "--gens", "a,b,a", "--multidegree", "1,1,1"), 4),
+    ])
+    def test_a_repeated_generator_exits_two(self, capsys, argv, position):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("parse error: generator ")
+        assert " is repeated in --gens " in err and f"at position {position}" in err
+
+    def test_a_sequence_may_repeat_a_generator(self, capsys):
+        code, out, _ = run(capsys, "fox", "--word", "a^3", "--seq", "a,a")
+        assert code == 0 and out.strip() == "3"
+
     def test_an_expansion_past_the_length_limit_exits_one(self, capsys):
         code, out, err = run(capsys, "diagram", "--word",
                              "a^99999999999999999999999", "--symbol", "a")

@@ -274,9 +274,72 @@ class TestEnumerate:
 
         monkeypatch.setattr(eil, "canonical_form", counted)
         monkeypatch.setattr(eil, "_prufer_trees", scan)
+        eil._distinct_basis.cache_clear()   # a warm cache canonicalizes nothing
         graphs = enumerate_distinct_vertex_graphs({"a": 3, "b": 2, "c": 2})
         assert len(graphs) == 153
         assert len(calls) <= 153
+
+
+class TestBasisCache:
+    """The distinct-vertex basis is built once per multidegree: a later call
+    gives what a cold one gives, and every call is validated."""
+
+    AMBIENT = "{v1:a, v2:a, v3:b, v4:c, v5:b; v1->v2, v2->v3, v3->v4, v5->v4}"
+
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        eil._distinct_basis.cache_clear()
+
+    def results(self):
+        multidegree = {"a": 2, "b": 2, "c": 1}
+        return (enumerate_distinct_vertex_graphs(multidegree),
+                distinct_reduce(parse_graph(self.AMBIENT, ambient=True)),
+                dual_graphs(["a", "b", "c"], multidegree))
+
+    def test_a_second_call_equals_a_cold_one(self):
+        first = self.results()
+        assert eil._distinct_basis.cache_info().currsize == 1
+        second = self.results()
+        assert eil._distinct_basis.cache_info().hits == 5
+        eil._distinct_basis.cache_clear()
+        cold = self.results()
+        assert first == second == cold
+        assert [str(x) for x in second] == [str(x) for x in cold]
+
+    def test_mutating_a_returned_list_changes_no_later_result(self):
+        graphs, _, rows = self.results()
+        expected = (list(graphs), list(rows))
+        graphs.reverse()
+        graphs.append(graphs[0])
+        rows.clear()
+        again, _, rows_again = self.results()
+        assert (again, rows_again) == expected
+
+    @pytest.mark.parametrize("multidegree, error", [
+        ({"a": -1, "b": 2}, InvalidMultidegree),
+        ({"a": 4, "b": 3, "c": 1}, TooLarge),
+    ])
+    def test_refusals_are_not_cached(self, multidegree, error):
+        for _ in range(3):
+            with pytest.raises(error):
+                enumerate_distinct_vertex_graphs(multidegree)
+            with pytest.raises(error):
+                dual_graphs(sorted(multidegree), multidegree)
+        assert eil._distinct_basis.cache_info().currsize == 0
+
+    def test_eight_vertices_are_refused_on_every_call(self):
+        g = parse_graph("{v1:a, v2:a, v3:a, v4:a, v5:b, v6:b, v7:b, v8:c; "
+                        "v1->v2, v2->v3, v3->v4, v4->v5, v5->v6, v6->v7, v7->v8}",
+                        ambient=True)
+        for _ in range(3):
+            with pytest.raises(TooLarge):
+                distinct_reduce(g)
+
+    def test_zero_counts_share_the_entry_without_them(self):
+        graphs = enumerate_distinct_vertex_graphs({"a": 2, "b": 1, "c": 0})
+        assert [str(g) for g in graphs] == ["{v1:a, v2:a, v3:b; v1->v3, v2->v3}"]
+        assert enumerate_distinct_vertex_graphs({"b": 1, "a": 2}) == graphs
+        assert eil._distinct_basis.cache_info().currsize == 1
 
 
 class TestDistinctReduce:

@@ -167,6 +167,11 @@ class TestLyndon:
         with pytest.raises(InvalidArgument):
             lyndon_basis(weight, ["a", "b"])
 
+    @pytest.mark.parametrize("alphabet", [["a", "a"], ["a", "b", "a"]])
+    def test_a_repeated_generator_is_rejected(self, alphabet):
+        with pytest.raises(InvalidArgument, match="'a' is repeated"):
+            lyndon_basis(2, alphabet)
+
     def test_weight_five_count_and_multidegree(self):
         basis = lyndon_basis(5, ["a", "b"])
         assert len(basis) == 6

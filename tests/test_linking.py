@@ -27,7 +27,7 @@ from letterlink import (
     symbol_list,
 )
 from letterlink.diagram import render_diagram
-from letterlink.linking import _signed_tokens
+from letterlink.linking import Evaluator, _signed_tokens
 from letterlink.words import Letter, commutator, random_word
 
 WORKED = free_reduce(parse_word("[a a, [b, a c]]"))
@@ -210,6 +210,64 @@ class TestEvalSymbol:
 
     def test_empty_sum(self):
         assert eval_symbol_sum([], parse_word("a")) == 0
+
+
+class TestEvaluatorMemo:
+    """A memo hit is one lookup, and never hides an undefined invariant."""
+
+    def raised(self, ev, sym):
+        with pytest.raises(UndefinedInvariant) as err:
+            ev.value(sym)
+        return err.value.subsymbol, err.value.count
+
+    @pytest.mark.parametrize("text, word", [
+        ("((a)b)c", "a b c"),
+        ("(a)(b)c", "b c a^-1 a^-1"),
+        ("((b)a)(c)b", "c a b a^-1 b"),
+    ])
+    def test_placements_do_not_define_the_symbol(self, text, word):
+        sym, w = parse_symbol(text), parse_word(word)
+        expected = self.raised(Evaluator(w), sym)
+        ev = Evaluator(w)
+        ev.placements(sym)
+        assert self.raised(ev, sym) == expected
+        assert self.raised(ev, sym) == expected
+
+    def test_repeated_values_equal_a_fresh_evaluator(self):
+        rng = random.Random(3)
+        syms = [parse_symbol(t) for t in
+                ("a", "(a)b", "((a)b)a", "(b)(c)a", "((a)c)(b)a", "(((a)b)c)a")]
+        for _ in range(20):
+            w = random_word(["a", "b", "c"], rng.randint(0, 12), rng)
+            ev = Evaluator(w)
+            for _ in range(3):
+                for sym in rng.sample(syms, len(syms)):
+                    try:
+                        expected = Evaluator(w).value(sym)
+                    except UndefinedInvariant as exc:
+                        assert self.raised(ev, sym) == (exc.subsymbol, exc.count)
+                    else:
+                        assert ev.value(sym) == expected
+
+    def test_value_sum_takes_any_rational_coefficient(self):
+        w = parse_word("[a^2, b^3]^2 [a, c] [c^-1, b]")
+        terms = [(2, parse_symbol("(a)b")), (Fraction(-1, 6), parse_symbol("(c)b")),
+                 ("3/4", parse_symbol("(b)a")), (0.5, parse_symbol("(a)c")),
+                 (Fraction(5, 3), parse_symbol("(a)b"))]
+        ev = Evaluator(w)
+        expected = sum(Fraction(c) * Evaluator(w).value(s) for c, s in terms)
+        assert ev.value_sum(terms) == expected
+        assert type(ev.value_sum(terms)) is Fraction
+        assert type(ev.value_sum([])) is Fraction
+
+    def test_a_cached_canonical_string_changes_no_equality(self):
+        warm, cold = parse_symbol("((a)b)(c)a"), parse_symbol("(c)((a)b)a")
+        cold = Symbol(cold.letter, cold.children[::-1])
+        assert warm.canonical() == "((a)b)(c)a"
+        assert "_canonical" in vars(warm) and "_canonical" not in vars(cold)
+        assert warm == cold and hash(warm) == hash(cold)
+        assert repr(warm) == repr(cold)
+        assert {warm: 1}[cold] == 1
 
 
 class TestRepresentativeIndependence:
