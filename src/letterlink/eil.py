@@ -17,7 +17,7 @@ equal their own negatives and pair to zero with everything.
 
 The distinct-vertex graphs of a multidegree are grown a leaf at a time,
 one tree per class, and each class is printed as the first of its trees
-in a scan of all Prufer codes (see ``_distinct_basis``);
+in a scan of all Prufer codes (see ``enumerate_distinct_vertex_graphs``);
 ``distinct_reduce`` solves over them by fraction-free elimination, and
 ``dual_graphs`` picks the rows that the ``matrix`` command pairs with the
 Lyndon basis.  The graphs, the Lyndon trees and the pairing of each graph
@@ -32,9 +32,9 @@ from __future__ import annotations
 
 import heapq
 import re
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate, chain, permutations, product
 
 from .errors import (
@@ -557,21 +557,17 @@ def _multidegree_key(multidegree: dict[str, int]) -> tuple[tuple[str, int], ...]
     return tuple((gen, c) for gen, c in sorted(multidegree.items()) if c)
 
 
-@lru_cache(maxsize=64)
-def _distinct_basis(key: tuple[tuple[str, int], ...]):
-    """(graphs, trees, rows) of a ``_multidegree_key``: the distinct-vertex
-    graphs, the Lyndon trees of the multidegree and each graph's pairing
-    with each tree, all tuples.  Everything in ``distinct_reduce`` and
-    ``dual_graphs`` but the input's own row depends only on the
-    multidegree, so this is built once per multidegree per process.
+def enumerate_distinct_vertex_graphs(multidegree: dict[str, int]) -> list[SymbolGraph]:
+    """All distinct-vertex Eil graphs of the given label multiset, one
+    canonical orientation per isomorphism class, sorted by encoding.
 
     Classes are grown directly, a leaf at a time.  Vertices v1..vk carry
     the labels in sorted order, and each class is represented by the tree
     of the smallest Prufer code among its label-preserving relabelings,
     with its edges in decoding order and oriented by ``canonical_form``:
-    the first tree of the class in a scan of all k^(k-2) codes.  The
-    graphs are sorted by encoding.
+    the first tree of the class in a scan of all k^(k-2) codes.
     """
+    key = _multidegree_key(multidegree)
     counts = [c for _, c in key]
     start = [0, *accumulate(counts)]
     labels = [gen for gen, c in key for _ in range(c)]
@@ -581,16 +577,55 @@ def _distinct_basis(key: tuple[tuple[str, int], ...]):
         edges = _first_prufer_edges(letters, adj, start)
         forms.append(canonical_form(SymbolGraph.build(
             vertices, [(f"v{a + 1}", f"v{b + 1}") for a, b in edges])))
-    graphs = tuple(rep for _, _, rep in sorted(forms, key=lambda form: form[0]))
+    return [rep for _, _, rep in sorted(forms, key=lambda form: form[0])]
+
+
+# most cells (see ``_cells``) that the kept bases hold together: (3,2,2)
+# has 153 graphs and 30 trees, seven distinct letters 16807 and 720
+BASIS_CELL_LIMIT = 1 << 16
+
+# normalized multidegree -> (graphs, trees, rows), least recently used first
+_bases: dict[tuple[tuple[str, int], ...], tuple[tuple, tuple, tuple]] = {}
+_bases_lock = threading.Lock()
+
+
+def distinct_basis(multidegree: dict[str, int]) -> tuple[tuple, tuple, tuple]:
+    """(graphs, trees, rows) of a multidegree: its distinct-vertex graphs,
+    its Lyndon trees and each graph's pairing with each tree, all tuples.
+
+    Everything in ``distinct_reduce`` and ``dual_graphs`` but the input's
+    own row depends only on the multidegree, so a basis is kept for later
+    calls in this process, keyed by the multidegree without its zero
+    counts.  The multidegree is validated on every call, so an error is
+    never kept.  The least recently used bases are dropped once the kept
+    ones hold more than ``BASIS_CELL_LIMIT`` cells, and a basis larger than
+    that is not kept at all.
+    """
+    key = _multidegree_key(multidegree)
+    with _bases_lock:
+        basis = _bases.pop(key, None)
+        if basis is not None:
+            _bases[key] = basis
+            return basis
+    graphs = tuple(enumerate_distinct_vertex_graphs(multidegree))
     trees = tuple(lyndon_trees_of_multidegree(dict(key)))
-    return graphs, trees, tuple(map(tuple, pairing_matrix(graphs, trees)))
+    basis = graphs, trees, tuple(map(tuple, pairing_matrix(graphs, trees)))
+    cells = _cells(basis)
+    if cells <= BASIS_CELL_LIMIT:
+        with _bases_lock:
+            _bases.pop(key, None)   # another thread may have built it too
+            held = sum(map(_cells, _bases.values()))
+            while held + cells > BASIS_CELL_LIMIT:
+                held -= _cells(_bases.pop(next(iter(_bases))))
+            _bases[key] = basis
+    return basis
 
 
-def enumerate_distinct_vertex_graphs(multidegree: dict[str, int]) -> list[SymbolGraph]:
-    """All distinct-vertex Eil graphs of the given label multiset, one
-    canonical orientation per isomorphism class, sorted by encoding (see
-    ``_distinct_basis``), as a new list on every call."""
-    return list(_distinct_basis(_multidegree_key(multidegree))[0])
+def _cells(basis: tuple[tuple, tuple, tuple]) -> int:
+    """The size of a basis: one cell per graph and tree pair, one per
+    graph and one for the basis itself."""
+    graphs, trees, _ = basis
+    return len(graphs) * (len(trees) + 1) + 1
 
 
 def distinct_reduce(g: SymbolGraph) -> GraphSum:
@@ -601,7 +636,7 @@ def distinct_reduce(g: SymbolGraph) -> GraphSum:
     the output pairs equally with every such tree.
     """
     g.validate(ambient=True)
-    graphs, trees, rows = _distinct_basis(_multidegree_key(g.multidegree()))
+    graphs, trees, rows = distinct_basis(g.multidegree())
     (rhs,) = pairing_matrix([g], trees)
     out = GraphSum()
     for c, h in zip(solve(list(zip(*rows)), rhs), graphs):
@@ -635,5 +670,5 @@ def dual_graphs(gens: list[str], multidegree: dict[str, int]) -> list[SymbolGrap
         vertices[f"v{n + 1}"] = Symbol(center)
         return [SymbolGraph.build(
             vertices, [(f"v{i + 1}", f"v{n + 1}") for i in range(n)])]
-    graphs, _, rows = _distinct_basis(_multidegree_key(multidegree))
+    graphs, _, rows = distinct_basis(multidegree)
     return [graphs[i] for i in independent_rows(rows)]

@@ -144,7 +144,7 @@ def check_4_weight5_matrices(seed=0, scale="small"):
 
 def _full_column_rank(multidegree: dict[str, int]) -> bool:
     # the rows `distinct` solves over and `matrix` picks its rows from
-    _, trees, rows = eil._distinct_basis(eil._multidegree_key(multidegree))
+    _, trees, rows = eil.distinct_basis(multidegree)
     return not trees or linalg.rank(rows) == len(trees)
 
 

@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import product
 
@@ -274,7 +276,6 @@ class TestEnumerate:
 
         monkeypatch.setattr(eil, "canonical_form", counted)
         monkeypatch.setattr(eil, "_prufer_trees", scan)
-        eil._distinct_basis.cache_clear()   # a warm cache canonicalizes nothing
         graphs = enumerate_distinct_vertex_graphs({"a": 3, "b": 2, "c": 2})
         assert len(graphs) == 153
         assert len(calls) <= 153
@@ -282,27 +283,45 @@ class TestEnumerate:
 
 class TestBasisCache:
     """The distinct-vertex basis is built once per multidegree: a later call
-    gives what a cold one gives, and every call is validated."""
+    gives what a cold one gives, every call is validated, and what is kept
+    stays under ``BASIS_CELL_LIMIT``."""
 
     AMBIENT = "{v1:a, v2:a, v3:b, v4:c, v5:b; v1->v2, v2->v3, v3->v4, v5->v4}"
 
     @pytest.fixture(autouse=True)
     def cold_cache(self):
-        eil._distinct_basis.cache_clear()
+        eil._bases.clear()
+        yield
+        eil._bases.clear()
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The multidegrees enumerated from now on."""
+        calls = []
+        enumerate_graphs = eil.enumerate_distinct_vertex_graphs
+
+        def counted(multidegree):
+            calls.append(dict(multidegree))
+            return enumerate_graphs(multidegree)
+
+        monkeypatch.setattr(eil, "enumerate_distinct_vertex_graphs", counted)
+        return calls
 
     def results(self):
         multidegree = {"a": 2, "b": 2, "c": 1}
-        return (enumerate_distinct_vertex_graphs(multidegree),
+        return (eil.enumerate_distinct_vertex_graphs(multidegree),
                 distinct_reduce(parse_graph(self.AMBIENT, ambient=True)),
                 dual_graphs(["a", "b", "c"], multidegree))
 
-    def test_a_second_call_equals_a_cold_one(self):
+    def test_a_second_call_equals_a_cold_one(self, builds):
         first = self.results()
-        assert eil._distinct_basis.cache_info().currsize == 1
+        assert list(eil._bases) == [(("a", 2), ("b", 2), ("c", 1))]
+        assert len(builds) == 2     # the direct call and the one basis
         second = self.results()
-        assert eil._distinct_basis.cache_info().hits == 5
-        eil._distinct_basis.cache_clear()
+        assert len(builds) == 3     # the direct call only
+        eil._bases.clear()
         cold = self.results()
+        assert len(builds) == 5
         assert first == second == cold
         assert [str(x) for x in second] == [str(x) for x in cold]
 
@@ -324,8 +343,10 @@ class TestBasisCache:
             with pytest.raises(error):
                 enumerate_distinct_vertex_graphs(multidegree)
             with pytest.raises(error):
+                eil.distinct_basis(multidegree)
+            with pytest.raises(error):
                 dual_graphs(sorted(multidegree), multidegree)
-        assert eil._distinct_basis.cache_info().currsize == 0
+        assert not eil._bases
 
     def test_eight_vertices_are_refused_on_every_call(self):
         g = parse_graph("{v1:a, v2:a, v3:a, v4:a, v5:b, v6:b, v7:b, v8:c; "
@@ -338,8 +359,66 @@ class TestBasisCache:
     def test_zero_counts_share_the_entry_without_them(self):
         graphs = enumerate_distinct_vertex_graphs({"a": 2, "b": 1, "c": 0})
         assert [str(g) for g in graphs] == ["{v1:a, v2:a, v3:b; v1->v3, v2->v3}"]
-        assert enumerate_distinct_vertex_graphs({"b": 1, "a": 2}) == graphs
-        assert eil._distinct_basis.cache_info().currsize == 1
+        basis = eil.distinct_basis({"a": 2, "b": 1, "c": 0})
+        assert list(basis[0]) == graphs
+        assert eil.distinct_basis({"b": 1, "a": 2}) is basis
+        assert list(eil._bases) == [(("a", 2), ("b", 1))]
+
+    def test_a_basis_past_the_cell_limit_is_not_kept(self, builds):
+        multidegree = {"a": 2, "b": 2, "c": 2, "d": 1}
+        graphs, trees, rows = eil.distinct_basis(multidegree)
+        assert (len(graphs), len(trees)) == (864, 90)
+        assert eil._cells((graphs, trees, rows)) > eil.BASIS_CELL_LIMIT
+        assert not eil._bases
+        assert eil.distinct_basis(multidegree) == (graphs, trees, rows)
+        assert len(builds) == 2
+
+    def test_the_least_recently_used_basis_is_dropped(self, monkeypatch, builds):
+        first, second, third = {"a": 1, "b": 1}, {"a": 1, "c": 1}, {"b": 1, "c": 1}
+        size = eil._cells(eil.distinct_basis(first))
+        monkeypatch.setattr(eil, "BASIS_CELL_LIMIT", 2 * size)
+        eil.distinct_basis(second)
+        eil.distinct_basis(first)
+        eil.distinct_basis(third)
+        assert list(eil._bases) == [(("a", 1), ("b", 1)), (("b", 1), ("c", 1))]
+        assert len(builds) == 3
+        eil.distinct_basis(second)
+        assert len(builds) == 4
+        assert sum(map(eil._cells, eil._bases.values())) <= eil.BASIS_CELL_LIMIT
+
+
+    def test_threads_share_the_cache_within_its_limit(self, monkeypatch):
+        multidegrees = [{"a": 1, "b": 1}, {"a": 1, "c": 1}, {"b": 1, "c": 1},
+                        {"a": 2, "b": 1}, {"a": 1, "b": 2}, {"a": 1, "b": 1, "c": 1}]
+        expected = [eil.distinct_basis(md) for md in multidegrees]
+        eil._bases.clear()
+        monkeypatch.setattr(eil, "BASIS_CELL_LIMIT", 3 * eil._cells(expected[0]))
+        failures = []
+
+        def work(offset):
+            try:
+                for i in range(40):
+                    j = (i + offset) % len(multidegrees)
+                    if eil.distinct_basis(multidegrees[j]) != expected[j]:
+                        failures.append(j)
+                    held = sum(map(eil._cells, list(eil._bases.values())))
+                    if held > eil.BASIS_CELL_LIMIT:
+                        failures.append(held)
+            except Exception as exc:    # reported by the assertion below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(n,)) for n in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not failures
 
 
 class TestDistinctReduce:
