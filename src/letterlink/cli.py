@@ -253,8 +253,7 @@ def _run(args) -> int:
         md = _multidegree_from(gens, args.multidegree)
         if sum(md.values()) != args.weight:
             raise ParseError("multidegree does not sum to --weight", 0)
-        trees = lie.lyndon_trees_of_multidegree(md)
-        env.set_value(lie.pairing_matrix(eil.dual_graphs(gens, md), trees))
+        env.set_value(eil.dual_matrix(gens, md))
     elif args.command == "coords":
         w = words.parse_word(args.word)
         element = lie.lie_coordinates(w, args.weight)

@@ -20,12 +20,14 @@ one tree per class, and each class is printed as the first of its trees
 in a scan of all Prufer codes (see ``enumerate_distinct_vertex_graphs``);
 ``distinct_reduce`` solves over them by fraction-free elimination, and
 ``dual_graphs`` picks the rows that the ``matrix`` command pairs with the
-Lyndon basis.  The graphs, the Lyndon trees and the pairing of each graph
-with each tree depend only on the multidegree, so they are built once per
-multidegree per process, kept as tuples in a bounded cache and shared by
-``distinct``, ``matrix`` and selfcheck; ``distinct_reduce`` then pairs only
-its input graph.  A one-shot process gains nothing: it still builds its
-multidegree once.
+Lyndon basis.  The graphs and their encodings, the Lyndon trees, the
+pairing of each graph with each tree and the elimination of that pairing
+system depend only on the multidegree, so they are built once per
+multidegree per process (``distinct_basis``), kept in a bounded cache and
+shared by ``distinct``, ``matrix`` and selfcheck.  ``distinct_reduce``
+then pairs only its input graph and back-substitutes; ``dual_graphs`` and
+``dual_matrix`` read the pivots.  A one-shot process gains nothing: it
+still builds and eliminates its multidegree once.
 """
 
 from __future__ import annotations
@@ -36,18 +38,19 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, chain, permutations, product
+from typing import NamedTuple
 
 from .errors import (
     InvalidArgument,
     InvalidEdge,
-    InvalidMultidegree,
     NotATree,
     ParseError,
     TooLarge,
     UndefinedReduction,
 )
-from .lie import lyndon_trees_of_multidegree, pairing_matrix
-from .linalg import independent_rows, solve
+from .lie import (BracketTree, _multidegree_key, lyndon_trees_of_multidegree,
+                  pairing_matrix)
+from .linalg import Elimination, back_substitute, eliminate
 from .linking import eval_symbol_sum
 from .symbols import Symbol, SymbolSum, _read_symbol
 from .words import Scanner, Word, _read_sum
@@ -543,18 +546,15 @@ def _first_prufer_edges(letters: tuple[int, ...], adj: list[list[int]],
     return _prufer_decode(k, best)
 
 
-def _multidegree_key(multidegree: dict[str, int]) -> tuple[tuple[str, int], ...]:
+def _distinct_vertex_key(multidegree: dict[str, int]) -> tuple[tuple[str, int], ...]:
     """The multidegree as sorted (generator, count) pairs without the zero
     counts, once it is known to be one the distinct-vertex computations
     accept."""
-    if any(c < 0 for c in multidegree.values()):
-        raise InvalidMultidegree("multidegree counts must be nonnegative")
-    k = sum(multidegree.values())
-    if k < 1:
-        raise InvalidMultidegree("multidegree must have total count >= 1")
+    key = _multidegree_key(multidegree)
+    k = sum(c for _, c in key)
     if k > DISTINCT_VERTEX_LIMIT:
         raise TooLarge(f"{k} vertices exceeds bound {DISTINCT_VERTEX_LIMIT}")
-    return tuple((gen, c) for gen, c in sorted(multidegree.items()) if c)
+    return key
 
 
 def enumerate_distinct_vertex_graphs(multidegree: dict[str, int]) -> list[SymbolGraph]:
@@ -567,7 +567,13 @@ def enumerate_distinct_vertex_graphs(multidegree: dict[str, int]) -> list[Symbol
     with its edges in decoding order and oriented by ``canonical_form``:
     the first tree of the class in a scan of all k^(k-2) codes.
     """
-    key = _multidegree_key(multidegree)
+    forms = _distinct_vertex_forms(_distinct_vertex_key(multidegree))
+    return [graph for _, graph in forms]
+
+
+def _distinct_vertex_forms(key) -> list[tuple[str, SymbolGraph]]:
+    """(encoding, graph) of each distinct-vertex graph of a checked
+    multidegree key, sorted by encoding."""
     counts = [c for _, c in key]
     start = [0, *accumulate(counts)]
     labels = [gen for gen, c in key for _ in range(c)]
@@ -575,41 +581,57 @@ def enumerate_distinct_vertex_graphs(multidegree: dict[str, int]) -> list[Symbol
     forms = []
     for letters, adj in _distinct_vertex_classes(counts):
         edges = _first_prufer_edges(letters, adj, start)
-        forms.append(canonical_form(SymbolGraph.build(
-            vertices, [(f"v{a + 1}", f"v{b + 1}") for a, b in edges])))
-    return [rep for _, _, rep in sorted(forms, key=lambda form: form[0])]
+        encoding, _, graph = canonical_form(SymbolGraph.build(
+            vertices, [(f"v{a + 1}", f"v{b + 1}") for a, b in edges]))
+        forms.append((encoding, graph))
+    return sorted(forms, key=lambda form: form[0])
 
 
 # most cells (see ``_cells``) that the kept bases hold together: (3,2,2)
 # has 153 graphs and 30 trees, seven distinct letters 16807 and 720
 BASIS_CELL_LIMIT = 1 << 16
 
-# normalized multidegree -> (graphs, trees, rows), least recently used first
-_bases: dict[tuple[tuple[str, int], ...], tuple[tuple, tuple, tuple]] = {}
+
+class DistinctBasis(NamedTuple):
+    """What ``distinct_reduce`` and ``dual_graphs`` need of a multidegree
+    but the input's own row: the distinct-vertex graphs and their canonical
+    encodings, sorted by encoding; the Lyndon trees; ``rows[i][j]``, the
+    pairing of graph i with tree j; and the elimination of the trees x
+    graphs system, whose pivots are the rank-increasing graphs."""
+
+    graphs: tuple[SymbolGraph, ...]
+    encodings: tuple[str, ...]
+    trees: tuple[BracketTree, ...]
+    rows: tuple[tuple[int, ...], ...]
+    elimination: Elimination
+
+
+# normalized multidegree -> basis, least recently used first
+_bases: dict[tuple[tuple[str, int], ...], DistinctBasis] = {}
 _bases_lock = threading.Lock()
 
 
-def distinct_basis(multidegree: dict[str, int]) -> tuple[tuple, tuple, tuple]:
-    """(graphs, trees, rows) of a multidegree: its distinct-vertex graphs,
-    its Lyndon trees and each graph's pairing with each tree, all tuples.
+def distinct_basis(multidegree: dict[str, int]) -> DistinctBasis:
+    """The basis of a multidegree, built once and kept for later calls in
+    this process, keyed by the multidegree without its zero counts.
 
-    Everything in ``distinct_reduce`` and ``dual_graphs`` but the input's
-    own row depends only on the multidegree, so a basis is kept for later
-    calls in this process, keyed by the multidegree without its zero
-    counts.  The multidegree is validated on every call, so an error is
-    never kept.  The least recently used bases are dropped once the kept
-    ones hold more than ``BASIS_CELL_LIMIT`` cells, and a basis larger than
-    that is not kept at all.
+    The multidegree is validated on every call, so an error is never kept.
+    The least recently used bases are dropped once the kept ones hold more
+    than ``BASIS_CELL_LIMIT`` cells, and a basis larger than that is not
+    kept at all.
     """
-    key = _multidegree_key(multidegree)
+    key = _distinct_vertex_key(multidegree)
     with _bases_lock:
         basis = _bases.pop(key, None)
         if basis is not None:
             _bases[key] = basis
             return basis
-    graphs = tuple(enumerate_distinct_vertex_graphs(multidegree))
+    forms = _distinct_vertex_forms(key)
+    encodings = tuple(encoding for encoding, _ in forms)
+    graphs = tuple(graph for _, graph in forms)
     trees = tuple(lyndon_trees_of_multidegree(dict(key)))
-    basis = graphs, trees, tuple(map(tuple, pairing_matrix(graphs, trees)))
+    rows = tuple(map(tuple, pairing_matrix(graphs, trees)))
+    basis = DistinctBasis(graphs, encodings, trees, rows, eliminate(zip(*rows)))
     cells = _cells(basis)
     if cells <= BASIS_CELL_LIMIT:
         with _bases_lock:
@@ -621,11 +643,13 @@ def distinct_basis(multidegree: dict[str, int]) -> tuple[tuple, tuple, tuple]:
     return basis
 
 
-def _cells(basis: tuple[tuple, tuple, tuple]) -> int:
-    """The size of a basis: one cell per graph and tree pair, one per
-    graph and one for the basis itself."""
-    graphs, trees, _ = basis
-    return len(graphs) * (len(trees) + 1) + 1
+def _cells(basis: DistinctBasis) -> int:
+    """The size of a basis: one cell per graph and tree pair, two per graph
+    (it and its encoding), one per entry of the elimination's transform and
+    pivot block, and one for the basis itself."""
+    e = basis.elimination
+    return (len(basis.graphs) * (len(basis.trees) + 2)
+            + len(e.transform) ** 2 + e.rank ** 2 + 1)
 
 
 def distinct_reduce(g: SymbolGraph) -> GraphSum:
@@ -636,11 +660,14 @@ def distinct_reduce(g: SymbolGraph) -> GraphSum:
     the output pairs equally with every such tree.
     """
     g.validate(ambient=True)
-    graphs, trees, rows = distinct_basis(g.multidegree())
-    (rhs,) = pairing_matrix([g], trees)
+    basis = distinct_basis(g.multidegree())
+    (rhs,) = pairing_matrix([g], basis.trees)
     out = GraphSum()
-    for c, h in zip(solve(list(zip(*rows)), rhs), graphs):
-        out.add(c, h)
+    for c, encoding, h in zip(back_substitute(basis.elimination, rhs),
+                              basis.encodings, basis.graphs):
+        if c:   # the basis graphs are canonical and pairwise distinct
+            out.terms[encoding] = c
+            out.reps[encoding] = h
     return out
 
 
@@ -650,6 +677,29 @@ def dual_graphs(gens: list[str], multidegree: dict[str, int]) -> list[SymbolGrap
     block shapes (written over a, b, which stand for ``gens[0]``,
     ``gens[1]``), the star graph when one of two nonzero counts is 1, and
     otherwise the rank-increasing rows of the distinct-vertex enumeration."""
+    fixed = _fixed_duals(gens, multidegree)
+    if fixed is not None:
+        return fixed
+    basis = distinct_basis(multidegree)
+    return [basis.graphs[i] for i in basis.elimination.pivots]
+
+
+def dual_matrix(gens: list[str], multidegree: dict[str, int]) -> list[list[int]]:
+    """What the ``matrix`` command prints: the pairing of ``dual_graphs``
+    with the Lyndon trees of ``multidegree``.  The documented duals and the
+    star graph are paired here; rank-increasing rows are read from the
+    basis, which holds them already."""
+    fixed = _fixed_duals(gens, multidegree)
+    if fixed is not None:
+        return pairing_matrix(fixed, lyndon_trees_of_multidegree(multidegree))
+    basis = distinct_basis(multidegree)
+    return [list(basis.rows[i]) for i in basis.elimination.pivots]
+
+
+def _fixed_duals(gens: list[str], multidegree: dict[str, int]) -> list[SymbolGraph] | None:
+    """The documented duals or the star graph where ``dual_graphs`` takes
+    them, else None.  The star graph has no vertex limit."""
+    _multidegree_key(multidegree)   # refuses a malformed multidegree
     counts = [multidegree[g] for g in gens]
     if len(gens) == 2 and counts in ([3, 2], [2, 3]):
         relabel = {"a": gens[0], "b": gens[1]}
@@ -670,5 +720,4 @@ def dual_graphs(gens: list[str], multidegree: dict[str, int]) -> list[SymbolGrap
         vertices[f"v{n + 1}"] = Symbol(center)
         return [SymbolGraph.build(
             vertices, [(f"v{i + 1}", f"v{n + 1}") for i in range(n)])]
-    graphs, _, rows = distinct_basis(multidegree)
-    return [graphs[i] for i in independent_rows(rows)]
+    return None

@@ -84,7 +84,8 @@ class LabelMismatch(LetterLinkError):
 
 
 class InvalidMultidegree(LetterLinkError):
-    """A multidegree has a negative count or no positive count."""
+    """A multidegree has a generator that is not a nonempty string, a count
+    that is not a nonnegative int, or no positive count."""
 
 
 class MixedGrading(LetterLinkError):

@@ -23,8 +23,8 @@ from functools import cache
 from itertools import product
 from typing import Iterable
 
-from .errors import (InvalidArgument, LabelMismatch, MixedGrading, NotInGamma,
-                     TooLarge)
+from .errors import (InvalidArgument, InvalidMultidegree, LabelMismatch,
+                     MixedGrading, NotInGamma, TooLarge)
 from .fox import magnus_coefficients
 from .words import GENERATOR_RE, Scanner, Word, _read_sum
 
@@ -203,15 +203,31 @@ def lyndon_basis(weight: int, alphabet: Iterable[str]) -> list[BracketTree]:
     return [standard_bracketing(w) for w in lyndon_words(weight, alphabet)]
 
 
+def _multidegree_key(multidegree: dict[str, int]) -> tuple[tuple[str, int], ...]:
+    """The multidegree as sorted (generator, count) pairs without the zero
+    counts, once every generator is a nonempty string, every count a
+    nonnegative int and the total at least 1."""
+    if not isinstance(multidegree, dict):
+        raise InvalidMultidegree("a multidegree maps generators to counts")
+    for gen, c in multidegree.items():
+        if type(gen) is not str or not gen:
+            raise InvalidMultidegree(f"generator {gen!r} is not a nonempty string")
+        if type(c) is not int:
+            raise InvalidMultidegree(f"count {c!r} of {gen!r} is not an int")
+        if c < 0:
+            raise InvalidMultidegree("multidegree counts must be nonnegative")
+    if not any(multidegree.values()):
+        raise InvalidMultidegree("multidegree must have total count >= 1")
+    return tuple((gen, c) for gen, c in sorted(multidegree.items()) if c)
+
+
 def lyndon_trees_of_multidegree(multidegree: dict[str, int]) -> list[BracketTree]:
-    alphabet = sorted(g for g, c in multidegree.items() if c > 0)
-    weight = sum(c for c in multidegree.values())
+    """The Lyndon trees whose leaves hold each generator as often as the
+    multidegree counts it."""
+    content = dict(_multidegree_key(multidegree))
     out = []
-    for w in lyndon_words(weight, alphabet):
-        content: dict[str, int] = {}
-        for letter in w:
-            content[letter] = content.get(letter, 0) + 1
-        if content == {g: c for g, c in multidegree.items() if c > 0}:
+    for w in lyndon_words(sum(content.values()), sorted(content)):
+        if all(w.count(gen) == c for gen, c in content.items()):
             out.append(standard_bracketing(w))
     return out
 

@@ -1,29 +1,66 @@
 """Exact linear algebra over the rationals by fraction-free elimination.
 
-Each row is scaled to integers, then eliminated with integer arithmetic
-only (Bareiss 1968): every entry stays a minor of the matrix and every
-division is exact.  Pivots are taken leftmost, so the pivot columns, the
-rank and the particular solution are those of rational Gauss-Jordan.
+A matrix is eliminated once (``eliminate``) and then solved for any number
+of right-hand sides (``back_substitute``).  Each row is scaled to
+integers and eliminated together with the diagonal block of its scales,
+using integer arithmetic only (Bareiss 1968): every entry stays a minor of
+the matrix and every division is exact, and that block ends as the integer
+row transform T that takes the matrix to its eliminated form.  Pivots
+are taken leftmost and never look at a right-hand side, so the pivot
+columns, the rank and the particular solution are those of rational
+Gauss-Jordan, and one elimination serves every right-hand side: each costs
+one product with T, the residual check and an integer back substitution.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import lcm
+from operator import mul
+from typing import NamedTuple
 
-from .errors import InconsistentSystem
+from .errors import InconsistentSystem, InvalidArgument
 
 
-def _integer_row(values) -> list[int]:
-    """The row times the least common denominator of its entries."""
-    row = [v if type(v) is int else Fraction(v) for v in values]
+class Elimination(NamedTuple):
+    """The kept elimination of a rows x ``cols`` matrix M: the leftmost
+    ``pivots`` columns, the r x r ``block`` of the eliminated rows on those
+    columns (upper triangular, its last diagonal entry the pivot minor), and
+    the rows x rows integer ``transform`` T, so that T M is eliminated."""
+
+    cols: int
+    pivots: tuple[int, ...]
+    block: tuple[tuple[int, ...], ...]
+    transform: tuple[tuple[int, ...], ...]
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+
+def _rational(value, where: str):
+    if type(value) is int:
+        return value
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ArithmeticError):
+        raise InvalidArgument(f"{where} {value!r} is not a rational number") from None
+
+
+def _integer_row(values, where: str) -> tuple[int, list[int]]:
+    """(scale, the row times scale), with scale the least common
+    denominator of the entries."""
+    row = [_rational(v, where) for v in values]
     scale = lcm(*(v.denominator for v in row if type(v) is not int))
-    return [int(v * scale) for v in row]
+    return scale, [int(v * scale) for v in row]
 
 
 def _eliminate(m: list[list[int]], cols: int) -> list[int]:
     """Bareiss forward elimination in place on the first ``cols`` columns
-    (later columns are carried along); returns the pivot columns."""
+    (later columns are carried along); returns the pivot columns.  A row is
+    updated from the pivot column on: left of it, every row below the
+    pivot row is already zero."""
     pivots: list[int] = []
     previous = 1
     r = 0
@@ -32,12 +69,16 @@ def _eliminate(m: list[list[int]], cols: int) -> list[int]:
         if pivot_row is None:
             continue
         m[r], m[pivot_row] = m[pivot_row], m[r]
-        top = m[r]
-        pivot = top[c]
+        top = m[r][c:]
+        pivot = top[0]
         for i in range(r + 1, len(m)):
             row = m[i]
             f = row[c]
-            m[i] = [(pivot * a - f * b) // previous for a, b in zip(row, top)]
+            if f:
+                row[c:] = [(pivot * a - f * b) // previous
+                           for a, b in zip(islice(row, c, None), top)]
+            else:
+                row[c:] = [pivot * a // previous for a in islice(row, c, None)]
         previous = pivot
         pivots.append(c)
         r += 1
@@ -46,43 +87,62 @@ def _eliminate(m: list[list[int]], cols: int) -> list[int]:
     return pivots
 
 
-def rank(matrix: list[list[Fraction]]) -> int:
-    if not matrix or not matrix[0]:
-        return 0
-    m = [_integer_row(row) for row in matrix]
-    return len(_eliminate(m, len(m[0])))
+def eliminate(matrix) -> Elimination:
+    """Eliminate a rational matrix (a list of equal-length rows) once, for
+    its rank, its pivot columns and ``back_substitute``.
 
-
-def solve(matrix: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction]:
-    """A particular solution of M x = b with free variables set to zero.
-
-    Raises InconsistentSystem when no solution exists.
+    Raises InvalidArgument, before any elimination, for ragged rows or an
+    entry that is not a rational number.
     """
-    rows = len(matrix)
-    cols = len(matrix[0]) if rows else 0
-    if rows == 0 or cols == 0:
-        if any(Fraction(v) != 0 for v in rhs):
-            raise InconsistentSystem("nonzero right-hand side, empty system")
-        return [Fraction(0)] * cols
-    m = [_integer_row(list(row) + [b]) for row, b in zip(matrix, rhs)]
+    try:
+        matrix = list(matrix)
+        lengths = {len(row) for row in matrix}
+    except TypeError:
+        raise InvalidArgument("a matrix must be a list of rows") from None
+    if len(lengths) > 1:
+        raise InvalidArgument(f"matrix rows have different lengths {sorted(lengths)}")
+    cols = lengths.pop() if lengths else 0
+    m = []
+    for i, row in enumerate(matrix):
+        scale, ints = _integer_row(row, f"matrix entry in row {i}")
+        m.append(ints + [scale if i == j else 0 for j in range(len(matrix))])
     pivots = _eliminate(m, cols)
-    for i in range(len(pivots), rows):
-        if m[i][cols]:
+    return Elimination(cols, tuple(pivots),
+                       tuple(tuple(m[k][c] for c in pivots) for k in range(len(pivots))),
+                       tuple(tuple(row[cols:]) for row in m))
+
+
+def back_substitute(elimination: Elimination, rhs) -> list[Fraction]:
+    """A particular solution of M x = b, for the matrix M of
+    ``elimination`` and b = ``rhs``, with the free variables set to zero.
+
+    Raises InconsistentSystem when no solution exists, and InvalidArgument
+    when ``rhs`` does not have one rational entry per row of M.
+    """
+    e = elimination
+    try:
+        rhs = list(rhs)
+    except TypeError:
+        raise InvalidArgument("a right-hand side must be a list of entries") from None
+    if len(rhs) != len(e.transform):
+        raise InvalidArgument(f"right-hand side has {len(rhs)} entries "
+                              f"for {len(e.transform)} rows")
+    # D x solves M z = D b, with D the least common denominator of b, and
+    # T M z = T D b is the eliminated system
+    denominator, b = _integer_row(rhs, "right-hand side entry")
+    t = [sum(map(mul, row, b)) for row in e.transform]
+    r = e.rank
+    for i in range(r, len(t)):
+        if t[i]:
             raise InconsistentSystem(f"nonzero residual in row {i}")
     # Back substitution in integers: with d the last pivot (the pivot
-    # minor, up to sign), y = d x is integral on the pivot columns.
-    d = m[len(pivots) - 1][pivots[-1]] if pivots else 1
-    y = [0] * cols
-    for r in reversed(range(len(pivots))):
-        c = pivots[r]
-        row = m[r]
-        y[c] = (d * row[cols] - sum(row[p] * y[p] for p in pivots[r + 1:])) // row[c]
-    return [Fraction(v, d) for v in y]
-
-
-def independent_rows(matrix: list[list[Fraction]]) -> list[int]:
-    """Indices of the rows that raise the rank of the rows above them: the
-    leftmost pivot columns of the transpose."""
-    if not matrix or not matrix[0]:
-        return []
-    return _eliminate([_integer_row(column) for column in zip(*matrix)], len(matrix))
+    # minor, up to sign), y = d z is integral on the pivot columns.
+    d = e.block[-1][-1] if r else 1
+    y = [0] * r
+    for k in reversed(range(r)):
+        row = e.block[k]
+        y[k] = (d * t[k] - sum(row[j] * y[j] for j in range(k + 1, r))) // row[k]
+    x = [Fraction(0)] * e.cols
+    for k, c in enumerate(e.pivots):
+        x[c] = Fraction(y[k], d * denominator)
+    return x

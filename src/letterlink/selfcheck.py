@@ -11,7 +11,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from . import eil, fox, lie, linalg, linking, symbols, words
+from . import eil, fox, lie, linking, symbols, words
 from .errors import InvalidEdge, InvalidSymbol, UndefinedInvariant, UndefinedReduction
 from .words import Word
 
@@ -144,8 +144,8 @@ def check_4_weight5_matrices(seed=0, scale="small"):
 
 def _full_column_rank(multidegree: dict[str, int]) -> bool:
     # the rows `distinct` solves over and `matrix` picks its rows from
-    _, trees, rows = eil.distinct_basis(multidegree)
-    return not trees or linalg.rank(rows) == len(trees)
+    basis = eil.distinct_basis(multidegree)
+    return basis.elimination.rank == len(basis.trees)
 
 
 def check_5_surjectivity(seed=0, scale="small"):

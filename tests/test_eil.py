@@ -1,3 +1,4 @@
+import json
 import random
 import sys
 import threading
@@ -5,7 +6,7 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from brute_force import prufer_scan_graphs
+from brute_force import fraction_rank, prufer_scan_graphs
 
 from letterlink import (
     GraphSum,
@@ -34,7 +35,7 @@ from letterlink import (
 from letterlink import eil
 from letterlink.eil import SymbolGraph, _prufer_trees, canonical_form, dual_graphs
 from letterlink.lie import lyndon_trees_of_multidegree
-from letterlink.linalg import rank
+from letterlink.cli import main
 from letterlink.words import NESTING_LIMIT
 
 
@@ -298,13 +299,27 @@ class TestBasisCache:
     def builds(self, monkeypatch):
         """The multidegrees enumerated from now on."""
         calls = []
-        enumerate_graphs = eil.enumerate_distinct_vertex_graphs
+        forms = eil._distinct_vertex_forms
 
-        def counted(multidegree):
-            calls.append(dict(multidegree))
-            return enumerate_graphs(multidegree)
+        def counted(key):
+            calls.append(dict(key))
+            return forms(key)
 
-        monkeypatch.setattr(eil, "enumerate_distinct_vertex_graphs", counted)
+        monkeypatch.setattr(eil, "_distinct_vertex_forms", counted)
+        return calls
+
+    @pytest.fixture
+    def eliminations(self, monkeypatch):
+        """The shapes of the systems eliminated from now on."""
+        calls = []
+        eliminate = eil.eliminate
+
+        def counted(matrix):
+            matrix = list(matrix)
+            calls.append((len(matrix), len(matrix[0]) if matrix else 0))
+            return eliminate(matrix)
+
+        monkeypatch.setattr(eil, "eliminate", counted)
         return calls
 
     def results(self):
@@ -337,6 +352,9 @@ class TestBasisCache:
     @pytest.mark.parametrize("multidegree, error", [
         ({"a": -1, "b": 2}, InvalidMultidegree),
         ({"a": 4, "b": 3, "c": 1}, TooLarge),
+        ({"a": 2.5, "b": 1}, InvalidMultidegree),
+        ({1: 2, "b": 1}, InvalidMultidegree),
+        ({"a": 2, "b": 1, "": 1}, InvalidMultidegree),
     ])
     def test_refusals_are_not_cached(self, multidegree, error):
         for _ in range(3):
@@ -345,7 +363,9 @@ class TestBasisCache:
             with pytest.raises(error):
                 eil.distinct_basis(multidegree)
             with pytest.raises(error):
-                dual_graphs(sorted(multidegree), multidegree)
+                dual_graphs(list(multidegree), multidegree)
+            with pytest.raises(error):
+                eil.dual_matrix(list(multidegree), multidegree)
         assert not eil._bases
 
     def test_eight_vertices_are_refused_on_every_call(self):
@@ -360,18 +380,45 @@ class TestBasisCache:
         graphs = enumerate_distinct_vertex_graphs({"a": 2, "b": 1, "c": 0})
         assert [str(g) for g in graphs] == ["{v1:a, v2:a, v3:b; v1->v3, v2->v3}"]
         basis = eil.distinct_basis({"a": 2, "b": 1, "c": 0})
-        assert list(basis[0]) == graphs
+        assert list(basis.graphs) == graphs
         assert eil.distinct_basis({"b": 1, "a": 2}) is basis
         assert list(eil._bases) == [(("a", 2), ("b", 1))]
 
     def test_a_basis_past_the_cell_limit_is_not_kept(self, builds):
         multidegree = {"a": 2, "b": 2, "c": 2, "d": 1}
-        graphs, trees, rows = eil.distinct_basis(multidegree)
-        assert (len(graphs), len(trees)) == (864, 90)
-        assert eil._cells((graphs, trees, rows)) > eil.BASIS_CELL_LIMIT
+        basis = eil.distinct_basis(multidegree)
+        assert (len(basis.graphs), len(basis.trees)) == (864, 90)
+        assert eil._cells(basis) > eil.BASIS_CELL_LIMIT
         assert not eil._bases
-        assert eil.distinct_basis(multidegree) == (graphs, trees, rows)
+        assert eil.distinct_basis(multidegree) == basis
         assert len(builds) == 2
+
+    def test_a_basis_that_its_elimination_takes_past_the_limit_is_not_kept(
+            self, monkeypatch, builds):
+        multidegree = {"a": 2, "b": 2, "c": 1}
+        basis = eil.distinct_basis(multidegree)
+        eil._bases.clear()
+        without_elimination = len(basis.graphs) * (len(basis.trees) + 2) + 1
+        assert without_elimination < eil._cells(basis) - 1
+        monkeypatch.setattr(eil, "BASIS_CELL_LIMIT", eil._cells(basis) - 1)
+        assert eil.distinct_basis(multidegree) == basis
+        assert not eil._bases
+        assert len(builds) == 2
+
+    def test_one_elimination_serves_every_call_of_a_multidegree(self, eliminations, capsys):
+        multidegree = {"a": 2, "b": 2, "c": 1}
+        graph = parse_graph(self.AMBIENT, ambient=True)
+        cold = (distinct_reduce(graph), dual_graphs(["a", "b", "c"], multidegree),
+                eil.dual_matrix(["a", "b", "c"], multidegree))
+        assert eliminations == [(6, 14)]    # 6 trees by 14 graphs
+        for _ in range(3):
+            warm = (distinct_reduce(graph), dual_graphs(["a", "b", "c"], multidegree),
+                    eil.dual_matrix(["a", "b", "c"], multidegree))
+            assert warm == cold
+        assert main(["matrix", "--weight", "5", "--gens", "c,a,b",
+                     "--multidegree", "1,2,2", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["value"] == cold[2]
+        assert eliminations == [(6, 14)]
 
     def test_the_least_recently_used_basis_is_dropped(self, monkeypatch, builds):
         first, second, third = {"a": 1, "b": 1}, {"a": 1, "c": 1}, {"b": 1, "c": 1}
@@ -510,7 +557,7 @@ class TestDualGraphs:
         trees = lyndon_trees_of_multidegree(multidegree)
         assert len(rows) == len(trees)
         matrix = [[extended_pairing(g, t) for t in trees] for g in rows]
-        assert rank(matrix) == len(trees)
+        assert fraction_rank(matrix) == len(trees)
 
 
 class TestEvalGraph:

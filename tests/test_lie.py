@@ -4,13 +4,14 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from brute_force import bijection_sum_pairing
+from brute_force import bijection_sum_pairing, fraction_rank, fraction_solve
 from hypothesis import given, settings, strategies as st
 
 from letterlink import (
     BracketTree,
     GraphSum,
     InvalidArgument,
+    InvalidMultidegree,
     LabelMismatch,
     LieElement,
     MixedGrading,
@@ -40,7 +41,6 @@ from letterlink.lie import (
     pairing_matrix,
     standard_bracketing,
 )
-from letterlink.linalg import rank, solve
 from letterlink.words import (
     NESTING_LIMIT,
     all_bracketings,
@@ -70,8 +70,8 @@ def chain_solve(weight, alphabet, value_on):
         trees = lyndon_trees_of_multidegree(dict(key))
         matrix = [[Fraction(graph_tree_pairing(chain_graph(c), t)) for t in trees]
                   for c in block_words]
-        assert rank(matrix) == len(trees)
-        coeffs = solve(matrix, [Fraction(value_on(c)) for c in block_words])
+        assert fraction_rank(matrix) == len(trees)
+        coeffs = fraction_solve(matrix, [Fraction(value_on(c)) for c in block_words])
         out = out + LieElement(dict(zip(trees, coeffs)))
     return out
 
@@ -185,6 +185,18 @@ class TestLyndon:
             "[a,[[[a,b],b],b]]",
             "[[a,b],[[a,b],b]]",
         ]
+
+    @pytest.mark.parametrize("multidegree", [
+        {"a": -1, "b": 2}, {"a": 0, "b": 0}, {}, {"a": 2.5, "b": 1},
+        {1: 2, "b": 1}, {"a": 2, "b": 1, "": 1}, {"a": "2", "b": 1}, [("a", 1)],
+    ])
+    def test_a_malformed_multidegree_is_refused(self, multidegree):
+        with pytest.raises(InvalidMultidegree):
+            lyndon_trees_of_multidegree(multidegree)
+
+    def test_zero_counts_are_ignored(self):
+        assert (lyndon_trees_of_multidegree({"a": 2, "b": 1, "c": 0})
+                == lyndon_trees_of_multidegree({"b": 1, "a": 2}))
 
     def test_lyndon_words_are_lex_sorted(self):
         ws = lyndon_words(4, ["a", "b"])
