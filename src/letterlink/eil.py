@@ -43,6 +43,7 @@ from typing import NamedTuple
 from .errors import (
     InvalidArgument,
     InvalidEdge,
+    InvalidMultidegree,
     NotATree,
     ParseError,
     TooLarge,
@@ -698,8 +699,14 @@ def dual_matrix(gens: list[str], multidegree: dict[str, int]) -> list[list[int]]
 
 def _fixed_duals(gens: list[str], multidegree: dict[str, int]) -> list[SymbolGraph] | None:
     """The documented duals or the star graph where ``dual_graphs`` takes
-    them, else None.  The star graph has no vertex limit."""
+    them, else None.  The star graph has no vertex limit.  Refuses
+    ``gens`` unless it lists each generator of the multidegree once, those
+    of count 0 included, and nothing else."""
     _multidegree_key(multidegree)   # refuses a malformed multidegree
+    if (not all(type(g) is str for g in gens)
+            or sorted(gens) != sorted(multidegree)):
+        raise InvalidMultidegree(
+            f"gens {list(gens)} do not list the multidegree's generators once each")
     counts = [multidegree[g] for g in gens]
     if len(gens) == 2 and counts in ([3, 2], [2, 3]):
         relabel = {"a": gens[0], "b": gens[1]}

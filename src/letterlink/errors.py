@@ -6,9 +6,18 @@ distinct exit code (2, versus 1 for validation/undefinedness errors).
 
 from __future__ import annotations
 
+import copyreg
+
 
 class LetterLinkError(Exception):
     """Base class for all errors raised by this package."""
+
+    def __reduce__(self):
+        # Rebuild from the message and attributes without calling __init__,
+        # whose parameters differ from ``args`` in most subclasses, so that
+        # an error keeps its type, message and attributes through pickle
+        # (and so through a worker process, as in ``selfcheck.run_all``).
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ParseError(LetterLinkError):

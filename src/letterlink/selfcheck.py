@@ -2,13 +2,29 @@
 (`letterlink selfcheck`) and wrapped one-to-one by the test suite.
 
 Every check is exact (integer or rational equality, zero tolerance) and
-deterministic for a fixed seed.
+deterministic for a fixed seed.  Check k draws from its own
+``random.Random(seed + k)``, so the checks are independent of each other.
+
+``run_all`` runs them in a pool of forked worker processes, one per usable
+CPU up to one per check.  It runs them in this process instead, in order,
+when fewer than two CPUs are usable, when the caller runs more than one
+thread (a forked child could wait forever on a lock another thread held),
+or when this process cannot fork children.  Its result, and so the
+``selfcheck`` output and exit code, is the same either way, and an error a
+check raises reaches the caller unchanged.  What a worker computes besides
+its result stays in the worker: distinct-vertex bases it builds
+(``eil.distinct_basis``) are not kept for later calls here, and a tracer
+installed here sees the checks' inner calls only as time spent in
+``run_all``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import os
 import random
+import threading
 from fractions import Fraction
 
 from . import eil, fox, lie, linking, symbols, words
@@ -554,9 +570,37 @@ CHECKS = [
 ]
 
 
-def run_all(seed: int = 0, scale: str = "small"):
-    results = []
-    for name, fn in CHECKS:
-        ok, detail = fn(seed=seed, scale=scale)
-        results.append((name, ok, detail))
-    return results
+def _run_check(index: int, seed: int, scale: str) -> tuple[str, bool, str]:
+    name, fn = CHECKS[index]
+    ok, detail = fn(seed=seed, scale=scale)
+    return name, ok, detail
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def run_all(seed: int = 0, scale: str = "small") -> list[tuple[str, bool, str]]:
+    """(name, passed, detail) of every check, in ``CHECKS`` order, each
+    from the same ``_run_check`` call in a worker or here (see the module
+    docstring)."""
+    run = functools.partial(_run_check, seed=seed, scale=scale)
+    indices = range(len(CHECKS))
+    workers = min(len(CHECKS), _usable_cpus())
+    if workers >= 2 and threading.active_count() == 1:
+        # imported here: it adds about a sixth to `import letterlink.cli`
+        import multiprocessing
+        if ("fork" in multiprocessing.get_all_start_methods()
+                and not multiprocessing.current_process().daemon):
+            # The pool forks its workers before it starts its own threads,
+            # and they leave through os._exit.  imap hands out the checks
+            # in order and raises the first failure in that order, as the
+            # loop below would.
+            with multiprocessing.get_context("fork").Pool(workers) as pool:
+                results = list(pool.imap(run, indices, chunksize=1))
+                pool.close()
+                pool.join()
+            return results
+    return list(map(run, indices))

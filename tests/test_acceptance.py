@@ -2,9 +2,18 @@
 arithmetic, zero tolerance.  One PASS/FAIL line is printed per criterion
 (visible with `pytest -s` or on failure)."""
 
+import functools
+import multiprocessing
+import os
 import random
+import threading
+import time
+
+import pytest
 
 from letterlink import eil, selfcheck
+from letterlink.errors import NonzeroCount, UndefinedInvariant
+from letterlink.symbols import parse_symbol
 
 CRITERIA = {name: fn for name, fn in selfcheck.CHECKS}
 
@@ -79,3 +88,88 @@ def test_random_tree_is_the_draw_from_the_full_prufer_list():
             listed, drawn = random.Random(seed), random.Random(seed)
             assert selfcheck._random_tree(drawn, k) == listed.choice(trees)
             assert drawn.getstate() == listed.getstate()
+
+
+# run_all runs the checks in forked workers where it can, and here where it
+# cannot; both must give the list the checks give when called in order.
+
+@functools.cache
+def _in_order(seed):
+    return [(name, *fn(seed=seed, scale="small")) for name, fn in selfcheck.CHECKS]
+
+
+def _report_pid(seed=0, scale="small"):
+    return True, str(os.getpid())
+
+
+def _run_with_pid_check(monkeypatch, seed):
+    """run_all with one more check, last, that reports the pid it ran in:
+    the results of the real checks, and that pid."""
+    monkeypatch.setattr(selfcheck, "CHECKS", [*selfcheck.CHECKS, ("pid", _report_pid)])
+    *results, (_, _, pid) = selfcheck.run_all(seed=seed, scale="small")
+    return results, int(pid)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
+@pytest.fixture
+def extra_thread(two_cpus):
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    yield
+    stop.set()
+    thread.join()
+
+
+@pytest.fixture
+def daemon_process(two_cpus):
+    # a daemonic process, such as a pool worker, may not start children
+    multiprocessing.current_process().daemon = True
+    yield
+    multiprocessing.current_process().daemon = False
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_run_all_in_workers_equals_the_checks_in_order(seed, two_cpus, monkeypatch):
+    expected = _in_order(seed)
+    results, pid = _run_with_pid_check(monkeypatch, seed)
+    assert results == expected
+    assert pid != os.getpid()
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("fallback", ["one_cpu", "extra_thread", "daemon_process"])
+def test_run_all_in_process_equals_the_checks_in_order(seed, fallback, request,
+                                                       monkeypatch):
+    expected = _in_order(seed)
+    request.getfixturevalue(fallback)
+    results, pid = _run_with_pid_check(monkeypatch, seed)
+    assert results == expected
+    assert pid == os.getpid()
+
+
+def test_the_first_check_to_fail_in_order_raises_in_the_caller(two_cpus, monkeypatch):
+    def undefined(seed=0, scale="small"):
+        time.sleep(0.1)     # the next check fails first
+        raise UndefinedInvariant(parse_symbol("((a)b)c"), 2)
+
+    def nonzero(seed=0, scale="small"):
+        raise NonzeroCount(5)
+
+    checks = list(selfcheck.CHECKS)
+    checks[1] = (checks[1][0], undefined)
+    checks[2] = (checks[2][0], nonzero)
+    monkeypatch.setattr(selfcheck, "CHECKS", checks)
+    with pytest.raises(UndefinedInvariant) as info:
+        selfcheck.run_all(seed=0, scale="small")
+    assert str(info.value) == "undefined at ((a)b)c (count=2)"
+    assert (info.value.subsymbol, info.value.count) == (parse_symbol("((a)b)c"), 2)

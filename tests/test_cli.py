@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import letterlink
 from letterlink.cli import main
 
 
@@ -285,3 +289,21 @@ class TestTextJsonAgreement:
                            "--word", "a b a^-1 b^-1", "--timing")
         assert code == 0
         assert "timing:" in out
+
+
+class TestSelfcheck:
+    def test_one_envelope_on_a_pipe(self):
+        # the checks run in forked workers: none of them may print the
+        # parent's output again or warn about forking
+        src = os.path.dirname(os.path.dirname(letterlink.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-W", "error::DeprecationWarning",
+             "-m", "letterlink.cli", "selfcheck", "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout.count("\n") == 1 and done.stdout.endswith("\n")
+        data = json.loads(done.stdout)
+        assert len(data["value"]) == 12
+        assert all(check["passed"] for check in data["value"])

@@ -559,6 +559,25 @@ class TestDualGraphs:
         matrix = [[extended_pairing(g, t) for t in trees] for g in rows]
         assert fraction_rank(matrix) == len(trees)
 
+    @pytest.mark.parametrize("gens", [
+        ["a", "z"], ["a"], ["a", "b", "b"], ["b", "a", "c"], [1, "a"], []])
+    def test_gens_must_list_the_generators_once(self, gens, monkeypatch):
+        def no_basis(multidegree):
+            raise AssertionError("a basis was requested")
+
+        monkeypatch.setattr(eil, "distinct_basis", no_basis)
+        for call in (dual_graphs, eil.dual_matrix):
+            with pytest.raises(InvalidMultidegree, match="generators once each"):
+                call(gens, {"a": 2, "b": 1})
+
+    def test_gens_include_the_zero_counts(self):
+        # the CLI builds the multidegree with a count for every --gens letter
+        multidegree = {"a": 2, "b": 1, "c": 0}
+        assert (dual_graphs(["b", "c", "a"], multidegree)
+                == dual_graphs(["b", "a"], {"a": 2, "b": 1}))
+        with pytest.raises(InvalidMultidegree):
+            dual_graphs(["a", "b"], multidegree)
+
 
 class TestEvalGraph:
     def test_single_edge(self):
