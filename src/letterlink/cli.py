@@ -225,7 +225,7 @@ def _run(args) -> int:
             env.set_value(fox.fox_eval(w, seq))
     elif args.command == "reduce":
         graph = eil.parse_graph(args.graph)
-        order = (args.order.replace(" ", "").split(",") if args.order
+        order = ([v.strip() for v in args.order.split(",")] if args.order
                  else eil.default_order(graph))
         total = eil.reduce_full(graph, order)
         env.set_value([[_plain(c), str(s)] for c, s in total], str(total))
@@ -242,11 +242,14 @@ def _run(args) -> int:
         env.set_value(lie.extended_pairing(graphs, lie_part))
     elif args.command == "basis":
         gens = _distinct_gens(args.gens)
-        trees = lie.lyndon_basis(args.weight, gens)
-        if args.multidegree:
+        if not args.multidegree:
+            trees = lie.lyndon_basis(args.weight, gens)
+        else:
             md = _multidegree_from(gens, args.multidegree)
-            trees = [t for t in trees
-                     if t.multidegree() == {g: c for g, c in md.items() if c}]
+            # no tree of another weight has this multidegree
+            trees = [] if sum(md.values()) != args.weight else [
+                t for t in lie.lyndon_basis(args.weight, gens)
+                if t.multidegree() == {g: c for g, c in md.items() if c}]
         env.set_value([str(t) for t in trees], "\n".join(str(t) for t in trees))
     elif args.command == "matrix":
         gens = _distinct_gens(args.gens)

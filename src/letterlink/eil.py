@@ -100,7 +100,10 @@ class SymbolGraph:
         return adj
 
     def validate(self, ambient: bool = False) -> None:
-        labels = self.labels
+        self._validate(self.labels, ambient)
+
+    def _validate(self, labels: dict[str, Symbol], ambient: bool = False) -> None:
+        """``validate`` given this graph's ``labels``."""
         if not labels:
             raise NotATree("graph has no vertices")
         for t, h in self.edges:
@@ -152,8 +155,11 @@ class SymbolGraph:
         return "{" + vs + "; " + es + "}"
 
 
+_ID_RE = re.compile(r"([a-zA-Z_]+)(\d+)")
+
+
 def _id_key(vid: str):
-    m = re.fullmatch(r"([a-zA-Z_]+)(\d+)", vid)
+    m = _ID_RE.fullmatch(vid)
     if m:
         return (m.group(1), int(m.group(2)))
     return (vid, -1)
@@ -226,10 +232,10 @@ def _read_graph(sc: Scanner) -> tuple[dict[str, Symbol], list[tuple[str, str]]]:
 # --- reduction -----------------------------------------------------------
 
 
-def _contract(g: SymbolGraph, v: str, u: str) -> SymbolGraph:
+def _contract(g: SymbolGraph, labels: dict[str, Symbol], v: str,
+              u: str) -> tuple[SymbolGraph, dict[str, Symbol]]:
     """Contract the edge between v and u, merging v into u with label
-    (label_v) label_u."""
-    labels = g.labels
+    (label_v) label_u; ``labels`` are g's.  The new graph and its labels."""
     merged = Symbol(labels[u].letter, labels[u].children + (labels[v],))
     new_labels = {w: sym for w, sym in labels.items() if w != v}
     new_labels[u] = merged
@@ -241,7 +247,7 @@ def _contract(g: SymbolGraph, v: str, u: str) -> SymbolGraph:
     return SymbolGraph(
         tuple(sorted(new_labels.items(), key=lambda kv: _id_key(kv[0]))),
         tuple(new_edges),
-    )
+    ), new_labels
 
 
 def reduce_at(g: SymbolGraph, v: str) -> list[tuple[int, SymbolGraph]]:
@@ -250,7 +256,8 @@ def reduce_at(g: SymbolGraph, v: str) -> list[tuple[int, SymbolGraph]]:
     The sign is +1 for an edge oriented away from v, -1 towards it; each
     contraction labels the merged vertex (label_v) label_other.
     """
-    if v not in g.labels:
+    labels = g.labels
+    if v not in labels:
         raise UndefinedReduction(v, "no such vertex")
     incident = [(t, h) for t, h in g.edges if v in (t, h)]
     if not incident:
@@ -260,12 +267,28 @@ def reduce_at(g: SymbolGraph, v: str) -> list[tuple[int, SymbolGraph]]:
     for t, h in incident:
         sign = 1 if t == v else -1
         other = h if t == v else t
-        contracted = _contract(g, v, other)
+        contracted, contracted_labels = _contract(g, labels, v, other)
         try:
-            contracted.validate()
+            contracted._validate(contracted_labels)
         except InvalidEdge as exc:
             raise UndefinedReduction(v, str(exc)) from exc
         out.append((sign, contracted))
+    return out
+
+
+def _reduce_step(terms: list[tuple[int, SymbolGraph]],
+                 v: str) -> list[tuple[int, SymbolGraph]]:
+    """``reduce_at`` each signed graph of ``terms`` at ``v``."""
+    return [(sign * s2, g2) for sign, graph in terms
+            for s2, g2 in reduce_at(graph, v)]
+
+
+def _symbol_sum(terms: list[tuple[int, SymbolGraph]]) -> SymbolSum:
+    """The signed sum of the labels of one-vertex graphs."""
+    out = SymbolSum()
+    for sign, graph in terms:
+        ((_, sym),) = graph.vertices
+        out.add(sign, sym)
     return out
 
 
@@ -279,16 +302,8 @@ def reduce_full(g: SymbolGraph, order: list[str]) -> SymbolSum:
         )
     terms: list[tuple[int, SymbolGraph]] = [(1, g)]
     for v in order:
-        next_terms: list[tuple[int, SymbolGraph]] = []
-        for sign, graph in terms:
-            for s2, g2 in reduce_at(graph, v):
-                next_terms.append((sign * s2, g2))
-        terms = next_terms
-    out = SymbolSum()
-    for sign, graph in terms:
-        ((_, sym),) = graph.vertices
-        out.add(sign, sym)
-    return out
+        terms = _reduce_step(terms, v)
+    return _symbol_sum(terms)
 
 
 def default_order(g: SymbolGraph) -> list[str]:
@@ -633,15 +648,24 @@ def distinct_basis(multidegree: dict[str, int]) -> DistinctBasis:
     trees = tuple(lyndon_trees_of_multidegree(dict(key)))
     rows = tuple(map(tuple, pairing_matrix(graphs, trees)))
     basis = DistinctBasis(graphs, encodings, trees, rows, eliminate(zip(*rows)))
-    cells = _cells(basis)
-    if cells <= BASIS_CELL_LIMIT:
-        with _bases_lock:
-            _bases.pop(key, None)   # another thread may have built it too
-            held = sum(map(_cells, _bases.values()))
-            while held + cells > BASIS_CELL_LIMIT:
-                held -= _cells(_bases.pop(next(iter(_bases))))
-            _bases[key] = basis
+    _keep_basis(key, basis)
     return basis
+
+
+def _keep_basis(key: tuple[tuple[str, int], ...], basis: DistinctBasis) -> None:
+    """Keep ``basis`` under ``key`` as the most recently used, dropping the
+    least recently used bases while the kept ones would hold more than
+    ``BASIS_CELL_LIMIT`` cells; a basis larger than that is not kept.  The
+    key is a multidegree as ``distinct_basis`` normalizes it."""
+    cells = _cells(basis)
+    if cells > BASIS_CELL_LIMIT:
+        return
+    with _bases_lock:
+        _bases.pop(key, None)   # another thread may have built it too
+        held = sum(map(_cells, _bases.values()))
+        while held + cells > BASIS_CELL_LIMIT:
+            held -= _cells(_bases.pop(next(iter(_bases))))
+        _bases[key] = basis
 
 
 def _cells(basis: DistinctBasis) -> int:

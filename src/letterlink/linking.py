@@ -195,9 +195,9 @@ class Evaluator:
         self._signs = list(map(itemgetter(1), w.letters))
         self._index: dict[str, tuple[list[int], list[int]]] = {}
         self._memo: dict[str, tuple[list[int], int]] = {}
-        # keys whose every proper sub-symbol has count zero; `placements`
-        # memoizes entries without that check
-        self._defined: set[str] = set()
+        # count of each key whose every proper sub-symbol has count zero;
+        # `placements` memoizes entries without that check
+        self._defined: dict[str, int] = {}
 
     def occurrences(self, gen: str) -> tuple[list[int], list[int]]:
         """The 0-based positions of ``gen`` in the word and the signs there."""
@@ -224,12 +224,16 @@ class Evaluator:
 
     def value_sum(self, terms: Iterable[tuple[object, Symbol]]) -> Fraction:
         """Sum of coeff * invariant; undefined if any term is.  Summed in
-        integers over the least common denominator of the coefficients."""
+        integers over the least common denominator of the coefficients.
+        A symbol whose invariant is known is one lookup in ``_defined``."""
+        defined = self._defined
         num, den = 0, 1
         for coeff, sym in terms:
             if not isinstance(coeff, (int, Fraction)):
                 coeff = Fraction(coeff)
-            value = self.value(sym)
+            value = defined.get(sym.canonical())
+            if value is None:
+                value = self.value(sym)
             if value:
                 d = coeff.denominator
                 if den % d:
@@ -256,7 +260,7 @@ class Evaluator:
             if key not in memo:
                 positions, signs = self.occurrences(node.letter)
                 memo[key] = ([1] * len(positions), sum(signs))
-            self._defined.add(key)
+            self._defined[key] = memo[key][1]
             return key
         keys = []
         for child in node.children:
@@ -274,7 +278,7 @@ class Evaluator:
                                   self._potential(child.letter, memo[k][0], at)))
             entry = memo[key] = (values, sum(map(mul, values, signs)))
         if check:
-            self._defined.add(key)
+            self._defined[key] = entry[1]
         if trace is not None:
             trace.append((node, entry[0], [memo[k][0] for k in keys]))
         return key
@@ -383,10 +387,14 @@ class _Fold:
         self._prunings = prunings
         self._memo: dict[tuple[int, bool], list[int]] = {}
         self.counts = dict(zip(prunings.index, self._fold(w, False)))
+        self._defined: dict[str, int] = {}   # as in Evaluator
 
     def value(self, sym: Symbol) -> int:
-        _check_defined(sym, self.counts)
-        return self.counts[sym.canonical()]
+        key = sym.canonical()
+        if key not in self._defined:
+            _check_defined(sym, self.counts)
+            self._defined[key] = self.counts[key]
+        return self._defined[key]
 
     value_sum = Evaluator.value_sum
 

@@ -3,6 +3,7 @@ arithmetic, zero tolerance.  One PASS/FAIL line is printed per criterion
 (visible with `pytest -s` or on failure)."""
 
 import functools
+import itertools
 import multiprocessing
 import os
 import random
@@ -12,7 +13,7 @@ import time
 import pytest
 
 from letterlink import eil, selfcheck
-from letterlink.errors import NonzeroCount, UndefinedInvariant
+from letterlink.errors import NonzeroCount, UndefinedInvariant, UndefinedReduction
 from letterlink.symbols import parse_symbol
 
 CRITERIA = {name: fn for name, fn in selfcheck.CHECKS}
@@ -88,6 +89,22 @@ def test_random_tree_is_the_draw_from_the_full_prufer_list():
             listed, drawn = random.Random(seed), random.Random(seed)
             assert selfcheck._random_tree(drawn, k) == listed.choice(trees)
             assert drawn.getstate() == listed.getstate()
+
+
+def test_the_order_walk_is_reduce_full_over_every_permutation():
+    rng = random.Random(7)
+    undefined = 0
+    for _ in range(80):
+        graph = selfcheck._random_symbol_graph(rng, 5)
+        ids = graph.ids()
+        expected = []
+        for order in itertools.permutations(ids, len(ids) - 1):
+            try:
+                expected.append((order, eil.reduce_full(graph, list(order))))
+            except UndefinedReduction:
+                undefined += 1
+        assert list(selfcheck._order_reductions(graph)) == expected
+    assert undefined     # the walk skipped some orders
 
 
 # run_all runs the checks in forked workers where it can, and here where it
@@ -173,3 +190,40 @@ def test_the_first_check_to_fail_in_order_raises_in_the_caller(two_cpus, monkeyp
         selfcheck.run_all(seed=0, scale="small")
     assert str(info.value) == "undefined at ((a)b)c (count=2)"
     assert (info.value.subsymbol, info.value.count) == (parse_symbol("((a)b)c"), 2)
+
+
+# bases that workers build are handed back and kept in the caller
+
+def _bases_of_checks_5_and_11():
+    for number in (5, 11):
+        selfcheck.CHECKS[number - 1][1](seed=0, scale="small")
+    return dict(eil._bases)
+
+
+def test_workers_hand_back_the_bases_they_build(two_cpus, monkeypatch):
+    monkeypatch.setattr(eil, "_bases", {})
+    used = _bases_of_checks_5_and_11()
+    assert sum(map(eil._cells, used.values())) <= eil.BASIS_CELL_LIMIT
+    monkeypatch.setattr(eil, "_bases", {})
+    assert selfcheck.run_all(seed=0, scale="small") == _in_order(0)
+    assert set(eil._bases) == set(used)
+    assert all(eil._bases[key] == basis for key, basis in used.items())
+
+    kept = []
+    keep = eil._keep_basis
+    monkeypatch.setattr(eil, "_keep_basis",
+                        lambda key, basis: kept.append(key) or keep(key, basis))
+    assert selfcheck.run_all(seed=0, scale="small") == _in_order(0)
+    assert kept == []
+
+
+def test_bases_handed_back_respect_the_cell_limit(two_cpus, monkeypatch):
+    monkeypatch.setattr(eil, "_bases", {})
+    cells = sorted(map(eil._cells, _bases_of_checks_5_and_11().values()))
+    limit = sum(cells) // 3
+    assert cells[-1] > limit    # one basis is too large to keep at all
+    monkeypatch.setattr(eil, "BASIS_CELL_LIMIT", limit)
+    monkeypatch.setattr(eil, "_bases", {})
+    assert selfcheck.run_all(seed=0, scale="small") == _in_order(0)
+    assert eil._bases
+    assert sum(map(eil._cells, eil._bases.values())) <= limit

@@ -85,6 +85,16 @@ class TestGraphCommands:
         assert code == 0
         assert out.strip() == "-1*((b)a)c + 1*(a)(b)c"
 
+    def test_reduce_order_entries_are_stripped(self, capsys):
+        expected = run(capsys, "reduce",
+                       "--graph", "{v1:a,v2:b,v3:c; v1->v2, v2->v3}",
+                       "--order", "v2,v1")
+        assert expected[0] == 0
+        for order in ("v2,\tv1", " v2 ,v1\n", "v2, v1"):
+            assert run(capsys, "reduce",
+                       "--graph", "{v1:a,v2:b,v3:c; v1->v2, v2->v3}",
+                       "--order", order) == expected
+
     def test_matrix_32(self, capsys):
         code, out, _ = run(capsys, "matrix", "--weight", "5", "--gens", "a,b",
                            "--multidegree", "3,2")
@@ -135,6 +145,25 @@ class TestGraphCommands:
             "[a,[a,[[a,b],b]]]",
             "[[a,[a,b]],[a,b]]",
         ]
+
+    def test_basis_multidegree_is_checked_before_any_listing(self, capsys,
+                                                             monkeypatch):
+        def refuse(weight, alphabet):
+            raise AssertionError("the basis was listed")
+
+        monkeypatch.setattr(letterlink.lie, "lyndon_basis", refuse)
+        code, out, err = run(capsys, "basis", "--weight", "9",
+                             "--gens", "a,b,c,d", "--multidegree", "1,1")
+        assert (code, out) == (2, "")
+        assert err == ("parse error: multidegree length differs from --gens"
+                       " at position 0\n")
+        code, out, _ = run(capsys, "basis", "--weight", "9",
+                           "--gens", "a,b,c,d", "--multidegree", "1,1,1,1")
+        assert (code, out) == (0, "\n")
+        code, out, _ = run(capsys, "basis", "--weight", "9",
+                           "--gens", "a,b,c,d", "--multidegree", "1,1,1,1",
+                           "--json")
+        assert code == 0 and json.loads(out)["value"] == []
 
     def test_coords(self, capsys):
         code, out, _ = run(capsys, "coords", "--word", "a b a^-1 b^-1",

@@ -401,6 +401,31 @@ class TestPositionOracle:
             _same_failure(err.value, expected_failure)
 
 
+class TestValueSum:
+    @given(oracle_words(),
+           st.lists(st.tuples(st.one_of(st.integers(-3, 3),
+                                        st.fractions(max_denominator=6)),
+                              oracle_symbols(levels=3)), max_size=6),
+           st.integers(1, 3))
+    @settings(deadline=None, max_examples=200)
+    def test_is_the_sum_of_coefficient_times_value(self, w, terms, passes):
+        expected, failure = Fraction(0), None
+        for coeff, sym in terms:
+            try:
+                expected += coeff * Evaluator(w).value(sym)
+            except UndefinedInvariant as exc:
+                failure = exc
+                break
+        ev = Evaluator(w)
+        for _ in range(passes):   # later passes find every term memoized
+            if failure is None:
+                assert ev.value_sum(terms) == expected
+            else:
+                with pytest.raises(UndefinedInvariant) as err:
+                    ev.value_sum(terms)
+                _same_failure(err.value, failure)
+
+
 def _non_leaf_postorder(sym):
     out = []
     for child in sym.children:
