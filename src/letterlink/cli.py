@@ -242,7 +242,7 @@ def _run(args) -> int:
         env.set_value(lie.extended_pairing(graphs, lie_part))
     elif args.command == "basis":
         gens = _distinct_gens(args.gens)
-        if not args.multidegree:
+        if args.multidegree is None:
             trees = lie.lyndon_basis(args.weight, gens)
         else:
             md = _multidegree_from(gens, args.multidegree)

@@ -13,7 +13,10 @@ canonical direction (from the endpoint with the smaller whole-tree rooted
 encoding to the larger), and the sign is (-1) to the number of edges whose
 actual direction disagrees.  An edge whose two rooted encodings coincide
 (possible only for homogeneous edges) contributes no flip; such graphs
-equal their own negatives and pair to zero with everything.
+equal their own negatives and pair to zero with everything.  A
+``GraphSum`` is a ``symbols.FormalSum`` keyed by the encoding: it keeps
+the first canonically oriented representative of each class, and two sums
+are equal when their coefficients are, whatever the vertex ids.
 
 The distinct-vertex graphs of a multidegree are grown a leaf at a time,
 one tree per class, and each class is printed as the first of its trees
@@ -35,7 +38,7 @@ from __future__ import annotations
 import heapq
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, chain, permutations, product
 from typing import NamedTuple
@@ -53,7 +56,7 @@ from .lie import (BracketTree, _multidegree_key, lyndon_trees_of_multidegree,
                   pairing_matrix)
 from .linalg import Elimination, back_substitute, eliminate
 from .linking import eval_symbol_sum
-from .symbols import Symbol, SymbolSum, _read_symbol
+from .symbols import FormalSum, Symbol, SymbolSum, _read_symbol
 from .words import Scanner, Word, _read_sum
 
 # most vertices of a graph that the distinct-vertex computations accept
@@ -398,40 +401,15 @@ def canonicalize(g: SymbolGraph) -> tuple[str, int]:
     return encoding, sign
 
 
-@dataclass
-class GraphSum:
-    """Exact-rational combination of canonically oriented graphs."""
+class GraphSum(FormalSum):
+    """Combination of graphs, keyed by ``canonical_form``: a graph adds its
+    coefficient times its sign."""
 
-    terms: dict[str, Fraction] = field(default_factory=dict)
-    reps: dict[str, SymbolGraph] = field(default_factory=dict)
-
-    def add(self, coeff, graph: SymbolGraph) -> "GraphSum":
-        coeff = Fraction(coeff)
-        if coeff == 0:
-            return self
-        enc, sign, rep = canonical_form(graph)
-        new = self.terms.get(enc, Fraction(0)) + coeff * sign
-        if new == 0:
-            self.terms.pop(enc, None)
-            self.reps.pop(enc, None)
-        else:
-            self.terms[enc] = new
-            self.reps.setdefault(enc, rep)
-        return self
-
-    def items(self) -> list[tuple[Fraction, SymbolGraph]]:
-        return [(self.terms[k], self.reps[k]) for k in sorted(self.terms)]
-
-    def __iter__(self):
-        return iter(self.items())
-
-    def __len__(self) -> int:
-        return len(self.terms)
+    def _normalize(self, graph: SymbolGraph) -> tuple[str, int, SymbolGraph]:
+        return canonical_form(graph)
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"{c} * {g}" for c, g in self.items())
+        return " + ".join(f"{c} * {g}" for c, g in self.items()) or "0"
 
 
 # --- distinct-vertex spanning --------------------------------------------

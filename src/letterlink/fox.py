@@ -5,9 +5,10 @@ is the coefficient of X_{a_1}...X_{a_k} in the expansion x -> 1 + X of w
 (Fox 1953; Chen-Fox-Lyndon 1958).  The integral group ring serves only the
 full derivative (``fox --full``) and, in tests and selfcheck, the oracle.
 
-Group-ring keys are freely reduced eagerly: the augmentation and every
-identity used here are representative-independent, and reduction keeps
-term counts bounded.
+Group-ring keys are freely reduced once, by the ``GroupRingElement``
+constructor: products and derivatives hand it unreduced words, which it
+collects and reduces.  The augmentation and every identity used here are
+representative-independent, and reduction keeps term counts bounded.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping
 
 from .errors import InvalidArgument
-from .words import Letter, Word, free_reduce
+from .words import Letter, Word, _write_sum, free_reduce
 
 
 class GroupRingElement:
@@ -26,15 +27,9 @@ class GroupRingElement:
     def __init__(self, terms: Mapping[Word, int] | None = None):
         collected: dict[Word, int] = {}
         for w, c in (terms or {}).items():
-            if c == 0:
-                continue
             key = free_reduce(w)
-            new = collected.get(key, 0) + c
-            if new == 0:
-                collected.pop(key, None)
-            else:
-                collected[key] = new
-        self.terms = collected
+            collected[key] = collected.get(key, 0) + c
+        self.terms = {w: c for w, c in collected.items() if c}
 
     @classmethod
     def from_word(cls, w: Word) -> "GroupRingElement":
@@ -63,7 +58,7 @@ class GroupRingElement:
         out: dict[Word, int] = {}
         for u, cu in self.terms.items():
             for v, cv in other.terms.items():
-                key = free_reduce(u * v)
+                key = u * v
                 out[key] = out.get(key, 0) + cu * cv
         return GroupRingElement(out)
 
@@ -71,20 +66,8 @@ class GroupRingElement:
         return isinstance(other, GroupRingElement) and self.terms == other.terms
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         keys = sorted(self.terms, key=lambda w: (len(w), str(w)))
-        parts = []
-        for i, w in enumerate(keys):
-            c = self.terms[w]
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            body = str(w) if mag == 1 else f"{mag}*{w}"
-            if i == 0:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" {sign} {body}")
-        return "".join(parts)
+        return _write_sum((self.terms[w], w) for w in keys)
 
     def __repr__(self) -> str:
         return f"GroupRingElement({self})"
@@ -107,10 +90,10 @@ def fox_derivative(x: GroupRingElement, gen: str) -> GroupRingElement:
             if letter.gen != gen:
                 continue
             if letter.sign > 0:
-                key = free_reduce(w[:j])
+                key = w[:j]
                 out[key] = out.get(key, 0) + coeff
             else:
-                key = free_reduce(w[: j + 1])
+                key = w[: j + 1]
                 out[key] = out.get(key, 0) - coeff
     return GroupRingElement(out)
 

@@ -26,7 +26,7 @@ from typing import Iterable
 from .errors import (InvalidArgument, InvalidMultidegree, LabelMismatch,
                      MixedGrading, NotInGamma, TooLarge)
 from .fox import magnus_coefficients
-from .words import GENERATOR_RE, Scanner, Word, _read_sum
+from .words import GENERATOR_RE, Scanner, Word, _read_sum, _write_sum
 
 
 @dataclass(frozen=True)
@@ -114,16 +114,7 @@ class LieElement:
         return [(self.terms[t], t) for t in sorted(self.terms, key=str)]
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for i, (c, t) in enumerate(self.items()):
-            body = str(t) if abs(c) == 1 else f"{abs(c)}*{t}"
-            if i == 0:
-                parts.append(body if c > 0 else f"-{body}")
-            else:
-                parts.append(f" {'-' if c < 0 else '+'} {body}")
-        return "".join(parts)
+        return _write_sum(self.items())
 
     def __repr__(self) -> str:
         return f"LieElement({self})"
@@ -135,7 +126,8 @@ class LieElement:
 def parse_lie(text: str) -> LieElement:
     """Parse ``[+|-] [coeff *] tree``, then terms each after ``+`` or ``-``,
     where a tree is an identifier or ``[tree,tree]`` and a coefficient is an
-    unsigned ``fractions.Fraction`` string, with spaces allowed around ``/``."""
+    unsigned ``fractions.Fraction`` string, with spaces allowed around ``/``.
+    ``str`` of a nonzero ``LieElement`` is in this grammar and reads back."""
     terms: dict[BracketTree, Fraction] = {}
     for coeff, tree in _read_sum(Scanner(text), _read_tree):
         terms[tree] = terms.get(tree, Fraction(0)) + coeff

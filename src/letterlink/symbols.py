@@ -9,6 +9,11 @@ distinct labelings can coexist in sets.
 The text form uses the grammar ``symbol := item+`` where exactly one item
 is a bare identifier (the free letter) and every other item is a
 parenthesized symbol, e.g. ``((a)b)a`` or ``(a)(c)b``.
+
+``FormalSum`` holds the terms of both ``SymbolSum`` (keyed by canonical
+string) and ``eil.GraphSum`` (keyed by canonical encoding).  Each key keeps
+the first representative added under it, and sums compare equal by their
+terms alone.
 """
 
 from __future__ import annotations
@@ -135,27 +140,39 @@ def preimages_of_symbol(mapping: Mapping[str, str], sym: Symbol) -> list[Symbol]
 
 
 @dataclass
-class SymbolSum:
-    """Exact-rational combination of symbols, keyed by canonical form."""
+class FormalSum:
+    """Exact-rational combination of terms, keyed by a canonical form.
+
+    ``_normalize`` gives a term's key, the sign relating the term to its
+    key, and a representative; the first representative added under a key
+    is kept until the key's coefficient cancels.  Sums are equal when they
+    are of the same class and have the same terms, whatever their
+    representatives.
+    """
 
     terms: dict[str, Fraction] = field(default_factory=dict)
-    reps: dict[str, Symbol] = field(default_factory=dict)
+    reps: dict[str, object] = field(default_factory=dict)
 
-    def add(self, coeff, sym: Symbol) -> "SymbolSum":
+    def _normalize(self, term) -> tuple[str, int, object]:
+        raise NotImplementedError
+
+    def add(self, coeff, term) -> "FormalSum":
         coeff = Fraction(coeff)
         if coeff == 0:
             return self
-        key = sym.canonical()
-        new = self.terms.get(key, Fraction(0)) + coeff
+        key, sign, rep = self._normalize(term)
+        if sign < 0:
+            coeff = -coeff
+        old = self.terms.get(key)
+        new = coeff if old is None else old + coeff
         if new == 0:
-            self.terms.pop(key, None)
-            self.reps.pop(key, None)
+            del self.terms[key], self.reps[key]
         else:
             self.terms[key] = new
-            self.reps[key] = sym
+            self.reps.setdefault(key, rep)
         return self
 
-    def items(self) -> list[tuple[Fraction, Symbol]]:
+    def items(self) -> list[tuple[Fraction, object]]:
         return [(self.terms[k], self.reps[k]) for k in sorted(self.terms)]
 
     def __iter__(self):
@@ -165,16 +182,17 @@ class SymbolSum:
         return len(self.terms)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SymbolSum) and self.terms == other.terms
+        return type(other) is type(self) and self.terms == other.terms
+
+
+class SymbolSum(FormalSum):
+    """Combination of symbols, keyed by canonical string."""
+
+    def _normalize(self, sym: Symbol) -> tuple[str, int, Symbol]:
+        return sym.canonical(), 1, sym
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for key in sorted(self.terms):
-            coeff = self.terms[key]
-            parts.append(f"{coeff}*{key}")
-        return " + ".join(parts)
+        return " + ".join(f"{c}*{s}" for c, s in self.items()) or "0"
 
 
 def leibniz_terms(syms: list[Symbol]) -> SymbolSum:

@@ -154,6 +154,26 @@ def _read_coefficient(sc: Scanner) -> Fraction:
                          expected="rational number") from None
 
 
+def _write_sum(pairs: Iterable[tuple[object, object]]) -> str:
+    """The text of (nonzero coefficient, term) pairs, in the grammar of
+    ``_read_sum``: a term after its sign, with ``|coeff|*`` unless the
+    coefficient is 1 or -1; the first term's sign only if it is ``-``.
+    An empty sum is ``0``."""
+    out = []
+    for coeff, term in pairs:
+        if abs(coeff) == 1:
+            body = str(term)
+        else:
+            body = f"{abs(coeff)}*{term}"
+        if not out:
+            out.append(f"-{body}" if coeff < 0 else body)
+        elif coeff < 0:
+            out.append(f" - {body}")
+        else:
+            out.append(f" + {body}")
+    return "".join(out) or "0"
+
+
 class Letter(NamedTuple):
     gen: str
     sign: int  # +1 or -1

@@ -1,10 +1,11 @@
-"""Brute-force oracles for the fast paths of linking, eil, lie and linalg.
+"""Brute-force oracles for the fast paths of linking, eil, lie, linalg and fox.
 
 These are the straightforward definitions: evaluate a symbol by prefix
 potentials kept as maps over every word position, scan every Prufer code
 and canonicalize each admissible tree, sum the pairing over every
-label-preserving bijection, and eliminate over Fraction.  The tests check
-the library's fast paths against them.
+label-preserving bijection, eliminate over Fraction, and free-reduce every
+group-ring key as soon as it is made.  The tests check the library's fast
+paths against them.
 """
 
 from fractions import Fraction
@@ -14,6 +15,7 @@ from letterlink.eil import SymbolGraph, _prufer_trees, canonical_form
 from letterlink.errors import InconsistentSystem, UndefinedInvariant
 from letterlink.linking import List, count, prefix_potential, standard_list
 from letterlink.symbols import Symbol
+from letterlink.words import free_reduce
 
 
 # --- symbol lists by per-position potentials --------------------------------
@@ -199,3 +201,46 @@ def fraction_solve(matrix, rhs):
     for r, c in enumerate(pivots):
         x[c] = b[r]
     return x
+
+
+# --- group-ring Fox calculus, reducing each key as it is made ----------------
+
+
+def _nonzero(terms):
+    return {w: c for w, c in terms.items() if c}
+
+
+def reducing_product(x_terms, y_terms):
+    """The terms of a group-ring product, each product of keys freely
+    reduced before it is collected."""
+    out = {}
+    for u, cu in x_terms.items():
+        for v, cv in y_terms.items():
+            key = free_reduce(u * v)
+            out[key] = out.get(key, 0) + cu * cv
+    return _nonzero(out)
+
+
+def reducing_fox_derivative(terms, gen):
+    """The terms of a Fox derivative, each prefix freely reduced before it
+    is collected."""
+    out = {}
+    for w, coeff in terms.items():
+        for j, letter in enumerate(w):
+            if letter.gen != gen:
+                continue
+            if letter.sign > 0:
+                key = free_reduce(w[:j])
+                out[key] = out.get(key, 0) + coeff
+            else:
+                key = free_reduce(w[: j + 1])
+                out[key] = out.get(key, 0) - coeff
+    return _nonzero(out)
+
+
+def reducing_iterated_fox(w, seq):
+    """The terms of d_{seq} w, last generator first, from the word as given."""
+    terms = {w: 1}
+    for gen in reversed(seq):
+        terms = reducing_fox_derivative(terms, gen)
+    return terms

@@ -195,6 +195,7 @@ class TestArgumentErrors:
             ("pair", "--graphsum", "1e5000 * {v1:a,v2:b;v1->v2}",
              "--lie", "[a,b]"),
             ("basis", "--weight", "-3", "--gens", "a,b"),
+            ("basis", "--weight", "3", "--gens", "a,b", "--multidegree", ""),
             ("basis", "--weight", "0", "--gens", "a,b"),
             # graph sums outside the form `coeff * {...} + ...`
             ("pair", "--graphsum", "", "--lie", "[a,b]"),

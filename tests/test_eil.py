@@ -100,6 +100,14 @@ class TestParse:
         expected.add(Fraction(1, 2), parse_graph("{v1:a}"))
         assert total.terms == expected.terms
 
+    def test_graph_sums_are_equal_whatever_the_vertex_ids(self):
+        left = GraphSum().add(2, parse_graph("{v1:a, v2:b, v3:c; v1->v2, v2->v3}"))
+        right = GraphSum().add(2, parse_graph("{v7:b, v8:a, v9:c; v8->v7, v7->v9}"))
+        assert left.reps != right.reps
+        assert left == right and str(left) != str(right)
+        flipped = parse_graph("{v1:a, v2:b, v3:c; v2->v1, v2->v3}")
+        assert left == GraphSum().add(-2, flipped) != GraphSum().add(2, flipped)
+
 
 class TestReduce:
     def test_reduce_at_middle(self):

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from brute_force import reducing_iterated_fox, reducing_product
 from hypothesis import example, given, settings, strategies as st
 
 from letterlink import (
@@ -85,6 +86,10 @@ class TestFoxDerivative:
     def test_printing(self):
         e = iterated_fox(WORKED, ["a", "b", "a"])
         assert str(e) == "2*aab + aabacb^-1c^-1a^-1 + aabacb^-1c^-1a^-1a^-1"
+
+    def test_printing_a_leading_negative_term(self):
+        e = element((-2, "b"), (3, "a b"), (-1, "a^-1 c"), (1, "c a"), (-4, "a b a"))
+        assert str(e) == "-2*b - a^-1c + 3*ab + ca - 4*aba"
 
 
 class TestAxioms:
@@ -185,3 +190,26 @@ class TestMagnusPassMatchesGroupRing:
     def test_empty_sequence_is_a_package_error(self, fn):
         with pytest.raises(InvalidArgument):
             fn(parse_word("a"), [])
+
+
+element_st = st.dictionaries(word_st, st.integers(-3, 3), max_size=4).map(
+    GroupRingElement)
+
+
+class TestGroupRingMatchesReducingOracle:
+    """Keys are reduced once, by the constructor; the oracle reduces each
+    product and prefix as it is made."""
+
+    @given(word_st, seq_st)
+    @example(parse_word("a a^-1 b a^-1 b^-1 a"), ["a", "a", "b"])
+    @example(parse_word("b c b^-1 c^-1"), ["a", "b", "c"])
+    @example(parse_word("[a a, [b, a c]]"), ["d", "a"])
+    @settings(deadline=None, max_examples=200)
+    def test_iterated_fox(self, w, seq):
+        assert iterated_fox(w, seq).terms == reducing_iterated_fox(w, seq)
+
+    @given(element_st, element_st)
+    @example(element((1, "a b")), element((2, "b^-1 a^-1"), (-1, "b^-1 c")))
+    @settings(deadline=None, max_examples=200)
+    def test_product(self, x, y):
+        assert (x * y).terms == reducing_product(x.terms, y.terms)

@@ -155,6 +155,42 @@ class TestParse:
         assert err.value.position == NESTING_LIMIT
 
 
+@st.composite
+def single_weight_elements(draw):
+    """A nonzero LieElement of one weight 1-4 over a, b, c, with int and
+    Fraction coefficients."""
+    def tree(k):
+        if k == 1:
+            return BracketTree.leaf(draw(st.sampled_from("abc")))
+        cut = draw(st.integers(1, k - 1))
+        return BracketTree.pair(tree(cut), tree(k - cut))
+
+    weight = draw(st.integers(1, 4))
+    coeffs = st.one_of(st.integers(-5, 5),
+                       st.fractions(-10, 10, max_denominator=9)).filter(bool)
+    return LieElement({tree(weight): draw(coeffs)
+                       for _ in range(draw(st.integers(1, 4)))})
+
+
+class TestPrinting:
+    def test_signs_fractions_and_unit_coefficients(self):
+        e = LieElement({
+            bracket_tree((("a", "b"), "c")): 1,
+            bracket_tree((("a", "c"), "b")): Fraction(-3, 2),
+            bracket_tree((("b", "c"), "a")): -1,
+            bracket_tree(("a", ("b", "c"))): 2,
+        })
+        assert str(e) == "[[a,b],c] - 3/2*[[a,c],b] - [[b,c],a] + 2*[a,[b,c]]"
+
+    def test_zero(self):
+        assert str(LieElement()) == "0"
+
+    @given(single_weight_elements())
+    @settings(deadline=None, max_examples=200)
+    def test_the_text_reads_back(self, e):
+        assert parse_lie(str(e)) == e
+
+
 class TestLyndon:
     def test_weight_one(self):
         assert {str(t) for t in lyndon_basis(1, ["a", "b"])} == {"a", "b"}

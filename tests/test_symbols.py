@@ -1,15 +1,20 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from letterlink import (
+    GraphSum,
     InvalidSymbol,
     ParseError,
     Symbol,
+    SymbolSum,
     equivalent,
     eval_symbol,
+    eval_symbol_sum,
     leibniz_terms,
     parse_symbol,
+    parse_word,
     preimages_of_symbol,
     relabel_symbol,
 )
@@ -110,6 +115,30 @@ class TestEquivalence:
                 continue
             done += 1
             assert va == vb
+
+
+class TestSymbolSum:
+    def test_the_first_of_two_child_orders_is_kept(self):
+        first, second = parse_symbol("(b)(c)a"), parse_symbol("a(c)(b)")
+        total = SymbolSum().add(2, first).add(Fraction(1, 2), second)
+        ((coeff, rep),) = total.items()
+        assert rep is first and coeff == Fraction(5, 2)
+        reversed_total = SymbolSum().add(Fraction(1, 2), second).add(2, first)
+        assert reversed_total.items()[0][1] is second
+        assert total == reversed_total
+        assert str(total) == str(reversed_total) == "5/2*(b)(c)a"
+        w = parse_word("[[a,b],c]")
+        assert (eval_symbol_sum(total, w) == eval_symbol_sum(reversed_total, w)
+                == Fraction(5, 2) * eval_symbol(second, w) == Fraction(5, 2))
+
+    def test_a_cancelled_key_takes_the_next_representative(self):
+        first, second = parse_symbol("(b)(c)a"), parse_symbol("a(c)(b)")
+        total = SymbolSum().add(1, first).add(-1, second)
+        assert len(total) == 0 and str(total) == "0"
+        assert total.add(3, second).items() == [(3, second)]
+
+    def test_a_symbol_sum_never_equals_a_graph_sum(self):
+        assert SymbolSum() != GraphSum() and GraphSum() != SymbolSum()
 
 
 class TestLeibniz:
