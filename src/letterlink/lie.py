@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from itertools import product
 from typing import Iterable
 
@@ -386,20 +385,16 @@ def bracket_polynomial(tree: BracketTree) -> dict[tuple[str, ...], int]:
 MAGNUS_TERM_LIMIT = 1 << 20
 
 
-def _to_lyndon(coefficient, weight: int, alphabet: list[str]) -> LieElement:
-    """Lyndon coordinates of a homogeneous Lie polynomial with word
-    coefficients ``coefficient(word)``.
+def _to_lyndon(residual: dict[tuple[str, ...], int]) -> LieElement:
+    """Lyndon coordinates of a homogeneous Lie polynomial, from its word
+    coefficients on the Lyndon words of its weight, which ``residual`` maps
+    in lexicographic order (and which it uses up).
 
     The standard bracketing of a Lyndon word l has coefficient 1 on l and 0
     on smaller words (Reutenauer, *Free Lie Algebras*, Thm 5.1): the
     Lyndon-word/bracket matrix is lower unitriangular in lexicographic
-    order, so forward substitution solves it without division.  Refused
-    with TooLarge before any Lyndon word is listed when the words of the
-    weight number more than ``MAGNUS_TERM_LIMIT``.
+    order, so forward substitution solves it without division.
     """
-    if len(alphabet) ** weight > MAGNUS_TERM_LIMIT:
-        raise TooLarge(f"{len(alphabet)}^{weight} words of weight {weight}")
-    residual = {l: coefficient(l) for l in lyndon_words(weight, alphabet)}
     out = {}
     for l, c in residual.items():  # each value is final when it is reached
         if c:
@@ -413,7 +408,9 @@ def _to_lyndon(coefficient, weight: int, alphabet: list[str]) -> LieElement:
 
 def lie_image_of_bracket_word(text: str) -> LieElement:
     """Lie image of a formal product of iterated commutators of generators,
-    expressed in the Lyndon basis."""
+    expressed in the Lyndon basis.  Refused with TooLarge before any Lyndon
+    word is listed when the words of the weight number more than
+    ``MAGNUS_TERM_LIMIT``."""
     sc = Scanner(text)
     factors: list[BracketTree] = []
     while sc.char:
@@ -424,10 +421,12 @@ def lie_image_of_bracket_word(text: str) -> LieElement:
     if len(weights) != 1:
         raise MixedGrading(f"mixed weights {sorted(weights)}")
     alphabet = sorted({l for t in factors for l in t.leaves()})
-    # expanded on the first coefficient, once _to_lyndon has checked the size
-    polys = cache(lambda: [bracket_polynomial(t) for t in factors])
-    return _to_lyndon(lambda u: sum(p.get(u, 0) for p in polys()),
-                      weights.pop(), alphabet)
+    weight = weights.pop()
+    if len(alphabet) ** weight > MAGNUS_TERM_LIMIT:
+        raise TooLarge(f"{len(alphabet)}^{weight} words of weight {weight}")
+    polys = [bracket_polynomial(t) for t in factors]
+    return _to_lyndon({l: sum(p.get(l, 0) for p in polys)
+                       for l in lyndon_words(weight, alphabet)})
 
 
 def lie_coordinates(w: Word, weight: int) -> LieElement:
@@ -437,7 +436,9 @@ def lie_coordinates(w: Word, weight: int) -> LieElement:
     lower coefficients must vanish (else NotInGamma names the first nonzero
     one, by degree, then in ``itertools.product`` order), and the Lyndon
     words' coefficients give the coordinates.  Tables of depth 1, 2, 4, ...
-    are tried, so a word failing at degree d needs no table deeper than 2d.
+    are tried, so a word failing at degree d needs no table deeper than 2d;
+    the last one holds, at degree ``weight``, only the Lyndon words, the
+    only coefficients ``_to_lyndon`` reads there.
     """
     alphabet = sorted(w.generators())
     if not alphabet or weight < 1:
@@ -445,23 +446,32 @@ def lie_coordinates(w: Word, weight: int) -> LieElement:
     depth = 0
     while depth < weight:
         checked, depth = depth, min(weight, max(1, 2 * depth))
-        c, degrees = _magnus_table(w, alphabet, depth)
+        c, degrees, top = _magnus_table(w, alphabet, depth, weight)
         for lower in range(checked + 1, min(depth, weight - 1) + 1):
             for seq, i in zip(product(alphabet, repeat=lower), degrees[lower]):
                 if c[i]:
                     raise NotInGamma(seq)
-    top = dict(zip(product(alphabet, repeat=weight), degrees[weight]))
-    return _to_lyndon(lambda u: c[top[u]], weight, alphabet)
+    return _to_lyndon({l: c[i] for l, i in top.items()})
 
 
-def _magnus_table(w: Word, alphabet: list[str], depth: int):
-    """All Magnus coefficients of ``w`` up to degree ``depth`` and, for each
-    degree, the range of their indices, in ``itertools.product`` order."""
+def _magnus_table(w: Word, alphabet: list[str], depth: int, weight: int):
+    """Magnus coefficients of ``w`` up to degree ``depth``: for each degree
+    below ``weight`` all of them, with the range of their indices in
+    ``itertools.product`` order; at degree ``weight`` only the Lyndon
+    words' (each its prefix's monomial followed by its last letter), with
+    a map from each, in lexicographic order, to its index.  Refused with
+    TooLarge by the size of the full table, before any monomial is listed."""
     size = sum(len(alphabet) ** d for d in range(depth + 1))
     if size > MAGNUS_TERM_LIMIT:
         raise TooLarge(f"Magnus table of {size} coefficients")
-    monomials, degrees = [(0, "")], [range(1)]
-    for d in range(depth):
+    monomials, degrees, top = [(0, "")], [range(1)], {}
+    for d in range(min(depth, weight - 1)):
         monomials += [(p, gen) for p in degrees[d] for gen in alphabet]
         degrees.append(range(degrees[d].stop, len(monomials)))
-    return magnus_coefficients(w, monomials), degrees
+    if depth == weight:
+        prefix = dict(zip(product(alphabet, repeat=weight - 1),
+                          degrees[weight - 1]))
+        for l in lyndon_words(weight, alphabet):
+            top[l] = len(monomials)
+            monomials.append((prefix[l[:-1]], l[-1]))
+    return magnus_coefficients(w, monomials), degrees, top

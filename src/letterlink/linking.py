@@ -13,9 +13,10 @@ then pointwise multiplication by the target's associated function.
 `Evaluator`, behind `eval_symbol`, `eval_symbol_sum`, `symbol_list` and the
 diagrams, indexes its word once (each generator's occurrence positions and
 signs) and keeps each node's list as an int list over its letter's
-occurrences.  A child's potential is the running sum of a zero array holding
-the child's signed values, read at the parent's occurrences; lists are
-memoized per word by canonical sub-symbol.  The interval-building oracle
+occurrences.  A child's potential is the running sum of the child's signed
+values, read at the parent's occurrences through the number of the child's
+occurrences before each (kept per pair of letters); lists are memoized per
+word by canonical sub-symbol.  The interval-building oracle
 (`enumerate_coboundings` + `link_via_cobounding`) is kept for cross-checking.
 
 `eval_symbol` and `eval_symbol_sum` also take a `words.CompactWord`.  One
@@ -32,6 +33,7 @@ on the expanded word instead.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -194,6 +196,9 @@ class Evaluator:
         self._gens = list(map(itemgetter(0), w.letters))
         self._signs = list(map(itemgetter(1), w.letters))
         self._index: dict[str, tuple[list[int], list[int]]] = {}
+        # (child letter, parent letter) -> for each occurrence of the parent,
+        # the number of occurrences of the child before it
+        self._ranks: dict[tuple[str, str], list[int]] = {}
         self._memo: dict[str, tuple[list[int], int]] = {}
         # count of each key whose every proper sub-symbol has count zero;
         # `placements` memoizes entries without that check
@@ -274,8 +279,8 @@ class Evaluator:
             at, signs = self.occurrences(node.letter)
             values = [1] * len(at)
             for child, k in zip(node.children, keys):
-                values = list(map(mul, values,
-                                  self._potential(child.letter, memo[k][0], at)))
+                values = list(map(mul, values, self._potential(
+                    child.letter, memo[k][0], node.letter)))
             entry = memo[key] = (values, sum(map(mul, values, signs)))
         if check:
             self._defined[key] = entry[1]
@@ -283,15 +288,17 @@ class Evaluator:
             trace.append((node, entry[0], [memo[k][0] for k in keys]))
         return key
 
-    def _potential(self, gen: str, values: list[int], at: list[int]) -> list[int]:
+    def _potential(self, gen: str, values: list[int], parent: str) -> list[int]:
         """Prefix potential of a zero-count list over ``gen``, read at the
-        positions ``at``, none of which carries ``gen``."""
+        occurrences of ``parent``, a different letter: the running sum of
+        the signed values, indexed by each occurrence's rank among ``gen``'s."""
         positions, signs = self.occurrences(gen)
-        running = [0] * len(self._gens)
-        for p, v in zip(positions, map(mul, values, signs)):
-            running[p] = v
-        running = list(accumulate(running))
-        return list(map(running.__getitem__, at))
+        ranks = self._ranks.get((gen, parent))
+        if ranks is None:
+            ranks = self._ranks[gen, parent] = [
+                bisect_left(positions, p) for p in self.occurrences(parent)[0]]
+        running = list(accumulate(map(mul, values, signs), initial=0))
+        return list(map(running.__getitem__, ranks))
 
 
 class _Prunings:

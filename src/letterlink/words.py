@@ -17,7 +17,9 @@ Whitespace may stand between any two tokens and separates identifiers.
 expanding; ``parse_word`` expands it: commutators ``[u,v]`` to
 ``u v u^-1 v^-1`` and exponents to repetition, with no cancellation.  An
 expansion longer than ``LENGTH_LIMIT`` letters is refused with TooLarge
-before it is built.
+before it is built.  Flat text, letters each alone or with the exponent
+-1, is read a maximal run at a time by one regular-expression match; every
+other term, and every error, goes through the token reader.
 
 Every grammar of the package (words, symbols, Lie sums, graphs and graph
 sums) is read through one :class:`Scanner`, so a ParseError's position is
@@ -47,6 +49,12 @@ NESTING_LIMIT = 100
 LENGTH_LIMIT = 2 ** 22
 
 _INT_RE = re.compile(r"-?\d+")
+# one letter of a run, with the whitespace after it: a whole generator name,
+# alone or with an exponent that int() reads as -1 (^-1, ^ -1, ^-01, not
+# ^-10), followed by no other '^'
+_LETTER_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*(?![a-zA-Z0-9_])"
+                        r"(?:\s*\^\s*-0*1(?!\d))?(?!\s*\^)\s*")
+_RUN_RE = re.compile(f"(?:{_LETTER_RE.pattern})+")
 # most digits CPython's int() converts to or from text by default
 _DIGIT_LIMIT = 4300
 # the unsigned forms of a fractions.Fraction string, with spaces allowed
@@ -313,15 +321,40 @@ def parse_compact(text: str, alphabet: Iterable[str] | None = None
     single run; ``u^0`` and powers of the empty word are the empty run.
     """
     allowed = set(alphabet) if alphabet is not None else None
-    return _read_word(Scanner(text), allowed, "")
+    return _read_word(Scanner(text), _Letters(allowed), "")
 
 
-def _read_word(sc: Scanner, allowed, closer: str) -> CompactWord:
-    """Terms up to ``closer`` or the end of the text."""
+class _Letters(dict):
+    """The letters of one parse, interned by their text (a name, or a
+    ``_LETTER_RE`` match); a name outside ``allowed`` raises
+    UnknownGenerator where it is first read."""
+
+    __slots__ = ("allowed",)
+
+    def __init__(self, allowed: set[str] | None):
+        super().__init__()
+        self.allowed = allowed
+
+    def __missing__(self, text: str) -> Letter:
+        name = GENERATOR_RE.match(text).group()
+        if self.allowed is not None and name not in self.allowed:
+            raise UnknownGenerator(name)
+        letter = self[text] = Letter(name, -1 if "^" in text else 1)
+        return letter
+
+
+def _read_word(sc: Scanner, letters: _Letters, closer: str) -> CompactWord:
+    """Terms up to ``closer`` or the end of the text.  A maximal run of
+    ``_LETTER_RE`` letters is read by one match; anything else is a term
+    for ``_read_term``."""
     factors: list[CompactWord] = []
     run: list[Letter] = []
     while sc.char not in closer:
-        term = _read_term(sc, allowed)
+        letter_run = sc.match(_RUN_RE)
+        if letter_run is not None:
+            run += map(letters.__getitem__, _LETTER_RE.findall(letter_run))
+            continue
+        term = _read_term(sc, letters)
         for f in term.parts if term.kind == "product" else (term,):
             if not f.length:
                 continue
@@ -338,20 +371,18 @@ def _read_word(sc: Scanner, allowed, closer: str) -> CompactWord:
                                                             tuple(factors))
 
 
-def _read_term(sc: Scanner, allowed) -> CompactWord:
+def _read_term(sc: Scanner, letters: _Letters) -> CompactWord:
     name = sc.match(GENERATOR_RE)
     if name is not None:
-        if allowed is not None and name not in allowed:
-            raise UnknownGenerator(name)
-        base = CompactWord("run", (Letter(name, 1),))
+        base = CompactWord("run", (letters[name],))
     elif sc.open("["):
-        u = _read_word(sc, allowed, ",")
+        u = _read_word(sc, letters, ",")
         sc.expect(",")
-        v = _read_word(sc, allowed, "]")
+        v = _read_word(sc, letters, "]")
         sc.close("]")
         base = CompactWord("commutator", (u, v))
     elif sc.open("("):
-        base = _read_word(sc, allowed, ")")
+        base = _read_word(sc, letters, ")")
         sc.close(")")
     else:
         sc.fail("identifier, '[' or '('")

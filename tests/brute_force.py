@@ -1,9 +1,11 @@
-"""Brute-force oracles for the fast paths of linking, eil, lie, linalg and fox.
+"""Brute-force oracles for the fast paths of words, linking, eil, lie, linalg
+and fox.
 
-These are the straightforward definitions: evaluate a symbol by prefix
-potentials kept as maps over every word position, scan every Prufer code
-and canonicalize each admissible tree, sum the pairing over every
-label-preserving bijection, eliminate over Fraction, and free-reduce every
+These are the straightforward definitions: read word text one token at a
+time, evaluate a symbol by prefix potentials kept as maps over every word
+position, scan every Prufer code and canonicalize each admissible tree, sum
+the pairing over every label-preserving bijection, eliminate over Fraction,
+tabulate every Magnus coefficient up to the weight, and free-reduce every
 group-ring key as soon as it is made.  The tests check the library's fast
 paths against them.
 """
@@ -11,11 +13,82 @@ paths against them.
 from fractions import Fraction
 from itertools import permutations, product
 
+from letterlink import lie
 from letterlink.eil import SymbolGraph, _prufer_trees, canonical_form
-from letterlink.errors import InconsistentSystem, UndefinedInvariant
+from letterlink.errors import (InconsistentSystem, NotInGamma, TooLarge,
+                               UndefinedInvariant, UnknownGenerator)
+from letterlink.fox import magnus_coefficients
 from letterlink.linking import List, count, prefix_potential, standard_list
 from letterlink.symbols import Symbol
-from letterlink.words import free_reduce
+from letterlink.words import (_EMPTY_RUN, _INT_RE, GENERATOR_RE, CompactWord,
+                              Letter, Scanner, free_reduce)
+
+
+# --- word text one token at a time ---------------------------------------------
+
+
+def token_parse_compact(text, alphabet=None):
+    """``words.parse_compact`` with every letter read as its own term."""
+    allowed = set(alphabet) if alphabet is not None else None
+    return _token_word(Scanner(text), allowed, "")
+
+
+def _token_word(sc, allowed, closer):
+    factors = []
+    run = []
+    while sc.char not in closer:
+        term = _token_term(sc, allowed)
+        for f in term.parts if term.kind == "product" else (term,):
+            if not f.length:
+                continue
+            if f.kind == "run":
+                run += f.parts
+                continue
+            if run:
+                factors.append(CompactWord("run", tuple(run)))
+                run = []
+            factors.append(f)
+    if run or not factors:
+        factors.append(CompactWord("run", tuple(run)))
+    return factors[0] if len(factors) == 1 else CompactWord("product",
+                                                            tuple(factors))
+
+
+def _token_term(sc, allowed):
+    name = sc.match(GENERATOR_RE)
+    if name is not None:
+        if allowed is not None and name not in allowed:
+            raise UnknownGenerator(name)
+        base = CompactWord("run", (Letter(name, 1),))
+    elif sc.open("["):
+        u = _token_word(sc, allowed, ",")
+        sc.expect(",")
+        v = _token_word(sc, allowed, "]")
+        sc.close("]")
+        base = CompactWord("commutator", (u, v))
+    elif sc.open("("):
+        base = _token_word(sc, allowed, ")")
+        sc.close(")")
+    else:
+        sc.fail("identifier, '[' or '('")
+    if not sc.take("^"):
+        return base
+    exponent = sc.match(_INT_RE)
+    if exponent is None:
+        sc.fail("integer exponent")
+    if not base.length:
+        return base
+    try:
+        n = int(exponent)
+    except ValueError:
+        raise TooLarge(f"exponent of {len(exponent)} digits") from None
+    if n == 0:
+        return _EMPTY_RUN
+    if n == 1:
+        return base
+    if n == -1 and base.kind == "run":
+        return CompactWord("run", base.letters(True))
+    return CompactWord("power", (base,), n)
 
 
 # --- symbol lists by per-position potentials --------------------------------
@@ -244,3 +317,32 @@ def reducing_iterated_fox(w, seq):
     for gen in reversed(seq):
         terms = reducing_fox_derivative(terms, gen)
     return terms
+
+
+# --- Lie coordinates from the full Magnus table ------------------------------
+
+
+def full_table_lie_coordinates(w, weight):
+    """``lie.lie_coordinates`` with every coefficient of every degree up to
+    the weight tabulated, the top degree included."""
+    alphabet = sorted(w.generators())
+    if not alphabet or weight < 1:
+        return lie.LieElement()
+    depth = 0
+    while depth < weight:
+        checked, depth = depth, min(weight, max(1, 2 * depth))
+        size = sum(len(alphabet) ** d for d in range(depth + 1))
+        if size > lie.MAGNUS_TERM_LIMIT:
+            raise TooLarge(f"Magnus table of {size} coefficients")
+        monomials, degrees = [(0, "")], [range(1)]
+        for d in range(depth):
+            monomials += [(p, gen) for p in degrees[d] for gen in alphabet]
+            degrees.append(range(degrees[d].stop, len(monomials)))
+        c = magnus_coefficients(w, monomials)
+        for lower in range(checked + 1, min(depth, weight - 1) + 1):
+            for seq, i in zip(product(alphabet, repeat=lower), degrees[lower]):
+                if c[i]:
+                    raise NotInGamma(seq)
+    top = dict(zip(product(alphabet, repeat=weight), degrees[weight]))
+    return lie._to_lyndon({l: c[top[l]]
+                           for l in lie.lyndon_words(weight, alphabet)})

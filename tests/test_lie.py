@@ -4,7 +4,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from brute_force import bijection_sum_pairing, fraction_rank, fraction_solve
+from brute_force import (bijection_sum_pairing, fraction_rank, fraction_solve,
+                         full_table_lie_coordinates)
 from hypothesis import given, settings, strategies as st
 
 from letterlink import (
@@ -13,6 +14,7 @@ from letterlink import (
     InvalidArgument,
     InvalidMultidegree,
     LabelMismatch,
+    Letter,
     LieElement,
     MixedGrading,
     NotInGamma,
@@ -20,6 +22,7 @@ from letterlink import (
     Symbol,
     SymbolGraph,
     TooLarge,
+    Word,
     configuration_pairing,
     extended_pairing,
     lie_coordinates,
@@ -30,8 +33,9 @@ from letterlink import (
     parse_word,
     eval_graph,
 )
+from letterlink import lie
 from letterlink.eil import _prufer_trees
-from letterlink.fox import fox_eval
+from letterlink.fox import fox_eval, magnus_coefficients
 from letterlink.lie import (
     bracket_polynomial,
     bracket_tree,
@@ -392,6 +396,56 @@ class TestLieCoordinates:
         with pytest.raises(NotInGamma) as info:
             lie_coordinates(parse_word("[a,b]"), 60)
         assert info.value.functional == ("a", "b")
+
+
+class TestTopDegree:
+    """The last Magnus table holds the top degree only at the Lyndon words;
+    ``brute_force`` tabulates it in full."""
+
+    def test_the_top_degree_is_tabulated_only_at_lyndon_words(self,
+                                                              monkeypatch):
+        sizes = []
+
+        def spy(w, monomials):
+            sizes.append(len(monomials))
+            return magnus_coefficients(w, monomials)
+
+        monkeypatch.setattr(lie, "magnus_coefficients", spy)
+        w = parse_word("[[a,b],[a,c]]")
+        coords = lie_coordinates(w, 4)
+        # tables of depth 1, 2 and 4; the last has 18 of the 81 words of
+        # degree 4, not all of them (1+3+9+27+81 = 121)
+        assert sizes == [1 + 3, 1 + 3 + 9, 1 + 3 + 9 + 27 + 18]
+        assert coords == full_table_lie_coordinates(w, 4)
+        assert str(coords) == "[[a,b],[a,c]]"
+
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_coordinates_equal_the_full_table_route(self, data):
+        gens = data.draw(st.sampled_from([["a"], ["a", "b"], ["a", "b", "c"]]))
+        weight = data.draw(st.integers(1, 6))
+        # deep enough for nonzero coordinates, one short, or too deep
+        depth = max(0, weight - 1 - data.draw(st.integers(-1, 2)))
+        seed = data.draw(st.integers(0, 2 ** 32))
+        letters = list(random_gamma_element(depth, gens, budget=6, seed=seed))
+        # uncancelled pairs x x^-1 or x^-1 x, at drawn places
+        for place, gen, sign in data.draw(st.lists(st.tuples(
+                st.integers(0, 64), st.sampled_from(gens), st.sampled_from((1, -1))),
+                max_size=3)):
+            at = place % (len(letters) + 1)
+            letters[at:at] = [Letter(gen, sign), Letter(gen, -sign)]
+        w = Word(tuple(letters))
+        limit = data.draw(st.sampled_from([lie.MAGNUS_TERM_LIMIT, 40, 400]))
+
+        def outcome(route):
+            try:
+                return route(w, weight)
+            except (NotInGamma, TooLarge) as exc:
+                return type(exc), str(exc)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lie, "MAGNUS_TERM_LIMIT", limit)
+            assert outcome(lie_coordinates) == outcome(full_table_lie_coordinates)
 
 
 class TestLyndonSolveOracle:

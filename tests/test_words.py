@@ -2,6 +2,7 @@ import random
 import re
 
 import pytest
+from brute_force import token_parse_compact
 from hypothesis import given, settings, strategies as st
 
 from letterlink import (
@@ -167,6 +168,99 @@ class TestReaders:
             reader(text)
         except LetterLinkError:
             pass
+
+
+def shape(w):
+    """A CompactWord as nested tuples: a run's letters as text, else its
+    kind, exponent and parts."""
+    if w.kind == "run":
+        return ("run", " ".join(map(str, w.parts)))
+    return (w.kind, w.exponent, [shape(p) for p in w.parts])
+
+
+def outcome(parse, text, alphabet=None):
+    """The parse's shape, or the error's class, text and attributes."""
+    try:
+        return shape(parse(text, alphabet))
+    except LetterLinkError as exc:
+        return (type(exc).__name__, str(exc), vars(exc))
+
+
+# pieces of word-grammar text: a name with an exponent or none and a
+# separator, or another token; no piece holds more than 2 digits, so no
+# expansion a drawn text asks for is large
+_NAMES = ["a", "b", "x1", "x1_", "q"]
+_EXPONENTS = ["", "", "^-1", "^ -1", " ^ -1", "^-01", "^-10", "^-2", "^2",
+              "^0", "^1", "^-1^-1", "^--1", "^-\u0661", "^-1\u0660", "^"]
+_SEPARATORS = [" ", "", "\t", "\u00a0"]
+_OTHER_TOKENS = ["[", "]", ",", "(", ")", "$", "_", "^", "-", "1", " "]
+_WORD_TEXT = st.lists(
+    st.one_of(st.tuples(st.sampled_from(_NAMES), st.sampled_from(_EXPONENTS),
+                        st.sampled_from(_SEPARATORS)).map("".join),
+              st.sampled_from(_OTHER_TOKENS)),
+    max_size=20).map("".join)
+
+
+class TestRunReader:
+    """Flat text is read a run at a time; everything else, and every error,
+    as the token reader in ``brute_force`` reads it."""
+
+    @pytest.mark.parametrize("text, expected", [
+        ("a ^ -1 b", ("run", "a^-1 b")),
+        ("a^-01 b", ("run", "a^-1 b")),
+        ("a^-10 b", ("product", 1, [("power", -10, [("run", "a")]),
+                                    ("run", "b")])),
+        ("x1_ y^-1", ("run", "x1_ y^-1")),
+        ("(a b^-1) c", ("run", "a b^-1 c")),
+        ("[a b^-1, c^-1 a]", ("commutator", 1, [("run", "a b^-1"),
+                                                ("run", "c^-1 a")])),
+        ("(a b)^2 c d", ("product", 1, [("power", 2, [("run", "a b")]),
+                                        ("run", "c d")])),
+    ])
+    def test_words_read_as_before(self, text, expected):
+        assert shape(parse_compact(text)) == expected
+
+    @pytest.mark.parametrize("text, message, position", [
+        ("a^-1^-1 b", "got '^'", 4),
+        ("a^--1", "got '-'", 2),
+        ("a b ^", "unexpected end of input", 5),
+    ])
+    def test_errors_read_as_before(self, text, message, position):
+        with pytest.raises(ParseError) as err:
+            parse_compact(text)
+        assert (err.value.message, err.value.position) == (message, position)
+
+    @pytest.mark.parametrize("text, alphabet, name", [
+        ("a b^-1 q c^2 r", {"a", "b", "c"}, "q"),
+        ("a b [c, q^-1] r", {"a", "b", "c"}, "q"),
+        ("a ^ -01 b q^-1 r", {"a", "b"}, "q"),
+        ("a b^-1 r^2 q", {"a", "b"}, "r"),
+        ("a q", set(), "a"),
+    ])
+    def test_the_first_unknown_name_in_reading_order_is_named(self, text,
+                                                               alphabet, name):
+        with pytest.raises(UnknownGenerator) as err:
+            parse_compact(text, alphabet)
+        assert err.value.name == name
+
+    def test_flat_text_reads_no_single_term(self, monkeypatch):
+        calls = []
+        read_term = words._read_term
+        monkeypatch.setattr(words, "_read_term",
+                            lambda *args: calls.append(args) or read_term(*args))
+        assert parse_word("a b a^-1 b^-1") == letters("a b a^-1 b^-1")
+        assert calls == []
+        parse_word("a b^2")
+        assert len(calls) == 1
+
+    @given(data=st.data())
+    @settings(deadline=None, max_examples=400)
+    def test_the_reader_equals_the_token_reader(self, data):
+        text = data.draw(_WORD_TEXT)
+        alphabet = data.draw(st.sampled_from(
+            [None, set(), {"a", "b"}, {"a", "b", "x1", "x1_"}]))
+        assert (outcome(parse_compact, text, alphabet)
+                == outcome(token_parse_compact, text, alphabet))
 
 
 class TestLetterAt:
