@@ -242,14 +242,11 @@ def _run(args) -> int:
         env.set_value(lie.extended_pairing(graphs, lie_part))
     elif args.command == "basis":
         gens = _distinct_gens(args.gens)
-        if args.multidegree is None:
-            trees = lie.lyndon_basis(args.weight, gens)
-        else:
-            md = _multidegree_from(gens, args.multidegree)
-            # no tree of another weight has this multidegree
-            trees = [] if sum(md.values()) != args.weight else [
-                t for t in lie.lyndon_basis(args.weight, gens)
-                if t.multidegree() == {g: c for g, c in md.items() if c}]
+        md = (None if args.multidegree is None
+              else _multidegree_from(gens, args.multidegree))
+        # no tree of another weight has this multidegree
+        trees = ([] if md and sum(md.values()) != args.weight
+                 else lie.lyndon_basis(args.weight, gens, md))
         env.set_value([str(t) for t in trees], "\n".join(str(t) for t in trees))
     elif args.command == "matrix":
         gens = _distinct_gens(args.gens)

@@ -149,49 +149,74 @@ def _read_tree(sc: Scanner) -> BracketTree:
 # --- Lyndon basis ----------------------------------------------------------
 
 
-def lyndon_words(length: int, alphabet: list[str]) -> list[tuple[str, ...]]:
-    """Lyndon words of exactly the given length, in lexicographic order
-    (Duval's generation)."""
+def lyndon_words(length: int, alphabet: list[str],
+                 content: dict[str, int] | None = None) -> list[tuple[str, ...]]:
+    """Lyndon words of exactly the given length, in the lexicographic order
+    that the order of ``alphabet`` induces; given a multidegree ``content``,
+    only those of that content.  An iterative prenecklace walk with letter
+    counts (Sawada, TCS 2003) that never takes a letter past its count."""
     gens = list(alphabet)
     k = len(gens)
-    if k == 0 or length < 1:
+    left = [length] * k
+    if content is not None:
+        content = dict(_multidegree_key(content))
+        left = [content.pop(g, 0) for g in gens]
+        if content:
+            raise InvalidMultidegree(f"{sorted(content)} not in the alphabet {gens}")
+    if length < 1 or content is not None and sum(left) != length:
         return []
     out = []
-    w = [-1]
-    while w:
-        w[-1] += 1
-        if len(w) == length:
-            out.append(tuple(gens[i] for i in w))
-        m = len(w)
-        while len(w) < length:
-            w.append(w[len(w) - m])
-        while w and w[-1] == k - 1:
-            w.pop()
-    return out
+    # w[1:t] is the prefix, period[t] its period and w[0] = 0 a sentinel.  A
+    # content's words start with its least letter: stop before w[1] changes.
+    w, period = [0] * (length + 1), [1] * (length + 2)
+    t, j, root = 1, 0, 1 if content is None else 2
+    while True:
+        if t <= length:
+            while j < k and not left[j]:
+                j += 1
+            if j < k:   # position t takes j, at least w[t - p], p the period
+                p = period[t] if j == w[t - period[t]] else t
+                w[t] = j
+                left[j] -= 1
+                t += 1
+                period[t] = p
+                j = w[t - p]
+                continue
+        elif period[t] == length:
+            out.append(tuple(map(gens.__getitem__, w[1:])))
+        t -= 1
+        if t < root:
+            return out
+        left[w[t]] += 1
+        j = w[t] + 1
 
 
-def standard_bracketing(word: tuple[str, ...]) -> BracketTree:
-    """Right-factorization bracketing of a Lyndon word."""
+def standard_bracketing(word: tuple, names: list[str] | None = None) -> BracketTree:
+    """Right standard bracketing of a Lyndon word, whose letters compare as
+    they are or, given ``names``, are positions in ``names`` naming leaves."""
     if len(word) == 1:
-        return BracketTree.leaf(word[0])
+        return BracketTree.leaf(word[0] if names is None else names[word[0]])
     best = None
     for i in range(1, len(word)):
         suffix = word[i:]
         if best is None or suffix < best[0]:
             best = (suffix, i)
     suffix, i = best
-    return BracketTree.pair(standard_bracketing(word[:i]),
-                            standard_bracketing(suffix))
+    return BracketTree.pair(standard_bracketing(word[:i], names),
+                            standard_bracketing(suffix, names))
 
 
-def lyndon_basis(weight: int, alphabet: Iterable[str]) -> list[BracketTree]:
+def lyndon_basis(weight: int, alphabet: Iterable[str],
+                 content: dict[str, int] | None = None) -> list[BracketTree]:
+    """The ``lyndon_words``, bracketed in the order of ``alphabet``."""
     if weight < 1:
         raise InvalidArgument(f"weight {weight} is below 1")
     alphabet = list(alphabet)
     for i, gen in enumerate(alphabet):
         if gen in alphabet[:i]:
             raise InvalidArgument(f"generator {gen!r} is repeated in the alphabet")
-    return [standard_bracketing(w) for w in lyndon_words(weight, alphabet)]
+    return [standard_bracketing(tuple(map(alphabet.index, w)), alphabet)
+            for w in lyndon_words(weight, alphabet, content)]
 
 
 def _multidegree_key(multidegree: dict[str, int]) -> tuple[tuple[str, int], ...]:
@@ -216,11 +241,7 @@ def lyndon_trees_of_multidegree(multidegree: dict[str, int]) -> list[BracketTree
     """The Lyndon trees whose leaves hold each generator as often as the
     multidegree counts it."""
     content = dict(_multidegree_key(multidegree))
-    out = []
-    for w in lyndon_words(sum(content.values()), sorted(content)):
-        if all(w.count(gen) == c for gen, c in content.items()):
-            out.append(standard_bracketing(w))
-    return out
+    return lyndon_basis(sum(content.values()), sorted(content), content)
 
 
 # --- configuration pairing ---------------------------------------------------
@@ -448,9 +469,11 @@ def lie_coordinates(w: Word, weight: int) -> LieElement:
         checked, depth = depth, min(weight, max(1, 2 * depth))
         c, degrees, top = _magnus_table(w, alphabet, depth, weight)
         for lower in range(checked + 1, min(depth, weight - 1) + 1):
-            for seq, i in zip(product(alphabet, repeat=lower), degrees[lower]):
-                if c[i]:
-                    raise NotInGamma(seq)
+            for n, i in enumerate(degrees[lower]):
+                if c[i]:   # the n-th sequence in product order: n in base k
+                    k = len(alphabet)
+                    raise NotInGamma(tuple(alphabet[n // k ** e % k]
+                                           for e in reversed(range(lower))))
     return _to_lyndon({l: c[i] for l, i in top.items()})
 
 

@@ -5,9 +5,10 @@ These are the straightforward definitions: read word text one token at a
 time, evaluate a symbol by prefix potentials kept as maps over every word
 position, scan every Prufer code and canonicalize each admissible tree, sum
 the pairing over every label-preserving bijection, eliminate over Fraction,
-tabulate every Magnus coefficient up to the weight, and free-reduce every
-group-ring key as soon as it is made.  The tests check the library's fast
-paths against them.
+tabulate every Magnus coefficient up to the weight, list every Lyndon word
+of a length by Duval's generation, and free-reduce every group-ring key as
+soon as it is made.  The tests check the library's fast paths against
+them.
 """
 
 from fractions import Fraction
@@ -345,4 +346,29 @@ def full_table_lie_coordinates(w, weight):
                     raise NotInGamma(seq)
     top = dict(zip(product(alphabet, repeat=weight), degrees[weight]))
     return lie._to_lyndon({l: c[top[l]]
-                           for l in lie.lyndon_words(weight, alphabet)})
+                           for l in duval_lyndon_words(weight, alphabet)})
+
+
+# --- Lyndon words by Duval's generation ----------------------------------------
+
+
+def duval_lyndon_words(length, alphabet):
+    """Lyndon words of exactly the given length over ``alphabet``, in the
+    lexicographic order of its order (Duval's generation): increment the
+    last letter, extend periodically, drop the trailing largest letters."""
+    gens = list(alphabet)
+    k = len(gens)
+    if k == 0 or length < 1:
+        return []
+    out = []
+    w = [-1]
+    while w:
+        w[-1] += 1
+        if len(w) == length:
+            out.append(tuple(gens[i] for i in w))
+        m = len(w)
+        while len(w) < length:
+            w.append(w[len(w) - m])
+        while w and w[-1] == k - 1:
+            w.pop()
+    return out

@@ -1,7 +1,10 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -164,6 +167,26 @@ class TestGraphCommands:
                            "--gens", "a,b,c,d", "--multidegree", "1,1,1,1",
                            "--json")
         assert code == 0 and json.loads(out)["value"] == []
+
+    def test_basis_brackets_in_the_order_of_gens(self, capsys):
+        code, out, _ = run(capsys, "basis", "--weight", "3", "--gens", "b,a")
+        assert code == 0 and out.splitlines() == ["[b,[b,a]]", "[[b,a],a]"]
+
+    def test_basis_multidegree_brackets_only_its_words(self, capsys,
+                                                       monkeypatch):
+        bracketed = []
+        bracket = letterlink.lie.standard_bracketing
+
+        def spy(word, names=None):
+            if len(word) == 10:   # not the recursive calls on its factors
+                bracketed.append(word)
+            return bracket(word, names)
+
+        monkeypatch.setattr(letterlink.lie, "standard_bracketing", spy)
+        code, out, _ = run(capsys, "basis", "--weight", "10",
+                           "--gens", "a,b,c,d", "--multidegree", "1,1,1,7")
+        assert code == 0 and len(out.splitlines()) == 72
+        assert len(bracketed) == 72
 
     def test_coords(self, capsys):
         code, out, _ = run(capsys, "coords", "--word", "a b a^-1 b^-1",
@@ -337,3 +360,22 @@ class TestSelfcheck:
         data = json.loads(done.stdout)
         assert len(data["value"]) == 12
         assert all(check["passed"] for check in data["value"])
+
+
+def readme_cli_lines():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    return [line for line in block.split("```", 1)[0].splitlines()
+            if line.startswith("letterlink ")]
+
+
+class TestReadme:
+    @pytest.mark.parametrize("line", readme_cli_lines())
+    def test_cli_block_line(self, capsys, line):
+        """Each line of the README's CLI block exits 0, and its
+        ``# -> value`` comment is the first line of its output."""
+        code, out, err = run(capsys, *shlex.split(line, comments=True)[1:])
+        assert (code, err) == (0, "")
+        expected = re.search(r"#\s*->\s*(.*)$", line)
+        if expected:
+            assert out.splitlines()[0] == expected.group(1).rstrip()

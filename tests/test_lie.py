@@ -4,7 +4,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from brute_force import (bijection_sum_pairing, fraction_rank, fraction_solve,
+from brute_force import (bijection_sum_pairing, duval_lyndon_words,
+                         fraction_rank, fraction_solve,
                          full_table_lie_coordinates)
 from hypothesis import given, settings, strategies as st
 
@@ -244,6 +245,81 @@ class TestLyndon:
         assert ("a", "a", "b", "b") in ws
 
 
+def has_content(word, content):
+    return all(word.count(gen) == c for gen, c in content.items())
+
+
+def squares(tree):
+    """The brackets [x,x] in a tree."""
+    if tree.is_leaf():
+        return 0
+    return ((tree.left == tree.right) + squares(tree.left)
+            + squares(tree.right))
+
+
+class TestLyndonWalk:
+    """The fixed-content walk against Duval's generation and a filter."""
+
+    @pytest.mark.parametrize("alphabet", [["a"], ["a", "b"], ["b", "a"],
+                                          ["a", "b", "c"], ["c", "a", "b"]])
+    @pytest.mark.parametrize("length", range(1, 8))
+    def test_every_content_is_the_filtered_duval_list(self, length, alphabet):
+        every = duval_lyndon_words(length, alphabet)
+        assert lyndon_words(length, alphabet) == every
+        for counts in product(range(length + 1), repeat=len(alphabet)):
+            if sum(counts) == length:   # zero counts included
+                content = dict(zip(alphabet, counts))
+                assert lyndon_words(length, alphabet, content) == [
+                    l for l in every if has_content(l, content)]
+
+    @pytest.mark.parametrize("counts, size", [((1, 1, 1, 7), 72),
+                                              ((2, 2, 2, 2), 312)])
+    def test_four_letter_contents(self, counts, size):
+        content = dict(zip("abcd", counts))
+        words = lyndon_words(sum(counts), "abcd", content)
+        assert len(words) == size
+        assert words == [l for l in duval_lyndon_words(sum(counts), "abcd")
+                         if has_content(l, content)]
+
+    def test_a_content_of_another_total_gives_no_word(self):
+        assert lyndon_words(4, ["a", "b"], {"a": 2, "b": 1}) == []
+        assert lyndon_words(2, ["a", "b"], {"a": 2, "b": 1}) == []
+
+    def test_a_generator_outside_the_alphabet_is_refused(self):
+        with pytest.raises(InvalidMultidegree):
+            lyndon_words(3, ["a", "b"], {"a": 2, "c": 1})
+
+    def test_a_word_longer_than_the_recursion_limit(self):
+        assert lyndon_words(1101, ["a", "b"], {"a": 1100, "b": 1}) == [
+            ("a",) * 1100 + ("b",)]
+
+
+class TestBracketingOrder:
+    """``lyndon_basis`` brackets in the order of its alphabet: each tree is
+    the standard bracketing of its Lyndon word in that order."""
+
+    @pytest.mark.parametrize("alphabet", [["b", "a"], ["c", "a", "b"]])
+    @pytest.mark.parametrize("weight", range(2, 7))
+    def test_each_tree_leads_with_its_own_word(self, weight, alphabet):
+        rank = {gen: i for i, gen in enumerate(alphabet)}
+        basis = lyndon_basis(weight, alphabet)
+        assert [tuple(t.leaves()) for t in basis] == lyndon_words(weight,
+                                                                  alphabet)
+        for tree in basis:
+            own = [rank[g] for g in tree.leaves()]
+            poly = bracket_polynomial(tree)
+            assert poly[tuple(tree.leaves())] == 1
+            assert all([rank[g] for g in u] >= own
+                       for u, c in poly.items() if c)
+            assert squares(tree) == 0
+
+    def test_the_multidegree_trees_are_those_of_the_basis(self):
+        content = {"c": 2, "a": 1, "b": 1}
+        assert lyndon_basis(4, ["c", "a", "b"], content) == [
+            t for t in lyndon_basis(4, ["c", "a", "b"])
+            if t.multidegree() == content]
+
+
 class TestConfigurationPairing:
     def test_single_edge(self):
         g = parse_graph("{v1:a, v2:b; v1->v2}")
@@ -391,6 +467,22 @@ class TestLieCoordinates:
         with pytest.raises(TooLarge):
             lie_image_of_bracket_word(
                 "[[[[c,a],[b,c]],[a,[a,d]]],[[[a,b],[a,a]],[d,[b,c]]]]")
+
+    def test_the_depth_test_draws_no_sequence_it_does_not_report(self,
+                                                                monkeypatch):
+        drawn = []
+
+        def spy(alphabet, repeat):
+            for seq in product(alphabet, repeat=repeat):
+                drawn.append(len(seq))
+                yield seq
+
+        monkeypatch.setattr(lie, "product", spy)
+        weight = 2000
+        assert lie_coordinates(parse_word("a a^-1"), weight) == LieElement()
+        # only the top degree's prefixes, one of weight - 1 letters; a
+        # sequence for every lower coefficient would be weight^2 / 2 letters
+        assert drawn == [weight - 1]
 
     def test_shallow_word_fails_fast_at_a_high_weight(self):
         with pytest.raises(NotInGamma) as info:
