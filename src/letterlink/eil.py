@@ -128,17 +128,22 @@ class SymbolGraph:
             stack.extend(adj[v])
         if len(seen) != len(labels):
             raise NotATree("graph is not connected")
-        for t, h in self.edges:
-            if not ambient and labels[t].letter == labels[h].letter:
-                raise InvalidEdge(
-                    f"edge {t}->{h} joins free letter {labels[t].letter!r} to itself"
-                )
-        if ambient:
+        if not ambient:
+            self._check_edge_letters(labels)
+        else:
             for v, sym in labels.items():
                 if sym.children:
                     raise InvalidEdge(
                         f"ambient graphs need letter labels; {v} has {sym}"
                     )
+
+    def _check_edge_letters(self, labels: dict[str, Symbol]) -> None:
+        """Refuse an edge that joins a free letter to itself."""
+        for t, h in self.edges:
+            if labels[t].letter == labels[h].letter:
+                raise InvalidEdge(
+                    f"edge {t}->{h} joins free letter {labels[t].letter!r} to itself"
+                )
 
     def is_eil(self) -> bool:
         return all(not sym.children for _, sym in self.vertices)
@@ -238,19 +243,14 @@ def _read_graph(sc: Scanner) -> tuple[dict[str, Symbol], list[tuple[str, str]]]:
 def _contract(g: SymbolGraph, labels: dict[str, Symbol], v: str,
               u: str) -> tuple[SymbolGraph, dict[str, Symbol]]:
     """Contract the edge between v and u, merging v into u with label
-    (label_v) label_u; ``labels`` are g's.  The new graph and its labels."""
-    merged = Symbol(labels[u].letter, labels[u].children + (labels[v],))
-    new_labels = {w: sym for w, sym in labels.items() if w != v}
-    new_labels[u] = merged
-    new_edges = []
-    for t, h in g.edges:
-        if {t, h} == {v, u}:
-            continue
-        new_edges.append((u if t == v else t, u if h == v else h))
-    return SymbolGraph(
-        tuple(sorted(new_labels.items(), key=lambda kv: _id_key(kv[0]))),
-        tuple(new_edges),
-    ), new_labels
+    (label_v) label_u; ``labels`` are g's, in g's id order.  The new graph
+    and its labels."""
+    new_labels = dict(labels)
+    del new_labels[v]
+    new_labels[u] = Symbol(labels[u].letter, labels[u].children + (labels[v],))
+    new_edges = tuple((u if t == v else t, u if h == v else h)
+                      for t, h in g.edges if {t, h} != {v, u})
+    return SymbolGraph(tuple(new_labels.items()), new_edges), new_labels
 
 
 def reduce_at(g: SymbolGraph, v: str) -> list[tuple[int, SymbolGraph]]:
@@ -271,8 +271,8 @@ def reduce_at(g: SymbolGraph, v: str) -> list[tuple[int, SymbolGraph]]:
         sign = 1 if t == v else -1
         other = h if t == v else t
         contracted, contracted_labels = _contract(g, labels, v, other)
-        try:
-            contracted._validate(contracted_labels)
+        try:   # contracting an edge of a tree leaves a tree
+            contracted._check_edge_letters(contracted_labels)
         except InvalidEdge as exc:
             raise UndefinedReduction(v, str(exc)) from exc
         out.append((sign, contracted))

@@ -321,8 +321,21 @@ def _graph_row(graph, roots, split, content, unit_of) -> list[int]:
     cuts = [((1 << t) | (1 << h), below[t] if parent[t] == h else full ^ below[h])
             for t, h in edges]
     content_of = {1 << v: u for v, u in enumerate(units)}
+    # vertex set -> (tail side a, head side, content of a) per edge inside it
+    pieces_of: dict[int, list[tuple[int, int, int]]] = {}
     memo: dict[int, int] = {}
     nodes = len(split)
+
+    def pieces(s: int) -> list[tuple[int, int, int]]:
+        out = pieces_of[s] = []
+        for ends, side in cuts:
+            if s & ends == ends:
+                a = s & side
+                c = content_of.get(a)
+                if c is None:
+                    c = content_of[a] = sum(units[v] for v in range(n) if a >> v & 1)
+                out.append((a, s ^ a, c))
+        return out
 
     def value(s: int, node: int) -> int:
         parts = split[node]
@@ -333,20 +346,16 @@ def _graph_row(graph, roots, split, content, unit_of) -> list[int]:
             return memo[key]
         left, right, left_content, right_content = parts
         total = 0
-        for ends, side in cuts:
-            if s & ends == ends:
-                a = s & side
-                c = content_of.get(a)
-                if c is None:
-                    c = content_of[a] = sum(units[v] for v in range(n) if a >> v & 1)
-                if c == left_content:
-                    x = value(a, left)
-                    if x:
-                        total += x * value(s ^ a, right)
-                if c == right_content:
-                    x = value(s ^ a, left)
-                    if x:
-                        total -= x * value(a, right)
+        cut = pieces_of.get(s)
+        for a, b, c in pieces(s) if cut is None else cut:
+            if c == left_content:
+                x = value(a, left)
+                if x:
+                    total += x * value(b, right)
+            if c == right_content:
+                x = value(b, left)
+                if x:
+                    total -= x * value(a, right)
         memo[key] = total
         return total
 

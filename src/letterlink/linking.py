@@ -16,7 +16,8 @@ signs) and keeps each node's list as an int list over its letter's
 occurrences.  A child's potential is the running sum of the child's signed
 values, read at the parent's occurrences through the number of the child's
 occurrences before each (kept per pair of letters); lists are memoized per
-word by canonical sub-symbol.  The interval-building oracle
+word by canonical sub-symbol, and potentials by sub-symbol and parent
+letter.  The interval-building oracle
 (`enumerate_coboundings` + `link_via_cobounding`) is kept for cross-checking.
 
 `eval_symbol` and `eval_symbol_sum` also take a `words.CompactWord`.  One
@@ -69,8 +70,10 @@ class List:
         self.word = word
         self.gen = gen
         self.assoc = {j: m for j, m in assoc.items() if m != 0}
+        letters = word.letters
         for j in self.assoc:
-            if word.letter_at(j).gen != gen:
+            if not (0 < j <= len(letters) and letters[j - 1].gen == gen):
+                # letter_at refuses a position outside the word
                 raise InvalidArgument(
                     f"position {j} carries {word.letter_at(j).gen!r}, not {gen!r}"
                 )
@@ -104,12 +107,12 @@ class Cobounding:
 
 
 def standard_list(w: Word, gen: str) -> List:
-    return List(w, gen, {j: 1 for j in range(1, len(w) + 1)
-                         if w.letter_at(j).gen == gen})
+    return List(w, gen, {j: 1 for j, l in enumerate(w.letters, 1) if l.gen == gen})
 
 
 def count(lst: List) -> int:
-    return sum(m * lst.word.letter_at(j).sign for j, m in lst.assoc.items())
+    letters = lst.word.letters
+    return sum(m * letters[j - 1].sign for j, m in lst.assoc.items())
 
 
 def prefix_potential(lst: List) -> dict[int, int]:
@@ -122,13 +125,8 @@ def prefix_potential(lst: List) -> dict[int, int]:
     c = count(lst)
     if c != 0:
         raise NonzeroCount(c)
-    out: dict[int, int] = {}
-    running = 0
-    for j in range(1, len(lst.word) + 2):
-        out[j] = running
-        if j <= len(lst.word):
-            running += lst.assoc.get(j, 0) * lst.word.letter_at(j).sign
-    return out
+    steps = (lst.assoc.get(j, 0) * l.sign for j, l in enumerate(lst.word.letters, 1))
+    return dict(enumerate(accumulate(steps, initial=0), 1))
 
 
 def link(cobounded: List, target: List) -> List:
@@ -147,7 +145,7 @@ def _signed_tokens(lst: List) -> tuple[list[int], list[int]]:
     total sign; positions repeat with multiplicity."""
     pos, neg = [], []
     for j, m in sorted(lst.assoc.items()):
-        total = (1 if m > 0 else -1) * lst.word.letter_at(j).sign
+        total = (1 if m > 0 else -1) * lst.word.letters[j - 1].sign
         bucket = pos if total > 0 else neg
         bucket.extend([j] * abs(m))
     return pos, neg
@@ -200,6 +198,8 @@ class Evaluator:
         # the number of occurrences of the child before it
         self._ranks: dict[tuple[str, str], list[int]] = {}
         self._memo: dict[str, tuple[list[int], int]] = {}
+        # (key, parent letter) -> the key's potential, as `_potential` reads it
+        self._potentials: dict[tuple[str, str], list[int]] = {}
         # count of each key whose every proper sub-symbol has count zero;
         # `placements` memoizes entries without that check
         self._defined: dict[str, int] = {}
@@ -276,11 +276,12 @@ class Evaluator:
             keys.append(k)
         entry = memo.get(key)
         if entry is None:
-            at, signs = self.occurrences(node.letter)
-            values = [1] * len(at)
+            values = None
             for child, k in zip(node.children, keys):
-                values = list(map(mul, values, self._potential(
-                    child.letter, memo[k][0], node.letter)))
+                potential = self._potential(k, child.letter, node.letter)
+                values = (potential if values is None
+                          else list(map(mul, values, potential)))
+            signs = self.occurrences(node.letter)[1]
             entry = memo[key] = (values, sum(map(mul, values, signs)))
         if check:
             self._defined[key] = entry[1]
@@ -288,17 +289,21 @@ class Evaluator:
             trace.append((node, entry[0], [memo[k][0] for k in keys]))
         return key
 
-    def _potential(self, gen: str, values: list[int], parent: str) -> list[int]:
-        """Prefix potential of a zero-count list over ``gen``, read at the
-        occurrences of ``parent``, a different letter: the running sum of
-        the signed values, indexed by each occurrence's rank among ``gen``'s."""
-        positions, signs = self.occurrences(gen)
-        ranks = self._ranks.get((gen, parent))
-        if ranks is None:
-            ranks = self._ranks[gen, parent] = [
-                bisect_left(positions, p) for p in self.occurrences(parent)[0]]
-        running = list(accumulate(map(mul, values, signs), initial=0))
-        return list(map(running.__getitem__, ranks))
+    def _potential(self, key: str, gen: str, parent: str) -> list[int]:
+        """Prefix potential of the zero-count list of the memoized ``key``,
+        over ``gen``, read at the occurrences of ``parent``, a different
+        letter: the running sum of the signed values, indexed by each
+        occurrence's rank among ``gen``'s.  Kept per key and parent letter."""
+        out = self._potentials.get((key, parent))
+        if out is None:
+            positions, signs = self.occurrences(gen)
+            ranks = self._ranks.get((gen, parent))
+            if ranks is None:
+                ranks = self._ranks[gen, parent] = [
+                    bisect_left(positions, p) for p in self.occurrences(parent)[0]]
+            running = list(accumulate(map(mul, self._memo[key][0], signs), initial=0))
+            out = self._potentials[key, parent] = list(map(running.__getitem__, ranks))
+        return out
 
 
 class _Prunings:

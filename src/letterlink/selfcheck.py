@@ -26,9 +26,12 @@ import os
 import random
 import threading
 from fractions import Fraction
+from math import lcm
+from operator import add, mul
 
 from . import eil, fox, lie, linking, symbols, words
-from .errors import InvalidEdge, InvalidSymbol, UndefinedInvariant, UndefinedReduction
+from .errors import (InvalidArgument, InvalidEdge, InvalidSymbol, UndefinedInvariant,
+                     UndefinedReduction)
 from .words import Word
 
 WORKED_WORD_TEXT = "[a a, [b, a c]]"
@@ -68,13 +71,13 @@ def _random_symbol(rng: random.Random, alphabet: list[str],
 
 
 def _random_zero_count_list(rng: random.Random, w: Word, gen: str) -> linking.List | None:
-    positions = [j for j in range(1, len(w) + 1) if w.letter_at(j).gen == gen]
+    positions = [j for j, l in enumerate(w.letters, 1) if l.gen == gen]
     if len(positions) < 2:
         return None
     assoc = {j: rng.randint(-2, 2) for j in positions}
     c = linking.count(linking.List(w, gen, assoc))
     j = positions[-1]
-    assoc[j] = assoc.get(j, 0) - c * w.letter_at(j).sign
+    assoc[j] = assoc.get(j, 0) - c * w.letters[j - 1].sign
     lst = linking.List(w, gen, assoc)
     return lst if lst.assoc else None
 
@@ -90,8 +93,7 @@ def check_1_visual_example(seed=0, scale="small"):
             problems.append(f"value {value} != 4 on {w}")
     lb = linking.link(linking.standard_list(reduced, "a"),
                       linking.standard_list(reduced, "b"))
-    b_positions = [j for j in range(1, len(reduced) + 1)
-                   if reduced.letter_at(j).gen == "b"]
+    b_positions = [j for j, l in enumerate(reduced.letters, 1) if l.gen == "b"]
     mults = [lb.multiplicity(j) for j in b_positions]
     if mults != [2, 3, 1, 0]:
         problems.append(f"b multiplicities {mults} != [2, 3, 1, 0]")
@@ -218,22 +220,58 @@ def _unique_commutators(n: int):
     return out
 
 
+def _combined_rows(terms, width: int) -> tuple[list[int], int]:
+    """The sum of the rows of ``width`` entries in (rational coefficient,
+    row) ``terms``, each times its coefficient, entry by entry, as
+    numerators over the coefficients' least common denominator, and that
+    denominator."""
+    terms = list(terms)
+    den = lcm(*(c.denominator for c, _ in terms))
+    out = [0] * width
+    for c, row in terms:
+        scale = c.numerator * (den // c.denominator)
+        out = list(map(add, out, map(mul, itertools.repeat(scale), row)))
+    return out, den
+
+
+def _symbol_values(sums: list[symbols.SymbolSum],
+                   evaluators) -> dict[str, tuple[int, ...]]:
+    """By canonical string, the invariants of each symbol of the ``sums``
+    on the word of each of the ``evaluators``, which evaluate each distinct
+    symbol once."""
+    syms = {}
+    for terms in sums:
+        syms.update(terms.reps)
+    return dict(zip(syms, zip(*([ev.value(sym) for sym in syms.values()]
+                                for ev in evaluators))))
+
+
+def _sum_row(terms: symbols.SymbolSum, values: dict[str, tuple[int, ...]],
+             width: int) -> tuple[list[int], int]:
+    """``Evaluator.value_sum`` of ``terms`` on each word of ``values`` (see
+    ``_symbol_values``), as numerators over the least common denominator of
+    its coefficients, and that denominator."""
+    return _combined_rows(((c, values[key]) for key, c in terms.terms.items()), width)
+
+
 def check_6_exhaustive_duality(seed=0, scale="small"):
     checked = 0
     for n in range(1, 5):
         commutators = _unique_commutators(n)
-        evaluators = [linking.Evaluator(words.expand_bracket(e))
-                      for e in commutators]
         trees = [lie.bracket_tree(e) for e in commutators]
         graphs = _unique_label_graphs(n)
         pairings = lie.pairing_matrix(graphs, trees)
-        for graph, row in zip(graphs, pairings):
-            reduction = eil.reduce_full(graph, eil.default_order(graph)).items()
-            for ev, tree, rhs in zip(evaluators, trees, row):
-                lhs = ev.value_sum(reduction)
-                checked += 1
-                if lhs != rhs:
-                    return False, f"mismatch at n={n}, {graph}, {tree}: {lhs} != {rhs}"
+        reductions = [eil.reduce_full(g, eil.default_order(g)) for g in graphs]
+        values = _symbol_values(reductions, (
+            linking.Evaluator(words.expand_bracket(e)) for e in commutators))
+        for graph, row, reduction in zip(graphs, pairings, reductions):
+            lhs, den = _sum_row(reduction, values, len(row))
+            if lhs != [rhs * den for rhs in row]:
+                tree, num, rhs = next((tree, num, rhs) for tree, num, rhs
+                                      in zip(trees, lhs, row) if num != rhs * den)
+                return False, (f"mismatch at n={n}, {graph}, {tree}: "
+                               f"{Fraction(num, den)} != {rhs}")
+            checked += len(row)
     return True, f"{checked} graph/commutator pairs agree"
 
 
@@ -286,17 +324,18 @@ def check_7_order_independence(seed=0, scale="small"):
         graph = _random_symbol_graph(rng, 5)
         ids = graph.ids()
         depth_total = sum(sym.depth for sym in graph.labels.values()) + len(ids) - 1
-        evaluators = [
-            linking.Evaluator(words.random_gamma_element(
-                depth_total, ["a", "b", "c"], budget=6, seed=rng))
-            for _ in range(words_each)]
+        sample = [words.random_gamma_element(depth_total, ["a", "b", "c"],
+                                             budget=6, seed=rng)
+                  for _ in range(words_each)]
+        reductions = list(_order_reductions(graph))
+        values = _symbol_values([r for _, r in reductions],
+                                map(linking.Evaluator, sample))
         baseline = None
-        for order, reduction in _order_reductions(graph):
-            terms = reduction.items()
-            values = tuple(ev.value_sum(terms) for ev in evaluators)
+        for order, reduction in reductions:
+            sums, den = _sum_row(reduction, values, words_each)
             if baseline is None:
-                baseline = values
-            elif values != baseline:
+                baseline, base_den = sums, den
+            elif [x * base_den for x in sums] != [y * den for y in baseline]:
                 return False, f"order {order} disagrees on {graph}"
             checked += 1
     return True, f"{graphs} graphs, {checked} valid orders agree"
@@ -345,11 +384,11 @@ def _check_additivity(rng, trials):
         sym = _random_symbol(rng, ["a", "b", "c"], rng.randint(0, 2))
         u = words.random_gamma_element(sym.depth, ["a", "b", "c"], seed=rng)
         v = words.random_gamma_element(sym.depth, ["a", "b", "c"], seed=rng)
-        if linking.eval_symbol(sym, u * v) != (
-            linking.eval_symbol(sym, u) + linking.eval_symbol(sym, v)
-        ):
+        on_product = linking.eval_symbol(sym, u * v)
+        on_u = linking.eval_symbol(sym, u)
+        if on_product != on_u + linking.eval_symbol(sym, v):
             return f"additivity fails for {sym}"
-        if linking.eval_symbol(sym, u.inverse()) != -linking.eval_symbol(sym, u):
+        if linking.eval_symbol(sym, u.inverse()) != -on_u:
             return f"inverse fails for {sym}"
     return None
 
@@ -363,8 +402,8 @@ def _check_cobracket(rng, trials):
         w = words.random_gamma_element(depth_max, ["a", "b", "c"], seed=rng)
         grafted = symbols.Symbol(t.letter, t.children + (s,))
         lhs = linking.eval_symbol(grafted, words.commutator(v, w))
-        rhs = (linking.eval_symbol(s, v) * linking.eval_symbol(t, w)
-               - linking.eval_symbol(t, v) * linking.eval_symbol(s, w))
+        on_v, on_w = linking.Evaluator(v), linking.Evaluator(w)
+        rhs = (on_v.value(s) * on_w.value(t) - on_v.value(t) * on_w.value(s))
         if lhs != rhs:
             return f"cobracket fails for ({s}){t}"
     return None
@@ -491,6 +530,7 @@ def _check_lifts(rng, trials):
         for g in source:
             fibers.setdefault(collapse[g], []).append(g)
         fiber_lists = list(fibers.values())
+        ev = linking.Evaluator(w)
         rhs = 0
         for combo in itertools.product(
             *[itertools.permutations(f) for f in fiber_lists]
@@ -498,7 +538,7 @@ def _check_lifts(rng, trials):
             perm = {}
             for orig, image in zip(fiber_lists, combo):
                 perm.update(dict(zip(orig, image)))
-            rhs += linking.eval_symbol(symbols.relabel_symbol(perm, sym), w)
+            rhs += ev.value(symbols.relabel_symbol(perm, sym))
         if lhs != rhs:
             return f"lift sum fails for {sym} under {collapse}"
     return None
@@ -523,6 +563,14 @@ def check_10_identity_suite(seed=0, scale="small"):
     return True, f"{len(checks)} identity families x {trials} instances"
 
 
+def _pairing_row(terms: list[tuple[object, eil.SymbolGraph]], trees) -> list[Fraction]:
+    """``lie.extended_pairing`` of the graph sum with (coefficient, graph)
+    ``terms`` and each tree, from one ``lie.pairing_matrix`` call."""
+    rows = lie.pairing_matrix([g for _, g in terms], trees)
+    nums, den = _combined_rows(zip([c for c, _ in terms], rows), len(trees))
+    return [Fraction(num, den) for num in nums]
+
+
 def check_11_distinct_reduce(seed=0, scale="small"):
     rng = random.Random(seed + 11)
     g = eil.parse_graph(WORKED_REDUCTION_INPUT, ambient=True)
@@ -530,11 +578,13 @@ def check_11_distinct_reduce(seed=0, scale="small"):
     expected = eil.GraphSum()
     for c, text in WORKED_REDUCTION_TARGET:
         expected.add(c, eil.parse_graph(text))
-    for tree in lie.lyndon_trees_of_multidegree(g.multidegree()):
-        value = lie.extended_pairing(g, tree)
-        if lie.extended_pairing(reduced, tree) != value:
+    trees = lie.lyndon_trees_of_multidegree(g.multidegree())
+    value, output, target = [_pairing_row(terms, trees) for terms
+                             in ([(1, g)], reduced.items(), expected.items())]
+    for tree, v, out, tgt in zip(trees, value, output, target):
+        if out != v:
             return False, f"worked example output differs on {tree}"
-        if lie.extended_pairing(expected, tree) != value:
+        if tgt != v:
             return False, f"worked example target differs on {tree}"
     trials = 20 if scale == "small" else 40
     done = 0
@@ -550,8 +600,10 @@ def check_11_distinct_reduce(seed=0, scale="small"):
             ambient=True)
         done += 1
         reduced = eil.distinct_reduce(graph)
-        for tree in lie.lyndon_trees_of_multidegree(graph.multidegree()):
-            if lie.extended_pairing(graph, tree) != lie.extended_pairing(reduced, tree):
+        trees = lie.lyndon_trees_of_multidegree(graph.multidegree())
+        for tree, v, out in zip(trees, _pairing_row([(1, graph)], trees),
+                                _pairing_row(reduced.items(), trees)):
+            if v != out:
                 return False, f"functional mismatch for {graph} on {tree}"
         for coeff, term in reduced:
             if any(term.labels[t].letter == term.labels[h].letter
@@ -606,10 +658,12 @@ def _run_in_worker(index: int, seed: int, scale: str):
                     if key not in before]
 
 
-# the costliest checks, by number, costliest first: about 175, 140, 100, 38
-# and 32 ms in process at seed 0, the others under 6 ms.  A pool that starts
-# the longest jobs first finishes sooner (Graham's LPT rule).
-_HEAVIEST_FIRST = (7, 6, 10, 11, 8)
+# the costliest checks, by number, costliest first: about 53, 46, 46, 17
+# and 10 ms of CPU in a forked worker at seed 0, small scale, the others
+# under 3 ms.  A pool that starts the longest jobs first finishes sooner
+# (Graham's LPT rule): two workers split them as 10, 8, 11 and the rest
+# against 6 and 7.
+_HEAVIEST_FIRST = (10, 6, 7, 8, 11)
 
 
 def _usable_cpus() -> int:
@@ -621,7 +675,12 @@ def _usable_cpus() -> int:
 def run_all(seed: int = 0, scale: str = "small") -> list[tuple[str, bool, str]]:
     """(name, passed, detail) of every check, in ``CHECKS`` order, each
     from the same ``_run_check`` call in a worker or here (see the module
-    docstring)."""
+    docstring).  Raises InvalidArgument, before any check runs, unless
+    ``seed`` is an int and ``scale`` is "small" or "full"."""
+    if type(seed) is not int:
+        raise InvalidArgument(f"seed {seed!r} is not an int")
+    if scale not in ("small", "full"):
+        raise InvalidArgument(f"scale {scale!r} is not 'small' or 'full'")
     indices = range(len(CHECKS))
     workers = min(len(CHECKS), _usable_cpus())
     if workers >= 2 and threading.active_count() == 1:

@@ -214,7 +214,7 @@ class Word:
         return Word(self.letters + other.letters)
 
     def inverse(self) -> "Word":
-        return Word(tuple(l.inverse() for l in reversed(self.letters)))
+        return Word(_inverted(self.letters))
 
     def letter_at(self, position: int) -> Letter:
         """Letter at a 1-based position."""
@@ -238,6 +238,13 @@ class Word:
 
 
 EMPTY_WORD = Word()
+
+
+def _inverted(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    """The letters of the inverse word, through one inverse per distinct
+    letter."""
+    inverse = {l: l.inverse() for l in set(letters)}
+    return tuple(map(inverse.__getitem__, reversed(letters)))
 
 
 class CompactWord:
@@ -271,8 +278,7 @@ class CompactWord:
         """The expanded letters of the word, or of its inverse; unchecked."""
         kind, parts = self.kind, self.parts
         if kind == "run":
-            return (tuple(l.inverse() for l in reversed(parts)) if inverted
-                    else parts)
+            return _inverted(parts) if inverted else parts
         if kind == "product":
             return tuple(chain.from_iterable(
                 p.letters(inverted) for p in (parts[::-1] if inverted else parts)))
@@ -449,10 +455,16 @@ def relabel(mapping: Mapping[str, str], w: Word) -> Word:
 
 def expand_bracket(expr) -> Word:
     """Expand a nested-commutator expression into an (unreduced) word."""
+    return Word(_bracket_letters(expr)[0])
+
+
+def _bracket_letters(expr) -> tuple[tuple[Letter, ...], tuple[Letter, ...]]:
+    """The letters of the expansion and of its inverse: [u,v] = u v u^-1
+    v^-1, whose inverse is [v,u]."""
     if isinstance(expr, str):
-        return Word((Letter(expr, 1),))
-    left, right = expr
-    return commutator(expand_bracket(left), expand_bracket(right))
+        return (Letter(expr, 1),), (Letter(expr, -1),)
+    (u, u_inv), (v, v_inv) = map(_bracket_letters, expr)
+    return u + v + u_inv + v_inv, v + u + v_inv + u_inv
 
 
 def random_bracket(weight: int, alphabet: list[str], rng: random.Random):
@@ -468,15 +480,17 @@ def random_bracket(weight: int, alphabet: list[str], rng: random.Random):
 
 def all_bracketings(labels: tuple[str, ...]):
     """All planar iterated-commutator shapes whose leaves, left to right,
-    are exactly ``labels``."""
-    if len(labels) == 1:
-        return [labels[0]]
-    out = []
-    for i in range(1, len(labels)):
-        for l in all_bracketings(labels[:i]):
-            for r in all_bracketings(labels[i:]):
-                out.append((l, r))
-    return out
+    are exactly ``labels``: at each split point in turn, every shape of the
+    left part with every shape of the right part.  The shapes of each run
+    of labels are listed once, shorter runs first."""
+    n = len(labels)
+    shapes = {(i, i + 1): [label] for i, label in enumerate(labels)}
+    for size in range(2, n + 1):
+        for i in range(n - size + 1):
+            j = i + size
+            shapes[i, j] = [(l, r) for k in range(i + 1, j)
+                            for l in shapes[i, k] for r in shapes[k, j]]
+    return shapes[0, n] if n else []
 
 
 def random_word(alphabet: list[str], length: int, rng: random.Random) -> Word:

@@ -2,8 +2,10 @@
 and fox.
 
 These are the straightforward definitions: read word text one token at a
-time, evaluate a symbol by prefix potentials kept as maps over every word
-position, scan every Prufer code and canonicalize each admissible tree, sum
+time, read lists, counts and potentials a word position at a time,
+invert a word a letter at a time, expand and list bracket shapes by
+plain recursion, evaluate a symbol by prefix potentials
+kept as maps over every word position, scan every Prufer code and canonicalize each admissible tree, sum
 the pairing over every label-preserving bijection, eliminate over Fraction,
 tabulate every Magnus coefficient up to the weight, list every Lyndon word
 of a length by Duval's generation, and free-reduce every group-ring key as
@@ -16,13 +18,14 @@ from itertools import permutations, product
 
 from letterlink import lie
 from letterlink.eil import SymbolGraph, _prufer_trees, canonical_form
-from letterlink.errors import (InconsistentSystem, NotInGamma, TooLarge,
-                               UndefinedInvariant, UnknownGenerator)
+from letterlink.errors import (InconsistentSystem, InvalidArgument, NonzeroCount,
+                               NotInGamma, TooLarge, UndefinedInvariant,
+                               UnknownGenerator)
 from letterlink.fox import magnus_coefficients
-from letterlink.linking import List, count, prefix_potential, standard_list
+from letterlink.linking import List
 from letterlink.symbols import Symbol
 from letterlink.words import (_EMPTY_RUN, _INT_RE, GENERATOR_RE, CompactWord,
-                              Letter, Scanner, free_reduce)
+                              Letter, Scanner, Word, commutator, free_reduce)
 
 
 # --- word text one token at a time ---------------------------------------------
@@ -92,6 +95,69 @@ def _token_term(sc, allowed):
     return CompactWord("power", (base,), n)
 
 
+# --- lists, counts and inverses read a position at a time -----------------------
+
+
+def position_assoc(word, gen, assoc):
+    """The associated function that ``List(word, gen, assoc)`` keeps: the
+    nonzero multiplicities, each position read through ``Word.letter_at``."""
+    out = {j: m for j, m in assoc.items() if m != 0}
+    for j in out:
+        if word.letter_at(j).gen != gen:
+            raise InvalidArgument(
+                f"position {j} carries {word.letter_at(j).gen!r}, not {gen!r}")
+    return out
+
+
+def position_standard_list(w, gen):
+    return List(w, gen, {j: 1 for j in range(1, len(w) + 1)
+                         if w.letter_at(j).gen == gen})
+
+
+def position_count(lst):
+    return sum(m * lst.word.letter_at(j).sign for j, m in lst.assoc.items())
+
+
+def position_prefix_potential(lst):
+    """The potential before each position 1..len(word)+1 of a zero-count
+    list, summed a position at a time."""
+    c = position_count(lst)
+    if c != 0:
+        raise NonzeroCount(c)
+    out = {}
+    running = 0
+    for j in range(1, len(lst.word) + 2):
+        out[j] = running
+        if j <= len(lst.word):
+            running += lst.assoc.get(j, 0) * lst.word.letter_at(j).sign
+    return out
+
+
+def letterwise_inverse(w):
+    """The inverse word, one new letter per position."""
+    return Word(tuple(l.inverse() for l in reversed(w.letters)))
+
+
+def commutator_expansion(expr):
+    """The word of a bracket shape, a ``words.commutator`` of words at each
+    pair."""
+    if isinstance(expr, str):
+        return Word((Letter(expr, 1),))
+    left, right = expr
+    return commutator(commutator_expansion(left), commutator_expansion(right))
+
+
+def split_bracketings(labels):
+    """All planar bracket shapes over ``labels``: at each split point in
+    turn, every shape of the left part with every shape of the right part,
+    both bracketed afresh."""
+    if len(labels) == 1:
+        return [labels[0]]
+    return [(l, r) for i in range(1, len(labels))
+            for l in split_bracketings(labels[:i])
+            for r in split_bracketings(labels[i:])]
+
+
 # --- symbol lists by per-position potentials --------------------------------
 
 
@@ -102,14 +168,14 @@ def position_symbol_list(sym, w):
     UndefinedInvariant at the first (leftmost, innermost) sub-symbol whose
     count is nonzero."""
     if not sym.children:
-        return standard_list(w, sym.letter)
+        return position_standard_list(w, sym.letter)
     potentials = []
     for child in sym.children:
         child_list = position_symbol_list(child, w)
-        c = count(child_list)
+        c = position_count(child_list)
         if c != 0:
             raise UndefinedInvariant(child, c)
-        potentials.append(prefix_potential(child_list))
+        potentials.append(position_prefix_potential(child_list))
     assoc = {}
     for j in range(1, len(w) + 1):
         if w.letter_at(j).gen == sym.letter:

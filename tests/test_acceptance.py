@@ -9,11 +9,13 @@ import os
 import random
 import threading
 import time
+from fractions import Fraction
 
 import pytest
 
-from letterlink import eil, selfcheck
-from letterlink.errors import NonzeroCount, UndefinedInvariant, UndefinedReduction
+from letterlink import eil, lie, linking, selfcheck
+from letterlink.errors import (InvalidArgument, NonzeroCount, UndefinedInvariant,
+                               UndefinedReduction)
 from letterlink.symbols import parse_symbol
 
 CRITERIA = {name: fn for name, fn in selfcheck.CHECKS}
@@ -227,3 +229,184 @@ def test_bases_handed_back_respect_the_cell_limit(two_cpus, monkeypatch):
     assert selfcheck.run_all(seed=0, scale="small") == _in_order(0)
     assert eil._bases
     assert sum(map(eil._cells, eil._bases.values())) <= limit
+
+
+# run_all's results, pinned: the same instances and the same counts on every
+# supported Python
+
+_NAMES = [
+    "1 letter-linking value 4 with multiplicities (2,3,1)",
+    "2 iterated derivatives match the worked chain, value 4",
+    "3 four-star pairs with its bracket to 24",
+    "4 weight-5 pairing matrices and determinants",
+    "5 distinct-vertex graphs give full column rank",
+    "6 exhaustive graph/commutator duality, n <= 4",
+    "7 reduction-order independence",
+    "8 cobounding-choice independence",
+    "9 vanishing on deep central-series words",
+    "10 identity suite",
+    "11 distinct-vertex reduction functional equality",
+    "12 depth-2 derivative/linking agreement",
+]
+_SAME_AT_EVERY_SEED = {
+    1: "value 4, multiplicities (2,3,1,0)",
+    2: "derivative chain and value 4",
+    3: "pairing = 24",
+    4: "(3,2): [[4, -2], [4, 4]], (2,3): [[6, -2], [0, 4]], dets 24, 24",
+    5: "full column rank on all multidegrees",
+    6: "15509 graph/commutator pairs agree",
+}
+_DETAILS = {
+    (0, "small"): {
+        7: "25 graphs, 326 valid orders agree",
+        8: "200 words, every cobounding matches the potential",
+        9: "50 deep words all evaluate to zero",
+        10: "7 identity families x 50 instances",
+        11: "worked example + 20 random graphs pair equally",
+        12: "50 commutator words agree",
+    },
+    (3, "small"): {
+        7: "25 graphs, 582 valid orders agree",
+        8: "200 words, every cobounding matches the potential",
+        9: "50 deep words all evaluate to zero",
+        10: "7 identity families x 50 instances",
+        11: "worked example + 20 random graphs pair equally",
+        12: "50 commutator words agree",
+    },
+    (5, "full"): {
+        7: "50 graphs, 794 valid orders agree",
+        8: "400 words, every cobounding matches the potential",
+        9: "100 deep words all evaluate to zero",
+        10: "7 identity families x 100 instances",
+        11: "worked example + 40 random graphs pair equally",
+        12: "100 commutator words agree",
+    },
+}
+
+
+def _pinned(seed, scale):
+    details = {**_SAME_AT_EVERY_SEED, **_DETAILS[seed, scale]}
+    return [(name, True, details[k]) for k, name in enumerate(_NAMES, 1)]
+
+
+@pytest.mark.parametrize("seed, scale", list(_DETAILS))
+@pytest.mark.parametrize("cpus", ["two_cpus", "one_cpu"])
+def test_run_all_gives_the_pinned_results(seed, scale, cpus, request):
+    request.getfixturevalue(cpus)
+    assert selfcheck.run_all(seed=seed, scale=scale) == _pinned(seed, scale)
+
+
+@pytest.mark.parametrize("seed, scale, message", [
+    (0, "tiny", "scale 'tiny' is not 'small' or 'full'"),
+    (0, None, "scale None is not 'small' or 'full'"),
+    (None, "small", "seed None is not an int"),
+    ("3", "small", "seed '3' is not an int"),
+    (1.0, "small", "seed 1.0 is not an int"),
+])
+def test_run_all_refuses_a_bad_seed_or_scale_before_any_check(seed, scale, message,
+                                                              two_cpus, monkeypatch):
+    ran = []
+    monkeypatch.setattr(selfcheck, "_run_check", lambda *args: ran.append(args))
+    with pytest.raises(InvalidArgument) as info:
+        selfcheck.run_all(seed=seed, scale=scale)
+    assert str(info.value) == message
+    assert ran == []
+
+
+# checks 6 and 11 each compare two sides; shifting either one must fail them
+
+def _check_6():
+    return selfcheck.check_6_exhaustive_duality(seed=0, scale="small")
+
+
+def _shift_pairing_entry(monkeypatch, calls, graph_index, tree_index):
+    """Make the ``calls``-th selfcheck call of ``lie.pairing_matrix`` (from 0)
+    return one entry one higher; the arguments and the true entry of that
+    call go to the returned dict."""
+    real = lie.pairing_matrix
+    seen = {"calls": 0}
+
+    def shifted(graphs, trees):
+        rows = real(graphs, trees)
+        if seen["calls"] == calls:
+            seen.update(graphs=list(graphs), trees=list(trees),
+                        entry=rows[graph_index][tree_index])
+            rows[graph_index][tree_index] += 1
+        seen["calls"] += 1
+        return rows
+
+    monkeypatch.setattr(lie, "pairing_matrix", shifted)
+    return seen
+
+
+def test_check_6_fails_on_a_shifted_pairing_at_one_vertex(monkeypatch):
+    _shift_pairing_entry(monkeypatch, 0, 0, 0)
+    assert _check_6() == (False, "mismatch at n=1, {v1:x1}, x1: 1 != 2")
+
+
+def test_check_6_fails_on_a_shifted_invariant_at_one_vertex(monkeypatch):
+    real = linking.Evaluator.value
+    monkeypatch.setattr(linking.Evaluator, "value",
+                        lambda ev, sym: real(ev, sym) + (sym.canonical() == "x1"))
+    assert _check_6() == (False, "mismatch at n=1, {v1:x1}, x1: 2 != 1")
+
+
+def test_check_6_names_the_first_shifted_pairing(monkeypatch):
+    seen = _shift_pairing_entry(monkeypatch, 2, 5, 7)     # n = 3
+    result = _check_6()
+    graph, tree, entry = seen["graphs"][5], seen["trees"][7], seen["entry"]
+    assert result == (
+        False, f"mismatch at n=3, {graph}, {tree}: {Fraction(entry)} != {entry + 1}")
+
+
+def test_check_6_names_the_first_graph_whose_shifted_invariant_shows(monkeypatch):
+    graphs = selfcheck._unique_label_graphs(3)
+    trees = [lie.bracket_tree(e) for e in selfcheck._unique_commutators(3)]
+    reductions = [eil.reduce_full(g, eil.default_order(g)) for g in graphs]
+    key = sorted(reductions[-1].terms)[-1]
+    first = next(i for i, r in enumerate(reductions) if key in r.terms)
+    coeff = reductions[first].terms[key]
+    rhs = lie.pairing_matrix([graphs[first]], trees[:1])[0][0]
+
+    real = linking.Evaluator.value
+    monkeypatch.setattr(linking.Evaluator, "value",
+                        lambda ev, sym: real(ev, sym) + (sym.canonical() == key))
+    assert _check_6() == (False, f"mismatch at n=3, {graphs[first]}, {trees[0]}: "
+                                 f"{Fraction(rhs + coeff)} != {rhs}")
+
+
+def _check_11():
+    return selfcheck.check_11_distinct_reduce(seed=0, scale="small")
+
+
+def test_check_11_fails_on_a_shifted_pairing_of_the_worked_example(monkeypatch):
+    seen = _shift_pairing_entry(monkeypatch, 0, 0, 1)
+    assert _check_11() == (False, f"worked example output differs on {seen['trees'][1]}")
+
+
+def test_check_11_fails_on_a_shifted_pairing_of_its_target(monkeypatch):
+    seen = _shift_pairing_entry(monkeypatch, 2, 0, 0)
+    assert _check_11() == (False, f"worked example target differs on {seen['trees'][0]}")
+
+
+def test_check_11_fails_on_a_shifted_pairing_of_a_random_graph(monkeypatch):
+    seen = _shift_pairing_entry(monkeypatch, 3, 0, 0)   # the first random graph
+    result = _check_11()
+    (graph,) = seen["graphs"]
+    assert result == (False, f"functional mismatch for {graph} on {seen['trees'][0]}")
+
+
+def test_check_11_fails_on_a_shifted_reduction(monkeypatch):
+    real = eil.distinct_reduce
+    extra = eil.parse_graph("{v1:a, v2:b, v3:a, v4:c, v5:d; v1->v2, v2->v3, v3->v4, v4->v5}")
+    trees = lie.lyndon_trees_of_multidegree(extra.multidegree())
+    row = lie.pairing_matrix([extra], trees)[0]
+    first = next(tree for tree, entry in zip(trees, row) if entry)
+
+    def shifted(graph):
+        out = real(graph)
+        out.add(Fraction(1, 2), extra)
+        return out
+
+    monkeypatch.setattr(eil, "distinct_reduce", shifted)
+    assert _check_11() == (False, f"worked example output differs on {first}")

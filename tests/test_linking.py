@@ -2,7 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from brute_force import position_symbol_list
+from brute_force import (position_assoc, position_count, position_prefix_potential,
+                         position_standard_list, position_symbol_list)
 from hypothesis import example, given, settings, strategies as st
 
 from letterlink import (
@@ -65,6 +66,63 @@ class TestLists:
         # position 0 must not wrap round to the last letter, an 'a'
         with pytest.raises(InvalidArgument):
             List(parse_word("b a"), "a", {position: 1})
+
+    @pytest.mark.parametrize("position, message", [
+        (0, "position 0 outside 1..2"),
+        (3, "position 3 outside 1..2"),
+        (1, "position 1 carries 'b', not 'a'"),
+    ])
+    def test_a_refused_position_is_named(self, position, message):
+        with pytest.raises(InvalidArgument) as info:
+            List(parse_word("b a"), "a", {position: 1})
+        assert str(info.value) == message
+
+
+def _outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def words_with_inverses(draw):
+    """Words over a, b, c with at least one inverse letter."""
+    letters = draw(st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from((1, -1))),
+                            min_size=1, max_size=12))
+    i = draw(st.integers(0, len(letters) - 1))
+    letters[i] = (letters[i][0], -1)
+    return Word(tuple(Letter(g, e) for g, e in letters))
+
+
+class TestListsAgainstThePositionReaders:
+    """Lists, counts and potentials read ``word.letters`` in place; the
+    oracles read every position through ``Word.letter_at``."""
+
+    @given(words_with_inverses(), st.sampled_from("abc"), st.data())
+    @settings(deadline=None, max_examples=200)
+    def test_lists_counts_and_potentials(self, w, gen, data):
+        positions = [j for j, l in enumerate(w.letters, 1) if l.gen == gen]
+        assoc = {j: data.draw(st.integers(-2, 2)) for j in positions}
+        lst = List(w, gen, assoc)
+        assert lst.assoc == position_assoc(w, gen, assoc)
+        assert count(lst) == position_count(lst)
+        assert standard_list(w, gen) == position_standard_list(w, gen)
+        assert (_outcome(prefix_potential, lst)
+                == _outcome(position_prefix_potential, lst))
+        if positions:   # the same list with its count moved off the last position
+            last = positions[-1]
+            assoc[last] -= count(lst) * w.letters[last - 1].sign
+            zero = List(w, gen, assoc)
+            assert prefix_potential(zero) == position_prefix_potential(zero)
+
+    @given(words_with_inverses(), st.sampled_from("abc"),
+           st.dictionaries(st.integers(-1, 14), st.integers(-2, 2), max_size=4))
+    @settings(deadline=None, max_examples=200)
+    def test_any_positions_are_kept_or_refused_alike(self, w, gen, assoc):
+        assert (_outcome(lambda: List(w, gen, assoc).assoc)
+                == _outcome(position_assoc, w, gen, assoc))
 
 
 class TestPrefixPotential:

@@ -2,8 +2,9 @@ import random
 import re
 
 import pytest
-from brute_force import token_parse_compact
-from hypothesis import given, settings, strategies as st
+from brute_force import (commutator_expansion, letterwise_inverse, split_bracketings,
+                         token_parse_compact)
+from hypothesis import assume, given, settings, strategies as st
 
 from letterlink import (
     InvalidArgument,
@@ -335,6 +336,12 @@ class TestProperties:
     def test_invert_involution(self, w):
         assert invert(invert(w)) == w
 
+    @given(words_strategy)
+    @settings(deadline=None)
+    def test_inverse_equals_the_letterwise_inverse(self, w):
+        assume(any(l.sign < 0 for l in w))
+        assert w.inverse() == letterwise_inverse(w)
+
     @given(words_strategy, words_strategy)
     @settings(deadline=None)
     def test_relabel_commutes(self, u, v):
@@ -357,6 +364,17 @@ class TestGammaElements:
     def test_depth_two_shape(self):
         # [[a,b],c] is itself an acceptable depth-2 element
         assert expand_bracket((("a", "b"), "c")) == parse_word("[[a,b],c]")
+
+    @pytest.mark.parametrize("labels", ["", "a", "ab", "abc", "aab", "abcd", "abab", "abcde",
+                                        "aabbc", "abcdef"])
+    def test_all_bracketings_equals_bracketing_each_split_afresh(self, labels):
+        assert all_bracketings(tuple(labels)) == split_bracketings(tuple(labels))
+
+    @given(st.integers(1, 7), st.randoms(use_true_random=False))
+    @settings(deadline=None, max_examples=60)
+    def test_expand_bracket_equals_commutators_of_words(self, weight, rng):
+        shape = words.random_bracket(weight, ["a", "b", "c"], rng)
+        assert expand_bracket(shape) == commutator_expansion(shape)
 
     def test_all_bracketings_counts(self):
         assert len(all_bracketings(("x1",))) == 1
