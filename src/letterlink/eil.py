@@ -52,8 +52,8 @@ from .errors import (
     TooLarge,
     UndefinedReduction,
 )
-from .lie import (BracketTree, _multidegree_key, lyndon_trees_of_multidegree,
-                  pairing_matrix)
+from .lie import (BracketTree, _multidegree_key, _root_at_zero,
+                  lyndon_trees_of_multidegree, pairing_matrix)
 from .linalg import Elimination, back_substitute, eliminate
 from .linking import eval_symbol_sum
 from .symbols import FormalSum, Symbol, SymbolSum, _read_symbol
@@ -103,10 +103,7 @@ class SymbolGraph:
         return adj
 
     def validate(self, ambient: bool = False) -> None:
-        self._validate(self.labels, ambient)
-
-    def _validate(self, labels: dict[str, Symbol], ambient: bool = False) -> None:
-        """``validate`` given this graph's ``labels``."""
+        labels = self.labels
         if not labels:
             raise NotATree("graph has no vertices")
         for t, h in self.edges:
@@ -359,20 +356,27 @@ def eval_graph(g: SymbolGraph, w: Word) -> Fraction:
 # --- canonical forms -----------------------------------------------------
 
 
-def _rooted_encodings(g: SymbolGraph) -> dict[str, str]:
-    """The encoding of ``g`` rooted at each vertex."""
-    labels = {v: sym.canonical() for v, sym in g.vertices}
-    adj = g.adjacency()
-
-    memo: dict[tuple[str, str | None], str] = {}   # one per directed edge
-
-    def enc(v: str, parent: str | None) -> str:
-        if (v, parent) not in memo:
-            parts = sorted(enc(u, v) for u in adj[v] if u != parent)
-            memo[v, parent] = "(" + labels[v] + "|" + "".join(parts) + ")"
-        return memo[v, parent]
-
-    return {v: enc(v, None) for v in labels}
+def _rooted_encodings(labels, adj: list[list[int]]) -> list[str]:
+    """The encoding ``(label|children...)``, children's encodings sorted, of
+    the tree with ``labels`` and adjacency lists ``adj`` over vertex
+    positions, rooted at each vertex.  One pass up a breadth-first order
+    encodes the subtree below each vertex; one pass down encodes, for each
+    vertex, the rest of the tree as seen from it."""
+    n = len(adj)
+    parent, order = _root_at_zero(adj)
+    below, above, rooted = [""] * n, [""] * n, [""] * n
+    for v in reversed(order):
+        parts = sorted(below[u] for u in adj[v] if u != parent[v])
+        below[v] = f"({labels[v]}|{''.join(parts)})"
+    for v in order:
+        parts = sorted(above[v] if u == parent[v] else below[u] for u in adj[v])
+        rooted[v] = f"({labels[v]}|{''.join(parts)})"
+        for u in adj[v]:
+            if u != parent[v]:   # the tree rooted at v, without u's subtree
+                rest = parts.copy()
+                rest.remove(below[u])
+                above[u] = f"({labels[v]}|{''.join(rest)})"
+    return rooted
 
 
 def canonical_form(g: SymbolGraph) -> tuple[str, int, SymbolGraph]:
@@ -381,7 +385,12 @@ def canonical_form(g: SymbolGraph) -> tuple[str, int, SymbolGraph]:
     The encoding ignores orientation; the sign records how many edges had
     to be flipped to reach the canonical orientation.
     """
-    rooted = _rooted_encodings(g)
+    ids = g.ids()
+    index = {v: i for i, v in enumerate(ids)}
+    adj = g.adjacency()
+    rooted = dict(zip(ids, _rooted_encodings(
+        [sym.canonical() for _, sym in g.vertices],
+        [[index[u] for u in adj[v]] for v in ids])))
     encoding = min(rooted.values())
     sign = 1
     new_edges = []
@@ -442,38 +451,15 @@ def _prufer_trees(k: int):
         yield _prufer_decode(k, seq)
 
 
-def _centre_key(letters: tuple[int, ...], adj: list[list[int]]) -> str:
-    """AHU encoding of a letter-labeled tree rooted at its centre (the
-    smaller encoding of the two, for a bicentral tree)."""
-    n = len(letters)
-    degree = [len(ns) for ns in adj]
-    layer = [v for v in range(n) if degree[v] <= 1]
-    left = n
-    while left > 2:
-        left -= len(layer)
-        nxt = []
-        for v in layer:
-            for u in adj[v]:
-                degree[u] -= 1
-                if degree[u] == 1:
-                    nxt.append(u)
-        layer = nxt
-
-    def enc(v: int, parent: int) -> str:
-        parts = sorted(enc(u, v) for u in adj[v] if u != parent)
-        return f"({letters[v]}{''.join(parts)})"
-
-    return min(enc(c, -1) for c in layer)
-
-
 def _distinct_vertex_classes(counts: list[int]):
     """One letter-labeled tree per isomorphism class of trees with
     ``counts[i]`` vertices of letter i and no edge joining equal letters.
 
     Grown one leaf at a time: removing a leaf from such a tree leaves such a
     tree with one vertex fewer, so attaching every admissible leaf to one
-    tree of each smaller class reaches every class; each level keeps one
-    tree per centre-rooted AHU key.  Trees are (letters, adjacency lists).
+    tree of each smaller class reaches every class; each level keeps the
+    first tree of each class, keyed by its least rooted encoding.  Trees
+    are (letters, adjacency lists).
     """
     level = [((x,), [[]]) for x, c in enumerate(counts) if c]
     for n in range(1, sum(counts)):
@@ -488,7 +474,7 @@ def _distinct_vertex_classes(counts: list[int]):
                     new_adj = [list(ns) for ns in adj] + [[u]]
                     new_adj[u].append(n)
                     new_letters = letters + (x,)
-                    grown.setdefault(_centre_key(new_letters, new_adj),
+                    grown.setdefault(min(_rooted_encodings(new_letters, new_adj)),
                                      (new_letters, new_adj))
         level = list(grown.values())
     return level

@@ -63,9 +63,17 @@ class BracketTree:
         return out
 
     def __str__(self) -> str:
-        if self.is_leaf():
-            return self.letter
-        return f"[{self.left},{self.right}]"
+        out, stack = [], [self]
+        while stack:   # a tree or the text to print next
+            node = stack.pop()
+            if type(node) is str:
+                out.append(node)
+            elif node.is_leaf():
+                out.append(node.letter)
+            else:
+                out.append("[")
+                stack += "]", node.right, ",", node.left
+        return "".join(out)
 
 
 def bracket_tree(expr) -> BracketTree:
@@ -193,17 +201,24 @@ def lyndon_words(length: int, alphabet: list[str],
 
 def standard_bracketing(word: tuple, names: list[str] | None = None) -> BracketTree:
     """Right standard bracketing of a Lyndon word, whose letters compare as
-    they are or, given ``names``, are positions in ``names`` naming leaves."""
-    if len(word) == 1:
-        return BracketTree.leaf(word[0] if names is None else names[word[0]])
-    best = None
-    for i in range(1, len(word)):
-        suffix = word[i:]
-        if best is None or suffix < best[0]:
-            best = (suffix, i)
-    suffix, i = best
-    return BracketTree.pair(standard_bracketing(word[:i], names),
-                            standard_bracketing(suffix, names))
+    they are or, given ``names``, are positions in ``names`` naming leaves.
+
+    Read right to left, keeping the Lyndon factorization of the suffix read
+    so far, each factor with its bracketing: a new letter starts a factor,
+    which absorbs the next one while it is smaller.  The factors never
+    increase, so a factor u absorbs v only when u is a letter or the right
+    part of u's own standard factorization is at least v; then (u, v) is the
+    standard factorization of uv, which is bracketed as their pair."""
+    stack: list[tuple[tuple, BracketTree]] = []   # the first factor last
+    for letter in reversed(word):
+        factor = (letter,)
+        tree = BracketTree.leaf(letter if names is None else names[letter])
+        while stack and factor < stack[-1][0]:
+            right, right_tree = stack.pop()
+            factor += right
+            tree = BracketTree.pair(tree, right_tree)
+        stack.append((factor, tree))
+    return stack[-1][1]
 
 
 def lyndon_basis(weight: int, alphabet: Iterable[str],
@@ -306,13 +321,7 @@ def _graph_row(graph, roots, split, content, unit_of) -> list[int]:
     for t, h in edges:
         adj[t].append(h)
         adj[h].append(t)
-    parent = [-1] * n
-    order = [0]
-    for v in order:
-        for u in adj[v]:
-            if u != parent[v]:
-                parent[u] = v
-                order.append(u)
+    parent, order = _root_at_zero(adj)
     below = [1 << v for v in range(n)]
     for v in reversed(order):
         if v:
@@ -361,6 +370,20 @@ def _graph_row(graph, roots, split, content, unit_of) -> list[int]:
 
     whole = sum(units)
     return [value(full, r) if content[r] == whole else 0 for r in roots]
+
+
+def _root_at_zero(adj: list[list[int]]) -> tuple[list[int], list[int]]:
+    """The parent of each vertex (-1 at vertex 0) of the tree with adjacency
+    lists ``adj`` over vertex positions, rooted at vertex 0, and its
+    vertices in a breadth-first order from there."""
+    parent = [-1] * len(adj)
+    order = [0]
+    for v in order:
+        for u in adj[v]:
+            if u != parent[v]:
+                parent[u] = v
+                order.append(u)
+    return parent, order
 
 
 def configuration_pairing(graph, tree: BracketTree) -> int:

@@ -3,21 +3,22 @@ and fox.
 
 These are the straightforward definitions: read word text one token at a
 time, read lists, counts and potentials a word position at a time,
-invert a word a letter at a time, expand and list bracket shapes by
-plain recursion, evaluate a symbol by prefix potentials
-kept as maps over every word position, scan every Prufer code and canonicalize each admissible tree, sum
-the pairing over every label-preserving bijection, eliminate over Fraction,
-tabulate every Magnus coefficient up to the weight, list every Lyndon word
-of a length by Duval's generation, and free-reduce every group-ring key as
-soon as it is made.  The tests check the library's fast paths against
-them.
+invert a word a letter at a time, expand, list and standard-bracket
+bracket shapes by plain recursion, evaluate a symbol by prefix potentials
+kept as maps over every word position, encode a tree rooted at each vertex
+by recursion over it, scan every Prufer code and canonicalize each
+admissible tree, sum the pairing over every label-preserving bijection,
+eliminate over Fraction, tabulate every Magnus coefficient up to the
+weight, list every Lyndon word of a length by Duval's generation, and
+free-reduce every group-ring key as soon as it is made.  The tests check
+the library's fast paths against them.
 """
 
 from fractions import Fraction
 from itertools import permutations, product
 
 from letterlink import lie
-from letterlink.eil import SymbolGraph, _prufer_trees, canonical_form
+from letterlink.eil import SymbolGraph, _prufer_trees
 from letterlink.errors import (InconsistentSystem, InvalidArgument, NonzeroCount,
                                NotInGamma, TooLarge, UndefinedInvariant,
                                UnknownGenerator)
@@ -138,6 +139,17 @@ def letterwise_inverse(w):
     return Word(tuple(l.inverse() for l in reversed(w.letters)))
 
 
+def recursive_standard_bracketing(word, names=None):
+    """Right standard bracketing of a Lyndon word: split off its smallest
+    proper suffix and bracket both parts afresh.  Letters compare as they
+    are or, given ``names``, are positions in ``names`` naming leaves."""
+    if len(word) == 1:
+        return lie.BracketTree.leaf(word[0] if names is None else names[word[0]])
+    i = min(range(1, len(word)), key=lambda i: word[i:])
+    return lie.BracketTree.pair(recursive_standard_bracketing(word[:i], names),
+                                recursive_standard_bracketing(word[i:], names))
+
+
 def commutator_expansion(expr):
     """The word of a bracket shape, a ``words.commutator`` of words at each
     pair."""
@@ -186,6 +198,65 @@ def position_symbol_list(sym, w):
     return List(w, sym.letter, assoc)
 
 
+# --- canonical forms by recursive AHU encoding ------------------------------
+
+
+def memo_rooted_encodings(g):
+    """The encoding of ``g`` rooted at each vertex, by recursion over the
+    tree with one memo entry per directed edge."""
+    labels = {v: sym.canonical() for v, sym in g.vertices}
+    adj = g.adjacency()
+    memo = {}
+
+    def enc(v, parent):
+        if (v, parent) not in memo:
+            parts = sorted(enc(u, v) for u in adj[v] if u != parent)
+            memo[v, parent] = "(" + labels[v] + "|" + "".join(parts) + ")"
+        return memo[v, parent]
+
+    return {v: enc(v, None) for v in labels}
+
+
+def memo_canonical_form(g):
+    """``eil.canonical_form`` from ``memo_rooted_encodings``: each edge
+    turned to run from the smaller rooted encoding to the larger, the sign
+    flipped once per edge turned."""
+    rooted = memo_rooted_encodings(g)
+    sign = 1
+    edges = []
+    for t, h in g.edges:
+        if rooted[t] > rooted[h]:
+            sign = -sign
+            t, h = h, t
+        edges.append((t, h))
+    return min(rooted.values()), sign, SymbolGraph(g.vertices, tuple(edges))
+
+
+def centre_key(letters, adj):
+    """AHU encoding of a letter-labeled tree, given by its letters and
+    adjacency lists over vertex positions, rooted at its centre (the
+    smaller encoding of the two, for a bicentral tree)."""
+    n = len(letters)
+    degree = [len(ns) for ns in adj]
+    layer = [v for v in range(n) if degree[v] <= 1]
+    left = n
+    while left > 2:
+        left -= len(layer)
+        nxt = []
+        for v in layer:
+            for u in adj[v]:
+                degree[u] -= 1
+                if degree[u] == 1:
+                    nxt.append(u)
+        layer = nxt
+
+    def enc(v, parent):
+        parts = sorted(enc(u, v) for u in adj[v] if u != parent)
+        return f"({letters[v]}{''.join(parts)})"
+
+    return min(enc(c, -1) for c in layer)
+
+
 # --- distinct-vertex graphs by the Prufer scan -------------------------------
 
 
@@ -205,7 +276,7 @@ def prufer_scan_graphs(multidegree):
         g = SymbolGraph.build(
             vertices, [(f"v{a + 1}", f"v{b + 1}") for a, b in edges]
         )
-        enc, _, rep = canonical_form(g)
+        enc, _, rep = memo_canonical_form(g)
         seen.setdefault(enc, rep)
     return [seen[enc] for enc in sorted(seen)]
 

@@ -178,8 +178,7 @@ class TestGraphCommands:
         bracket = letterlink.lie.standard_bracketing
 
         def spy(word, names=None):
-            if len(word) == 10:   # not the recursive calls on its factors
-                bracketed.append(word)
+            bracketed.append(word)
             return bracket(word, names)
 
         monkeypatch.setattr(letterlink.lie, "standard_bracketing", spy)
@@ -187,6 +186,29 @@ class TestGraphCommands:
                            "--gens", "a,b,c,d", "--multidegree", "1,1,1,7")
         assert code == 0 and len(out.splitlines()) == 72
         assert len(bracketed) == 72
+
+    @pytest.mark.parametrize("weight", [400, 1500])
+    def test_basis_deeper_than_the_recursion_limit(self, capsys, weight):
+        code, out, _ = run(capsys, "basis", "--weight", str(weight),
+                           "--gens", "a,b", "--multidegree", f"{weight - 1},1")
+        depth = weight - 1
+        assert (code, out) == (0, "[a," * depth + "b" + "]" * depth + "\n")
+
+    @pytest.mark.parametrize("graph", [
+        # a path of 1500 vertices
+        "{" + ", ".join(f"v{i + 1}:{'ab'[i % 2]}" for i in range(1500)) + "; "
+        + ", ".join(f"v{i + 1}->v{i + 2}" for i in range(1499)) + "}",
+        # a star of 2000 leaves
+        "{" + ", ".join(f"v{i + 1}:b" for i in range(2000)) + ", v2001:a; "
+        + ", ".join(f"v{i + 1}->v2001" for i in range(2000)) + "}",
+    ], ids=["path", "star"])
+    @pytest.mark.parametrize("form", ["{}", "{} - {}"],
+                             ids=["alone", "difference"])
+    def test_pair_graphsum_deeper_than_the_recursion_limit(self, capsys, graph,
+                                                           form):
+        code, out, _ = run(capsys, "pair", "--graphsum",
+                           form.format(graph, graph), "--lie", "a")
+        assert (code, out) == (0, "0\n")
 
     def test_coords(self, capsys):
         code, out, _ = run(capsys, "coords", "--word", "a b a^-1 b^-1",

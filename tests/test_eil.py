@@ -6,7 +6,9 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from brute_force import fraction_rank, prufer_scan_graphs
+from brute_force import (centre_key, fraction_rank, memo_canonical_form,
+                         prufer_scan_graphs)
+from hypothesis import given, settings, strategies as st
 
 from letterlink import (
     GraphSum,
@@ -33,7 +35,8 @@ from letterlink import (
     reduce_full,
 )
 from letterlink import eil
-from letterlink.eil import SymbolGraph, _prufer_trees, canonical_form, dual_graphs
+from letterlink.eil import (SymbolGraph, _prufer_decode, _prufer_trees,
+                            _rooted_encodings, canonical_form, dual_graphs)
 from letterlink.lie import lyndon_trees_of_multidegree
 from letterlink.cli import main
 from letterlink.words import NESTING_LIMIT
@@ -232,6 +235,72 @@ class TestCanonical:
         g = parse_graph("{v1:a, v2:b; v2->v1}")
         enc, sign, rep = canonical_form(g)
         assert canonicalize(rep) == (enc, 1)
+
+
+def draw_tree(data, n, labels):
+    """Labels and oriented edges over 0..n-1 of a random Prufer tree, path,
+    star or caterpillar with its vertices shuffled; equal labels may meet
+    at an edge."""
+    shape = data.draw(st.sampled_from(["prufer", "path", "star", "caterpillar"]))
+    if shape == "prufer":
+        code = data.draw(st.lists(st.integers(0, n - 1), min_size=max(n - 2, 0),
+                                  max_size=max(n - 2, 0)))
+        edges = _prufer_decode(n, code) if n > 1 else []
+    elif shape == "path":
+        edges = [(i, i + 1) for i in range(n - 1)]
+    elif shape == "star":
+        edges = [(0, i) for i in range(1, n)]
+    else:
+        spine = data.draw(st.integers(1, n))
+        edges = [(i, i + 1) for i in range(spine - 1)] + [
+            (data.draw(st.integers(0, spine - 1)), i) for i in range(spine, n)]
+    place = data.draw(st.permutations(range(n)))
+    edges = [(place[a], place[b]) if data.draw(st.booleans())
+             else (place[b], place[a]) for a, b in edges]
+    return data.draw(st.lists(st.sampled_from(labels), min_size=n,
+                              max_size=n)), edges
+
+
+def adjacency(n, edges):
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    return adj
+
+
+class TestEncoderOracle:
+    """The breadth-first encoder against the recursive AHU encoders."""
+
+    @given(data=st.data())
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    def test_canonical_form_is_the_recursive_one(self, data):
+        n = data.draw(st.integers(1, 14))
+        labels, edges = draw_tree(data, n, ["a", "b", "ab", "ba", "(a)b",
+                                            "(b)a", "((a)b)a", "(a)(c)b"])
+        g = SymbolGraph(
+            tuple((f"v{i + 1}", parse_symbol(l)) for i, l in enumerate(labels)),
+            tuple((f"v{a + 1}", f"v{b + 1}") for a, b in edges))
+        encoding, sign, rep = canonical_form(g)
+        oracle, oracle_sign, oracle_rep = memo_canonical_form(g)
+        assert (encoding, sign, str(rep)) == (oracle, oracle_sign, str(oracle_rep))
+
+    @given(data=st.data())
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    def test_least_encodings_part_trees_as_the_centre_key(self, data):
+        trees = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            n = data.draw(st.integers(1, 6))
+            letters, edges = draw_tree(data, n, [0, 1, 2])
+            place = data.draw(st.permutations(range(n)))   # an isomorphic copy
+            trees += [(letters, adjacency(n, edges)),
+                      ([letters[place.index(v)] for v in range(n)],
+                       adjacency(n, [(place[a], place[b]) for a, b in edges]))]
+        keys = [min(_rooted_encodings(*t)) for t in trees]
+        centres = [centre_key(*t) for t in trees]
+        for i in range(len(trees)):
+            for j in range(i + 1):
+                assert (keys[i] == keys[j]) == (centres[i] == centres[j])
 
 
 class TestEnumerate:

@@ -6,7 +6,8 @@ from itertools import product
 import pytest
 from brute_force import (bijection_sum_pairing, duval_lyndon_words,
                          fraction_rank, fraction_solve,
-                         full_table_lie_coordinates)
+                         full_table_lie_coordinates,
+                         recursive_standard_bracketing)
 from hypothesis import given, settings, strategies as st
 
 from letterlink import (
@@ -312,6 +313,18 @@ class TestBracketingOrder:
             assert all([rank[g] for g in u] >= own
                        for u, c in poly.items() if c)
             assert squares(tree) == 0
+
+    @pytest.mark.parametrize("alphabet", [["a", "b"], ["b", "a"],
+                                          ["a", "b", "c"], ["c", "a", "b"]])
+    def test_the_bracketing_is_the_recursive_one(self, alphabet):
+        for length in range(1, 12 - len(alphabet)):
+            for word in lyndon_words(length, alphabet):
+                positions = tuple(map(alphabet.index, word))
+                assert (standard_bracketing(positions, alphabet)
+                        == recursive_standard_bracketing(positions, alphabet))
+                if alphabet == sorted(alphabet):
+                    assert (standard_bracketing(word)
+                            == recursive_standard_bracketing(word))
 
     def test_the_multidegree_trees_are_those_of_the_basis(self):
         content = {"c": 2, "a": 1, "b": 1}
