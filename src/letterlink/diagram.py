@@ -2,11 +2,11 @@
 
 Each non-leaf step of a symbol shows the word with the step's resulting
 multiplicities above the marked letter and the cobounding arrows of each
-child list below.  The steps are read from the trace of
-`linking.Evaluator`, the evaluator behind every invariant value.  The
-displayed cobounding pairs occurrences like balanced delimiters
-(left-to-right stack); values are computed with prefix potentials, so the
-choice is purely presentational.
+child list below.  The steps are the non-leaf nodes of
+``Symbol.postorder``, and their lists are read from `linking.Evaluator`,
+the evaluator behind every invariant value.  The displayed cobounding pairs
+occurrences like balanced delimiters (left-to-right stack); values are
+computed with prefix potentials, so the choice is purely presentational.
 """
 
 from __future__ import annotations
@@ -37,34 +37,29 @@ def canonical_cobounding(positions: list[int], signs: list[int],
 
 
 def render_diagram(w: Word, sym: Symbol) -> tuple[str, int | None, UndefinedInvariant | None]:
-    """Render all evaluation levels from the evaluator's trace; on an
-    undefined invariant the diagram is still produced up to the failing
-    level."""
+    """Render every non-leaf node of the symbol in post-order, or the root
+    if it is a leaf; on an undefined invariant the diagram is still
+    produced up to the sub-symbol that `Evaluator` names."""
     ev = Evaluator(w)
-    trace: list = []
     failure: UndefinedInvariant | None = None
     value: int | None = None
     try:
-        final = ev.values(sym, trace)
-        if not sym.children:
-            trace.append((sym, final, []))
         value = ev.value(sym)
     except UndefinedInvariant as exc:
         failure = exc
 
-    lines: list[str] = []
-    if len(w) == 0:
-        lines.append("(empty word)")
-    for node, values, child_values in trace:
-        coboundings = [canonical_cobounding(*ev.occurrences(child.letter), vals)
-                       for child, vals in zip(node.children, child_values)]
-        lines.extend(_render_block(w, node, ev.occurrences(node.letter)[0],
-                                   values, coboundings))
-        lines.append("")
-    if failure is not None:
-        lines.append(str(failure))
-    else:
-        lines.append(f"count = {value}")
+    lines = [] if len(w) else ["(empty word)"]
+    for node in sym.postorder():
+        if node.children or node is sym:
+            coboundings = [canonical_cobounding(*ev.occurrences(child.letter),
+                                                ev.values(child))
+                           for child in node.children]
+            lines.extend(_render_block(w, node, ev.occurrences(node.letter)[0],
+                                       ev.values(node), coboundings))
+            lines.append("")
+        if failure is not None and node is failure.subsymbol:
+            break
+    lines.append(f"count = {value}" if failure is None else str(failure))
     return "\n".join(lines), value, failure
 
 

@@ -148,8 +148,8 @@ class SymbolGraph:
     def multidegree(self) -> dict[str, int]:
         out: dict[str, int] = {}
         for _, sym in self.vertices:
-            for letter in sym.letters():
-                out[letter] = out.get(letter, 0) + 1
+            for node in sym.postorder():
+                out[node.letter] = out.get(node.letter, 0) + 1
         return out
 
     def __str__(self) -> str:
@@ -325,27 +325,20 @@ def default_order(g: SymbolGraph) -> list[str]:
 
 
 def graph_of_symbol(sym: Symbol) -> tuple[SymbolGraph, list[str]]:
-    """The letter-labeled graph encoding the containment poset, with a
-    containment-compatible order reducing back to +1 times the symbol."""
+    """The letter-labeled graph encoding the containment poset, its vertices
+    numbered in post-order, and the order reducing back to +1 times the
+    symbol: every vertex but the root, which is last."""
     vertices: dict[str, Symbol] = {}
     edges: list[tuple[str, str]] = []
-    postorder: list[str] = []
-    counter = [0]
 
-    def visit(node: Symbol) -> str:
-        counter[0] += 1
-        vid = f"v{counter[0]}"
+    def make(node: Symbol, child_ids: list[str]) -> str:
+        vid = f"v{len(vertices) + 1}"
         vertices[vid] = Symbol(node.letter)
-        for child in node.children:
-            cid = visit(child)
-            edges.append((cid, vid))
-            # child ids already appended post-order inside visit
-        postorder.append(vid)
+        edges.extend((cid, vid) for cid in child_ids)
         return vid
 
-    root_id = visit(sym)
-    order = [v for v in postorder if v != root_id]
-    return SymbolGraph.build(vertices, edges), order
+    sym.fold(make)
+    return SymbolGraph.build(vertices, edges), list(vertices)[:-1]
 
 
 def eval_graph(g: SymbolGraph, w: Word) -> Fraction:

@@ -199,9 +199,9 @@ def lyndon_words(length: int, alphabet: list[str],
         j = w[t] + 1
 
 
-def standard_bracketing(word: tuple, names: list[str] | None = None) -> BracketTree:
-    """Right standard bracketing of a Lyndon word, whose letters compare as
-    they are or, given ``names``, are positions in ``names`` naming leaves.
+def standard_bracketing(word: tuple[int, ...], names: list[str]) -> BracketTree:
+    """Right standard bracketing of a Lyndon word of positions in ``names``,
+    which name the leaves.
 
     Read right to left, keeping the Lyndon factorization of the suffix read
     so far, each factor with its bracketing: a new letter starts a factor,
@@ -212,7 +212,7 @@ def standard_bracketing(word: tuple, names: list[str] | None = None) -> BracketT
     stack: list[tuple[tuple, BracketTree]] = []   # the first factor last
     for letter in reversed(word):
         factor = (letter,)
-        tree = BracketTree.leaf(letter if names is None else names[letter])
+        tree = BracketTree.leaf(names[letter])
         while stack and factor < stack[-1][0]:
             right, right_tree = stack.pop()
             factor += right
@@ -438,10 +438,11 @@ def bracket_polynomial(tree: BracketTree) -> dict[tuple[str, ...], int]:
 MAGNUS_TERM_LIMIT = 1 << 20
 
 
-def _to_lyndon(residual: dict[tuple[str, ...], int]) -> LieElement:
+def _to_lyndon(residual: dict[tuple[str, ...], int],
+               alphabet: list[str]) -> LieElement:
     """Lyndon coordinates of a homogeneous Lie polynomial, from its word
-    coefficients on the Lyndon words of its weight, which ``residual`` maps
-    in lexicographic order (and which it uses up).
+    coefficients on the Lyndon words of its weight over the sorted
+    ``alphabet``, which ``residual`` maps in lexicographic order (and uses up).
 
     The standard bracketing of a Lyndon word l has coefficient 1 on l and 0
     on smaller words (Reutenauer, *Free Lie Algebras*, Thm 5.1): the
@@ -451,7 +452,7 @@ def _to_lyndon(residual: dict[tuple[str, ...], int]) -> LieElement:
     out = {}
     for l, c in residual.items():  # each value is final when it is reached
         if c:
-            tree = standard_bracketing(l)
+            tree = standard_bracketing(tuple(map(alphabet.index, l)), alphabet)
             out[tree] = c
             for u, cu in bracket_polynomial(tree).items():
                 if u in residual:
@@ -479,7 +480,7 @@ def lie_image_of_bracket_word(text: str) -> LieElement:
         raise TooLarge(f"{len(alphabet)}^{weight} words of weight {weight}")
     polys = [bracket_polynomial(t) for t in factors]
     return _to_lyndon({l: sum(p.get(l, 0) for p in polys)
-                       for l in lyndon_words(weight, alphabet)})
+                       for l in lyndon_words(weight, alphabet)}, alphabet)
 
 
 def lie_coordinates(w: Word, weight: int) -> LieElement:
@@ -506,7 +507,7 @@ def lie_coordinates(w: Word, weight: int) -> LieElement:
                     k = len(alphabet)
                     raise NotInGamma(tuple(alphabet[n // k ** e % k]
                                            for e in reversed(range(lower))))
-    return _to_lyndon({l: c[i] for l, i in top.items()})
+    return _to_lyndon({l: c[i] for l, i in top.items()}, alphabet)
 
 
 def _magnus_table(w: Word, alphabet: list[str], depth: int, weight: int):

@@ -15,21 +15,22 @@ diagrams, indexes its word once (each generator's occurrence positions and
 signs) and keeps each node's list as an int list over its letter's
 occurrences.  A child's potential is the running sum of the child's signed
 values, read at the parent's occurrences through the number of the child's
-occurrences before each (kept per pair of letters); lists are memoized per
-word by canonical sub-symbol, and potentials by sub-symbol and parent
-letter.  The interval-building oracle
-(`enumerate_coboundings` + `link_via_cobounding`) is kept for cross-checking.
+occurrences before each (kept per pair of letters).  Lists and counts are
+filled along ``Symbol.postorder`` and memoized per word by canonical
+sub-symbol, potentials by sub-symbol and parent letter.  The
+interval-building oracle (`enumerate_coboundings` + `link_via_cobounding`)
+is kept for cross-checking.
 
 `eval_symbol` and `eval_symbol_sum` also take a `words.CompactWord`.  One
 longer than ``LEAF_LETTERS`` letters is folded, not expanded: the signed
 placement counts of every pruning of every subtree of the symbols form a
 group homomorphism (Chen's identity for tree-ordered sums), so the counts
 of a product compose from its factors' counts, ``u^N`` takes O(log N)
-products, and `Evaluator` counts only the short leaves.  Definedness is
-then decided by one post-order walk over the folded counts.  The fold is
-refused with TooLarge when a count could pass ``words._DIGIT_LIMIT``
-digits; symbols with more than ``TERM_LIMIT`` product terms are evaluated
-on the expanded word instead.
+products, and `Evaluator` counts only the short leaves.  On either counts
+`_check_defined`, one loop over the post-order, names the first undefined
+sub-symbol.  The fold is refused with TooLarge when a count could pass
+``words._DIGIT_LIMIT`` digits; symbols with more than ``TERM_LIMIT``
+product terms are evaluated on the expanded word instead.
 """
 
 from __future__ import annotations
@@ -197,11 +198,11 @@ class Evaluator:
         # (child letter, parent letter) -> for each occurrence of the parent,
         # the number of occurrences of the child before it
         self._ranks: dict[tuple[str, str], list[int]] = {}
-        self._memo: dict[str, tuple[list[int], int]] = {}
+        self._memo: dict[str, list[int]] = {}
+        self._counts: dict[str, int] = {}
         # (key, parent letter) -> the key's potential, as `_potential` reads it
         self._potentials: dict[tuple[str, str], list[int]] = {}
-        # count of each key whose every proper sub-symbol has count zero;
-        # `placements` memoizes entries without that check
+        # count of each key that `_check_defined` has passed
         self._defined: dict[str, int] = {}
 
     def occurrences(self, gen: str) -> tuple[list[int], list[int]]:
@@ -213,24 +214,26 @@ class Evaluator:
             self._index[gen] = entry
         return entry
 
-    def values(self, sym: Symbol, trace: list | None = None) -> list[int]:
-        """The symbol list, aligned with ``occurrences(sym.letter)``.
-
-        Raises UndefinedInvariant naming the first (leftmost, innermost)
-        sub-symbol whose count is nonzero.  A ``trace`` list receives one
-        ``(node, values, child_values)`` entry per non-leaf visit, in
-        post-order, memo hits included.
-        """
-        return self._memo[self._visit(sym, trace)][0]
+    def values(self, sym: Symbol) -> list[int]:
+        """The symbol list, aligned with ``occurrences(sym.letter)``."""
+        self.value(sym)
+        return self._memo[sym.canonical()]
 
     def value(self, sym: Symbol) -> int:
-        """The letter-linking invariant: the count of the symbol list."""
-        return self._memo[self._visit(sym, None)][1]
+        """The letter-linking invariant: the count of the symbol list.
+        Raises UndefinedInvariant as `_check_defined` does; a symbol whose
+        invariant is known is one lookup in ``_defined``."""
+        key = sym.canonical()
+        out = self._defined.get(key)
+        if out is None:
+            self._visit(sym)
+            _check_defined(sym, self._counts)
+            out = self._defined[key] = self._counts[key]
+        return out
 
     def value_sum(self, terms: Iterable[tuple[object, Symbol]]) -> Fraction:
         """Sum of coeff * invariant; undefined if any term is.  Summed in
-        integers over the least common denominator of the coefficients.
-        A symbol whose invariant is known is one lookup in ``_defined``."""
+        integers over the least common denominator of the coefficients."""
         defined = self._defined
         num, den = 0, 1
         for coeff, sym in terms:
@@ -251,43 +254,26 @@ class Evaluator:
         """The signed count of placements of the symbol's nodes on letters,
         each child before its parent, whether or not the invariant is
         defined."""
-        return self._memo[self._visit(sym, None, False)][1]
+        self._visit(sym)
+        return self._counts[sym.canonical()]
 
-    def _visit(self, node: Symbol, trace: list | None, check: bool = True) -> str:
-        """Evaluate ``node`` unless memoized; return its canonical string.
-        Without a trace, a key that has passed a checked visit is a single
-        lookup."""
-        key = node.canonical()
-        if trace is None and key in self._defined:
-            return key
-        memo = self._memo
-        if not node.children:
-            if key not in memo:
-                positions, signs = self.occurrences(node.letter)
-                memo[key] = ([1] * len(positions), sum(signs))
-            self._defined[key] = memo[key][1]
-            return key
-        keys = []
-        for child in node.children:
-            k = self._visit(child, trace, check)
-            c = memo[k][1]
-            if c != 0 and check:
-                raise UndefinedInvariant(child, c)
-            keys.append(k)
-        entry = memo.get(key)
-        if entry is None:
-            values = None
-            for child, k in zip(node.children, keys):
-                potential = self._potential(k, child.letter, node.letter)
+    def _visit(self, sym: Symbol) -> None:
+        """Memoize the list and count of every node of ``sym`` not yet
+        memoized, in post-order."""
+        memo, counts = self._memo, self._counts
+        for node in sym.postorder():
+            key = node.canonical()
+            if key in memo:
+                continue
+            positions, signs = self.occurrences(node.letter)
+            values = None if node.children else [1] * len(positions)
+            for child in node.children:
+                potential = self._potential(child.canonical(), child.letter,
+                                            node.letter)
                 values = (potential if values is None
                           else list(map(mul, values, potential)))
-            signs = self.occurrences(node.letter)[1]
-            entry = memo[key] = (values, sum(map(mul, values, signs)))
-        if check:
-            self._defined[key] = entry[1]
-        if trace is not None:
-            trace.append((node, entry[0], [memo[k][0] for k in keys]))
-        return key
+            memo[key] = values
+            counts[key] = sum(map(mul, values, signs))
 
     def _potential(self, key: str, gen: str, parent: str) -> list[int]:
         """Prefix potential of the zero-count list of the memoized ``key``,
@@ -301,7 +287,7 @@ class Evaluator:
             if ranks is None:
                 ranks = self._ranks[gen, parent] = [
                     bisect_left(positions, p) for p in self.occurrences(parent)[0]]
-            running = list(accumulate(map(mul, self._memo[key][0], signs), initial=0))
+            running = list(accumulate(map(mul, self._memo[key], signs), initial=0))
             out = self._potentials[key, parent] = list(map(running.__getitem__, ranks))
         return out
 
@@ -325,19 +311,25 @@ class _Prunings:
         self.index = {"": 0}  # canonical string -> index
 
     def add(self, sym: Symbol) -> int:
-        key = sym.canonical()
-        i = self.index.get(key)
-        if i is not None:
-            return i
-        i = self.index[key] = len(self.symbols)
-        self.symbols.append(sym)
-        self.terms.append([])
-        self.size += _pruning_count(sym) + 1
-        if self.size > TERM_LIMIT:
-            raise TooLarge(f"more than {TERM_LIMIT} product terms")
-        self.terms[i] = [((i,), 0)] + [
-            (tuple(map(self.add, inside)), self.add(rest))
-            for inside, rest in _splits(sym)]
+        """The index of ``sym``; a new symbol is added with every subtree
+        and pruning that its terms name, each split once, in the order
+        they are first named."""
+        out = self._index(sym)
+        while len(self.terms) < len(self.symbols):
+            i = len(self.terms)
+            splits = _splits(self.symbols[i])
+            self.size += len(splits) + 1
+            if self.size > TERM_LIMIT:
+                raise TooLarge(f"more than {TERM_LIMIT} product terms")
+            self.terms.append([((i,), 0)] + [
+                (tuple(map(self._index, inside)), self._index(rest))
+                for inside, rest in splits])
+        return out
+
+    def _index(self, sym: Symbol) -> int:
+        i = self.index.setdefault(sym.canonical(), len(self.symbols))
+        if i == len(self.symbols):
+            self.symbols.append(sym)
         return i
 
     def multiply(self, x: list[int], y: list[int]) -> list[int]:
@@ -366,21 +358,18 @@ class _Prunings:
             x = self.multiply(x, x)
 
 
-def _pruning_count(sym: Symbol) -> int:
-    """Prunings of ``sym`` that keep its root."""
-    out = 1
-    for child in sym.children:
-        out *= 1 + _pruning_count(child)
-    return out
-
-
 def _splits(sym: Symbol) -> list[tuple[tuple[Symbol, ...], Symbol]]:
     """(maximal subtrees of D, ``sym`` minus D) for each set D of nodes that
-    is closed under taking children and misses the root."""
-    options = [[((c,), None)] + _splits(c) for c in sym.children]
-    return [(tuple(chain.from_iterable(inside for inside, _ in combo)),
-             Symbol(sym.letter, tuple(rest for _, rest in combo if rest)))
-            for combo in product(*options)]
+    is closed under taking children and misses the root; there are as many
+    as prunings of ``sym`` that keep its root."""
+    def make(node: Symbol, below: list) -> list:
+        options = [[((c,), None)] + splits
+                   for c, splits in zip(node.children, below)]
+        return [(tuple(chain.from_iterable(inside for inside, _ in combo)),
+                 Symbol(node.letter, tuple(rest for _, rest in combo if rest)))
+                for combo in product(*options)]
+
+    return sym.fold(make)
 
 
 class _Fold:
@@ -398,17 +387,13 @@ class _Fold:
     def __init__(self, w: CompactWord, prunings: _Prunings):
         self._prunings = prunings
         self._memo: dict[tuple[int, bool], list[int]] = {}
-        self.counts = dict(zip(prunings.index, self._fold(w, False)))
+        self._counts = dict(zip(prunings.index, self._fold(w, False)))
         self._defined: dict[str, int] = {}   # as in Evaluator
 
-    def value(self, sym: Symbol) -> int:
-        key = sym.canonical()
-        if key not in self._defined:
-            _check_defined(sym, self.counts)
-            self._defined[key] = self.counts[key]
-        return self._defined[key]
+    value, value_sum = Evaluator.value, Evaluator.value_sum
 
-    value_sum = Evaluator.value_sum
+    def _visit(self, sym: Symbol) -> None:
+        """Every count is folded in advance."""
 
     def _fold(self, node: CompactWord, inverted: bool) -> list[int]:
         key = (id(node), inverted)
@@ -449,13 +434,23 @@ class _Fold:
 
 
 def _check_defined(sym: Symbol, counts: dict[str, int]) -> None:
-    """Raise UndefinedInvariant at the first sub-symbol, in post-order
+    """Raise UndefinedInvariant at the first proper sub-symbol, in post-order
     (leftmost, innermost), whose count is nonzero."""
-    for child in sym.children:
-        _check_defined(child, counts)
-        c = counts[child.canonical()]
-        if c != 0:
-            raise UndefinedInvariant(child, c)
+    for node in sym.postorder()[:-1]:
+        c = counts[node.canonical()]
+        if c:
+            raise UndefinedInvariant(node, c)
+
+
+def _term_floor(syms: list[Symbol]) -> int:
+    """Each distinct subtree's prunings that keep its root, plus one, summed:
+    a lower bound of the size of `_Prunings` on ``syms``, which adds every
+    subtree, known before any split is built."""
+    kept: dict[str, int] = {}
+    for node in chain.from_iterable(sym.postorder() for sym in syms):
+        kept[node.canonical()] = reduce(
+            mul, [1 + kept[c.canonical()] for c in node.children], 1)
+    return sum(kept.values()) + len(kept)
 
 
 def _evaluator(w: Word | CompactWord, syms: list[Symbol]) -> Evaluator | _Fold:
@@ -464,7 +459,8 @@ def _evaluator(w: Word | CompactWord, syms: list[Symbol]) -> Evaluator | _Fold:
     prunings than ``TERM_LIMIT`` allows."""
     if isinstance(w, Word):
         return Evaluator(w)
-    if w.kind == "run" or w.length <= LEAF_LETTERS:
+    if (w.kind == "run" or w.length <= LEAF_LETTERS
+            or _term_floor(syms) > TERM_LIMIT):
         return Evaluator(w.expand())
     prunings = _Prunings()
     try:

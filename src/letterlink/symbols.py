@@ -41,28 +41,44 @@ class Symbol:
 
     @property
     def depth(self) -> int:
-        return sum(1 + c.depth for c in self.children)
+        return self.node_count() - 1
 
     def node_count(self) -> int:
-        return 1 + sum(c.node_count() for c in self.children)
+        return len(self.postorder())
 
-    def letters(self) -> list[str]:
-        out = [self.letter]
-        for c in self.children:
-            out.extend(c.letters())
-        return out
+    def postorder(self) -> list["Symbol"]:
+        """Every node, children left to right, each before its parent: the
+        one walk over a symbol.  Kept in the instance ``__dict__``, as the
+        canonical string is."""
+        if "_postorder" not in self.__dict__:
+            out, stack = [], [self]
+            while stack:  # the root, then each subtree last child first
+                out.append(stack.pop())
+                stack.extend(out[-1].children)
+            self.__dict__["_postorder"] = out[::-1]
+        return self.__dict__["_postorder"]
+
+    def fold(self, make):
+        """``make(node, results)`` at every node in post-order, ``results``
+        being those of its children in order; the root's result."""
+        stack: list = []
+        for node in self.postorder():
+            cut = len(stack) - len(node.children)
+            stack[cut:] = [make(node, stack[cut:])]
+        return stack[0]
 
     def canonical(self) -> str:
         """Canonical string: children sorted by encoding, free letter last.
-
-        Computed once per object and kept in the instance ``__dict__``,
-        outside the dataclass fields, so equality, hashing and repr do not
-        see it.
-        """
+        Computed once per node and kept in the instance ``__dict__``, outside
+        the dataclass fields, so equality, hashing and repr do not see it."""
         out = self.__dict__.get("_canonical")
         if out is None:
-            parts = sorted(f"({c.canonical()})" for c in self.children)
-            out = self.__dict__["_canonical"] = "".join(parts) + self.letter
+            for node in self.postorder():
+                if "_canonical" not in node.__dict__:
+                    parts = sorted(f"({c.__dict__['_canonical']})"
+                                   for c in node.children)
+                    node.__dict__["_canonical"] = "".join(parts) + node.letter
+            out = self.__dict__["_canonical"]
         return out
 
     def __str__(self) -> str:
@@ -106,12 +122,12 @@ def equivalent(a: Symbol, b: Symbol) -> bool:
 
 
 def relabel_symbol(mapping: Mapping[str, str], sym: Symbol) -> Symbol:
-    if sym.letter not in mapping:
-        raise UnknownGenerator(sym.letter)
-    return Symbol(
-        mapping[sym.letter],
-        tuple(relabel_symbol(mapping, c) for c in sym.children),
-    )
+    def make(node: Symbol, children: list[Symbol]) -> Symbol:
+        if node.letter not in mapping:
+            raise UnknownGenerator(node.letter)
+        return Symbol(mapping[node.letter], tuple(children))
+
+    return sym.fold(make)
 
 
 def preimages_of_symbol(mapping: Mapping[str, str], sym: Symbol) -> list[Symbol]:
@@ -124,11 +140,9 @@ def preimages_of_symbol(mapping: Mapping[str, str], sym: Symbol) -> list[Symbol]
     for vals in fibers.values():
         vals.sort()
 
-    def build(node: Symbol) -> list[Symbol]:
-        choices = fibers.get(node.letter, [])
-        child_options = [build(c) for c in node.children]
+    def make(node: Symbol, child_options: list[list[Symbol]]) -> list[Symbol]:
         out = []
-        for letter in choices:
+        for letter in fibers.get(node.letter, []):
             for combo in product(*child_options):
                 try:
                     out.append(Symbol(letter, combo))
@@ -136,7 +150,7 @@ def preimages_of_symbol(mapping: Mapping[str, str], sym: Symbol) -> list[Symbol]
                     pass
         return out
 
-    return build(sym)
+    return sym.fold(make)
 
 
 @dataclass

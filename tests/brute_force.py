@@ -5,9 +5,10 @@ These are the straightforward definitions: read word text one token at a
 time, read lists, counts and potentials a word position at a time,
 invert a word a letter at a time, expand, list and standard-bracket
 bracket shapes by plain recursion, evaluate a symbol by prefix potentials
-kept as maps over every word position, encode a tree rooted at each vertex
-by recursion over it, scan every Prufer code and canonicalize each
-admissible tree, sum the pairing over every label-preserving bijection,
+kept as maps over every word position, walk a symbol (canonical string,
+size, definedness, splits and prunings) by recursion, encode a tree
+rooted at each vertex by recursion over it, scan every Prufer code and
+canonicalize each admissible tree, sum the pairing over every label-preserving bijection,
 eliminate over Fraction, tabulate every Magnus coefficient up to the
 weight, list every Lyndon word of a length by Duval's generation, and
 free-reduce every group-ring key as soon as it is made.  The tests check
@@ -15,7 +16,7 @@ the library's fast paths against them.
 """
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import chain, permutations, product
 
 from letterlink import lie
 from letterlink.eil import SymbolGraph, _prufer_trees
@@ -139,12 +140,12 @@ def letterwise_inverse(w):
     return Word(tuple(l.inverse() for l in reversed(w.letters)))
 
 
-def recursive_standard_bracketing(word, names=None):
-    """Right standard bracketing of a Lyndon word: split off its smallest
-    proper suffix and bracket both parts afresh.  Letters compare as they
-    are or, given ``names``, are positions in ``names`` naming leaves."""
+def recursive_standard_bracketing(word, names):
+    """Right standard bracketing of a Lyndon word of positions in ``names``,
+    which name the leaves: split off its smallest proper suffix and bracket
+    both parts afresh."""
     if len(word) == 1:
-        return lie.BracketTree.leaf(word[0] if names is None else names[word[0]])
+        return lie.BracketTree.leaf(names[word[0]])
     i = min(range(1, len(word)), key=lambda i: word[i:])
     return lie.BracketTree.pair(recursive_standard_bracketing(word[:i], names),
                                 recursive_standard_bracketing(word[i:], names))
@@ -173,17 +174,18 @@ def split_bracketings(labels):
 # --- symbol lists by per-position potentials --------------------------------
 
 
-def position_symbol_list(sym, w):
+def position_symbol_list(sym, w, trace=None):
     """The iterated linking list of a symbol on a word, by recursion: each
     child's prefix potential is a map over all positions 1..len(w)+1, and
     the potentials multiply at the free letter's positions.  Raises
     UndefinedInvariant at the first (leftmost, innermost) sub-symbol whose
-    count is nonzero."""
+    count is nonzero.  A ``trace`` list receives each non-leaf node visited,
+    in post-order, with its list."""
     if not sym.children:
         return position_standard_list(w, sym.letter)
     potentials = []
     for child in sym.children:
-        child_list = position_symbol_list(child, w)
+        child_list = position_symbol_list(child, w, trace)
         c = position_count(child_list)
         if c != 0:
             raise UndefinedInvariant(child, c)
@@ -195,7 +197,81 @@ def position_symbol_list(sym, w):
             for g in potentials:
                 value *= g[j]
             assoc[j] = value
-    return List(w, sym.letter, assoc)
+    out = List(w, sym.letter, assoc)
+    if trace is not None:
+        trace.append((sym, out))
+    return out
+
+
+# --- symbol walks by recursion ------------------------------------------------
+
+
+def recursive_postorder(sym):
+    """Every node, each child's subtree in turn and then the node."""
+    return [n for c in sym.children for n in recursive_postorder(c)] + [sym]
+
+
+def recursive_canonical(sym):
+    """The canonical string: the children's strings sorted, then the free
+    letter."""
+    return "".join(sorted(f"({recursive_canonical(c)})"
+                          for c in sym.children)) + sym.letter
+
+
+def recursive_node_count(sym):
+    return 1 + sum(recursive_node_count(c) for c in sym.children)
+
+
+def recursive_depth(sym):
+    return sum(1 + recursive_depth(c) for c in sym.children)
+
+
+def recursive_check_defined(sym, counts):
+    """Raise UndefinedInvariant at the first proper sub-symbol, leftmost
+    and innermost, whose count in ``counts`` (by canonical string) is
+    nonzero."""
+    for child in sym.children:
+        recursive_check_defined(child, counts)
+        c = counts[recursive_canonical(child)]
+        if c != 0:
+            raise UndefinedInvariant(child, c)
+
+
+def recursive_pruning_count(sym):
+    """Prunings of ``sym`` that keep its root."""
+    out = 1
+    for child in sym.children:
+        out *= 1 + recursive_pruning_count(child)
+    return out
+
+
+def recursive_splits(sym):
+    """(maximal subtrees of D, ``sym`` minus D) for each set D of nodes that
+    is closed under taking children and misses the root."""
+    options = [[((c,), None)] + recursive_splits(c) for c in sym.children]
+    return [(tuple(chain.from_iterable(inside for inside, _ in combo)),
+             Symbol(sym.letter, tuple(rest for _, rest in combo if rest)))
+            for combo in product(*options)]
+
+
+def recursive_prunings_size(syms, limit):
+    """The size that ``linking._Prunings`` reaches on ``syms``: one more
+    than the prunings that keep the root, summed over each distinct symbol
+    that the splits reach.  None once it passes ``limit``, which is checked
+    before the symbol's splits are listed."""
+    seen, size = set(), 0
+
+    def add(sym):
+        nonlocal size
+        key = recursive_canonical(sym)
+        if key in seen:
+            return True
+        seen.add(key)
+        size += recursive_pruning_count(sym) + 1
+        return size <= limit and all(all(map(add, inside)) and add(rest)
+                                     for inside, rest in recursive_splits(sym))
+
+    return size if all(map(add, syms)) else None
 
 
 # --- canonical forms by recursive AHU encoding ------------------------------
@@ -483,7 +559,8 @@ def full_table_lie_coordinates(w, weight):
                     raise NotInGamma(seq)
     top = dict(zip(product(alphabet, repeat=weight), degrees[weight]))
     return lie._to_lyndon({l: c[top[l]]
-                           for l in duval_lyndon_words(weight, alphabet)})
+                           for l in duval_lyndon_words(weight, alphabet)},
+                          alphabet)
 
 
 # --- Lyndon words by Duval's generation ----------------------------------------

@@ -18,6 +18,12 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def ab_path(n):
+    """A path of ``n`` vertices labelled a, b, a, ..., edges pointing on."""
+    return ("{" + ", ".join(f"v{i + 1}:{'ab'[i % 2]}" for i in range(n)) + "; "
+            + ", ".join(f"v{i + 1}->v{i + 2}" for i in range(n - 1)) + "}")
+
+
 class TestEval:
     def test_symbol_worked_example(self, capsys):
         code, out, _ = run(capsys, "eval", "--symbol", "((a)b)a",
@@ -195,9 +201,7 @@ class TestGraphCommands:
         assert (code, out) == (0, "[a," * depth + "b" + "]" * depth + "\n")
 
     @pytest.mark.parametrize("graph", [
-        # a path of 1500 vertices
-        "{" + ", ".join(f"v{i + 1}:{'ab'[i % 2]}" for i in range(1500)) + "; "
-        + ", ".join(f"v{i + 1}->v{i + 2}" for i in range(1499)) + "}",
+        ab_path(1500),
         # a star of 2000 leaves
         "{" + ", ".join(f"v{i + 1}:b" for i in range(2000)) + ", v2001:a; "
         + ", ".join(f"v{i + 1}->v2001" for i in range(2000)) + "}",
@@ -209,6 +213,26 @@ class TestGraphCommands:
         code, out, _ = run(capsys, "pair", "--graphsum",
                            form.format(graph, graph), "--lie", "a")
         assert (code, out) == (0, "0\n")
+
+    # reduction turns the path into a symbol 1500 levels deep
+    @pytest.mark.parametrize("word, code, expected", [
+        ("c", 0, "0"),
+        ("", 0, "0"),
+        ("a b a^-1 b^-1", 1, "undefined at (a)b (count=1)"),
+        ("[a,b]^200", 1, "undefined at (a)b (count=200)"),
+    ])
+    def test_eval_graph_deeper_than_the_recursion_limit(self, capsys, word,
+                                                        code, expected):
+        got, out, err = run(capsys, "eval", "--graph", ab_path(1500),
+                            "--word", word)
+        assert (got, out) == (code, expected + "\n")
+        assert "Traceback" not in err
+
+    def test_reduce_graph_deeper_than_the_recursion_limit(self, capsys):
+        code, out, err = run(capsys, "reduce", "--graph", ab_path(1500),
+                             "--json")
+        assert code == 0 and len(json.loads(out)["value"]) == 1
+        assert "Traceback" not in err
 
     def test_coords(self, capsys):
         code, out, _ = run(capsys, "coords", "--word", "a b a^-1 b^-1",

@@ -155,7 +155,7 @@ class TestPowers:
             folded = linking._Fold(parse_compact(f"({base})^{n}"), prunings)
             expected = [_interpolate({m: s[i] for m, s in samples.items()}, n)
                         for i in range(len(prunings.symbols) - 1)]
-            assert list(folded.counts.values())[1:] == expected
+            assert list(folded._counts.values())[1:] == expected
 
     def test_the_worked_example_at_a_googol(self):
         w = parse_compact(f"[a a,[b,a c]]^{10 ** 100}")

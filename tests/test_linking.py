@@ -3,7 +3,11 @@ from fractions import Fraction
 
 import pytest
 from brute_force import (position_assoc, position_count, position_prefix_potential,
-                         position_standard_list, position_symbol_list)
+                         position_standard_list, position_symbol_list,
+                         recursive_canonical, recursive_check_defined,
+                         recursive_depth, recursive_node_count,
+                         recursive_postorder, recursive_pruning_count,
+                         recursive_prunings_size, recursive_splits)
 from hypothesis import example, given, settings, strategies as st
 
 from letterlink import (
@@ -12,6 +16,7 @@ from letterlink import (
     NonzeroCount,
     SameGenerator,
     Symbol,
+    TooLarge,
     UndefinedInvariant,
     Word,
     count,
@@ -28,6 +33,7 @@ from letterlink import (
     symbol_list,
 )
 from letterlink.diagram import render_diagram
+from letterlink import linking
 from letterlink.linking import Evaluator, _signed_tokens
 from letterlink.words import Letter, commutator, random_word
 
@@ -484,13 +490,6 @@ class TestValueSum:
                 _same_failure(err.value, failure)
 
 
-def _non_leaf_postorder(sym):
-    out = []
-    for child in sym.children:
-        out.extend(_non_leaf_postorder(child))
-    return out + [sym.canonical()] if sym.children else out
-
-
 class TestDiagram:
     REPEATED = (
         "-- (a)b --\n"
@@ -537,4 +536,89 @@ class TestDiagram:
         headers = [line[3:-3] for line in diagram.splitlines()
                    if line.startswith("-- ")]
         assert failure is None
-        assert headers == (_non_leaf_postorder(sym) or [text])
+        assert headers == ([n.canonical() for n in recursive_postorder(sym)
+                            if n.children] or [text])
+
+
+@st.composite
+def walk_symbols(draw):
+    """Symbols of 1 to 40 nodes over a-c, each node hung from the one before
+    it (chain-like) or from any earlier one (bushy); a node sometimes
+    repeats its last child, the same object."""
+    n = draw(st.integers(1, 40))
+    chain = draw(st.booleans())
+    parents = [-1] + [i - 1 if chain and draw(st.integers(0, 5))
+                      else draw(st.integers(0, i - 1)) for i in range(1, n)]
+    letters = []
+    for p in parents:
+        letters.append(draw(st.sampled_from(
+            [g for g in GENS if p < 0 or g != letters[p]])))
+    nodes: list = [None] * n
+    for i in reversed(range(n)):
+        kids = [nodes[j] for j in range(i + 1, n) if parents[j] == i]
+        if kids and draw(st.integers(0, 7)) == 0:
+            kids.append(kids[-1])
+        nodes[i] = Symbol(letters[i], tuple(kids))
+    return nodes[0]
+
+
+def _failure(f):
+    """The value, or the failing sub-symbol object and its count."""
+    try:
+        return f()
+    except UndefinedInvariant as exc:
+        return exc.subsymbol, exc.count
+
+
+class TestWalksAgainstTheRecursion:
+    """Every walk over ``Symbol.postorder`` against the recursion it
+    replaced."""
+
+    @given(walk_symbols(), oracle_words())
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    def test_symbol_walks(self, sym, w):
+        assert sym.canonical() == recursive_canonical(sym)
+        assert sym.node_count() == recursive_node_count(sym)
+        assert sym.depth == recursive_depth(sym)
+        assert (list(map(id, sym.postorder()))
+                == list(map(id, recursive_postorder(sym))))
+        if recursive_pruning_count(sym) <= 256:
+            assert linking._splits(sym) == recursive_splits(sym)
+            assert len(linking._splits(sym)) == recursive_pruning_count(sym)
+
+        ev = Evaluator(w)
+        counts = {n.canonical(): ev.placements(n) for n in sym.postorder()}
+        assert (_failure(lambda: linking._check_defined(sym, counts))
+                == _failure(lambda: recursive_check_defined(sym, counts)))
+        trace = []
+        expected = _failure(lambda: count(position_symbol_list(sym, w, trace)))
+        got = _failure(lambda: ev.value(sym))
+        assert got == expected
+        if isinstance(got, tuple):   # the same node object, not a copy
+            assert got[0] is expected[0]
+        diagram, _, _ = render_diagram(w, sym)
+        headers = [line[3:-3] for line in diagram.splitlines()
+                   if line.startswith("-- ")]
+        assert headers == ([n.canonical() for n, _ in trace]
+                           or ([] if sym.children else [sym.canonical()]))
+
+    @given(st.lists(walk_symbols(), min_size=1, max_size=3))
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    def test_the_term_floor_refuses_only_what_the_prunings_would(self, syms):
+        subtrees = {recursive_canonical(n): recursive_pruning_count(n) + 1
+                    for s in syms for n in s.postorder()}
+        floor = linking._term_floor(syms)
+        assert floor == sum(subtrees.values())
+        size = recursive_prunings_size(syms, linking.TERM_LIMIT)
+        if floor > linking.TERM_LIMIT:
+            assert size is None
+            return
+        prunings = linking._Prunings()
+        if size is None:
+            with pytest.raises(TooLarge):
+                for s in syms:
+                    prunings.add(s)
+        else:
+            for s in syms:
+                prunings.add(s)
+            assert prunings.size == size >= floor
