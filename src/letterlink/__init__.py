@@ -32,7 +32,6 @@ from .words import (
     parse_word,
     random_gamma_element,
     relabel,
-    word,
 )
 from .symbols import (
     Symbol,
@@ -42,7 +41,6 @@ from .symbols import (
     parse_symbol,
     preimages_of_symbol,
     relabel_symbol,
-    symbol,
 )
 from .linking import (
     Cobounding,

@@ -225,7 +225,7 @@ def _run(args) -> int:
             env.set_value(fox.fox_eval(w, seq))
     elif args.command == "reduce":
         graph = eil.parse_graph(args.graph)
-        order = ([v.strip() for v in args.order.split(",")] if args.order
+        order = (_split_gens(args.order) if args.order is not None
                  else eil.default_order(graph))
         total = eil.reduce_full(graph, order)
         env.set_value([[_plain(c), str(s)] for c, s in total], str(total))

@@ -5,31 +5,29 @@ is the coefficient of X_{a_1}...X_{a_k} in the expansion x -> 1 + X of w
 (Fox 1953; Chen-Fox-Lyndon 1958).  The integral group ring serves only the
 full derivative (``fox --full``) and, in tests and selfcheck, the oracle.
 
-Group-ring keys are freely reduced once, by the ``GroupRingElement``
-constructor: products and derivatives hand it unreduced words, which it
-collects and reduces.  The augmentation and every identity used here are
-representative-independent, and reduction keeps term counts bounded.
+Group-ring keys are freely reduced once, as each term is added to a
+``GroupRingElement`` (a ``symbols.FormalSum``): products and derivatives
+collect unreduced words, and the element reduces them.  The augmentation
+and every identity used here are representative-independent, and
+reduction keeps term counts bounded.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .errors import InvalidArgument
-from .words import Letter, Word, _write_sum, free_reduce
+from .symbols import FormalSum
+from .words import Word, free_reduce
 
 
-class GroupRingElement:
-    """Integer combination of freely reduced words."""
+class GroupRingElement(FormalSum):
+    """Integer combination of freely reduced words, keyed by the reduced
+    word and ordered by length, then text."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[Word, int] | None = None):
-        collected: dict[Word, int] = {}
-        for w, c in (terms or {}).items():
-            key = free_reduce(w)
-            collected[key] = collected.get(key, 0) + c
-        self.terms = {w: c for w, c in collected.items() if c}
+    def _normalize(self, w: Word) -> tuple[Word, int, Word]:
+        key = free_reduce(w)
+        return key, 1, key
 
     @classmethod
     def from_word(cls, w: Word) -> "GroupRingElement":
@@ -39,21 +37,6 @@ class GroupRingElement:
     def zero(cls) -> "GroupRingElement":
         return cls()
 
-    def __add__(self, other: "GroupRingElement") -> "GroupRingElement":
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return GroupRingElement(out)
-
-    def __sub__(self, other: "GroupRingElement") -> "GroupRingElement":
-        return self + (-other)
-
-    def __neg__(self) -> "GroupRingElement":
-        return GroupRingElement({w: -c for w, c in self.terms.items()})
-
-    def scale(self, k: int) -> "GroupRingElement":
-        return GroupRingElement({w: k * c for w, c in self.terms.items()})
-
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
         out: dict[Word, int] = {}
         for u, cu in self.terms.items():
@@ -62,15 +45,9 @@ class GroupRingElement:
                 out[key] = out.get(key, 0) + cu * cv
         return GroupRingElement(out)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GroupRingElement) and self.terms == other.terms
-
-    def __str__(self) -> str:
+    def items(self) -> list[tuple[int, Word]]:
         keys = sorted(self.terms, key=lambda w: (len(w), str(w)))
-        return _write_sum((self.terms[w], w) for w in keys)
-
-    def __repr__(self) -> str:
-        return f"GroupRingElement({self})"
+        return [(self.terms[w], w) for w in keys]
 
 
 def augmentation(x: GroupRingElement) -> int:

@@ -25,7 +25,8 @@ from typing import Iterable
 from .errors import (InvalidArgument, InvalidMultidegree, LabelMismatch,
                      MixedGrading, NotInGamma, TooLarge)
 from .fox import magnus_coefficients
-from .words import GENERATOR_RE, Scanner, Word, _read_sum, _write_sum
+from .symbols import FormalSum
+from .words import GENERATOR_RE, Scanner, Word, _read_sum
 
 
 @dataclass(frozen=True)
@@ -84,47 +85,26 @@ def bracket_tree(expr) -> BracketTree:
     return BracketTree.pair(bracket_tree(left), bracket_tree(right))
 
 
-class LieElement:
-    """Weight-homogeneous rational combination of bracket trees."""
+class LieElement(FormalSum):
+    """Weight-homogeneous rational combination of bracket trees, keyed by
+    the tree's text; a term of another weight raises MixedGrading."""
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[BracketTree, Fraction] | None = None):
-        data = {t: Fraction(c) for t, c in (terms or {}).items() if c != 0}
-        weights = {t.weight for t in data}
-        if len(weights) > 1:
-            raise MixedGrading(f"mixed weights {sorted(weights)}")
-        self.terms = data
+    def _normalize(self, tree: BracketTree) -> tuple[str, int, BracketTree]:
+        key = str(tree)
+        weight, new = self.weight, key.count(",") + 1
+        if weight is not None and new != weight:
+            raise MixedGrading(f"mixed weights {sorted((weight, new))}")
+        return key, 1, tree
 
     @property
     def weight(self) -> int | None:
-        for t in self.terms:
-            return t.weight
+        """One more than the commas in the text of any term."""
+        for key in self.terms:
+            return key.count(",") + 1
         return None
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __add__(self, other: "LieElement") -> "LieElement":
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            out[t] = out.get(t, Fraction(0)) + c
-        return LieElement(out)
-
-    def scale(self, k) -> "LieElement":
-        return LieElement({t: Fraction(k) * c for t, c in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LieElement) and self.terms == other.terms
-
-    def items(self) -> list[tuple[Fraction, BracketTree]]:
-        return [(self.terms[t], t) for t in sorted(self.terms, key=str)]
-
-    def __str__(self) -> str:
-        return _write_sum(self.items())
-
-    def __repr__(self) -> str:
-        return f"LieElement({self})"
 
 
 # --- parsing ---------------------------------------------------------------
@@ -134,11 +114,16 @@ def parse_lie(text: str) -> LieElement:
     """Parse ``[+|-] [coeff *] tree``, then terms each after ``+`` or ``-``,
     where a tree is an identifier or ``[tree,tree]`` and a coefficient is an
     unsigned ``fractions.Fraction`` string, with spaces allowed around ``/``.
-    ``str`` of a nonzero ``LieElement`` is in this grammar and reads back."""
-    terms: dict[BracketTree, Fraction] = {}
+    ``str`` of a nonzero ``LieElement`` is in this grammar and reads back.
+    The terms of all weights but one must cancel, else MixedGrading names
+    the weights left, whatever the order of the terms."""
+    parts: dict[int, LieElement] = {}
     for coeff, tree in _read_sum(Scanner(text), _read_tree):
-        terms[tree] = terms.get(tree, Fraction(0)) + coeff
-    return LieElement(terms)
+        parts.setdefault(tree.weight, LieElement()).add(coeff, tree)
+    out, *rest = [e for e in parts.values() if e.terms] or [LieElement()]
+    if rest:
+        raise MixedGrading(f"mixed weights {sorted(e.weight for e in [out, *rest])}")
+    return out
 
 
 def _read_tree(sc: Scanner) -> BracketTree:
@@ -449,15 +434,15 @@ def _to_lyndon(residual: dict[tuple[str, ...], int],
     Lyndon-word/bracket matrix is lower unitriangular in lexicographic
     order, so forward substitution solves it without division.
     """
-    out = {}
+    out = LieElement()
     for l, c in residual.items():  # each value is final when it is reached
         if c:
             tree = standard_bracketing(tuple(map(alphabet.index, l)), alphabet)
-            out[tree] = c
+            out.add(c, tree)
             for u, cu in bracket_polynomial(tree).items():
                 if u in residual:
                     residual[u] -= c * cu
-    return LieElement(out)
+    return out
 
 
 def lie_image_of_bracket_word(text: str) -> LieElement:

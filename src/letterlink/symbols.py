@@ -10,21 +10,22 @@ The text form uses the grammar ``symbol := item+`` where exactly one item
 is a bare identifier (the free letter) and every other item is a
 parenthesized symbol, e.g. ``((a)b)a`` or ``(a)(c)b``.
 
-``FormalSum`` holds the terms of both ``SymbolSum`` (keyed by canonical
-string) and ``eil.GraphSum`` (keyed by canonical encoding).  Each key keeps
-the first representative added under it, and sums compare equal by their
-terms alone.
+``FormalSum`` holds the terms of all four sums: ``SymbolSum`` (keyed by
+canonical string), ``eil.GraphSum`` (keyed by canonical encoding),
+``lie.LieElement`` (keyed by the tree's text) and ``fox.GroupRingElement``
+(keyed by the freely reduced word).  Each key keeps the first
+representative added under it, and sums compare equal by their terms alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Mapping
 
 from .errors import InvalidSymbol, ParseError, UnknownGenerator
-from .words import GENERATOR_RE, Scanner
+from .words import GENERATOR_RE, Scanner, _write_sum
 
 
 @dataclass(frozen=True)
@@ -83,10 +84,6 @@ class Symbol:
 
     def __str__(self) -> str:
         return self.canonical()
-
-
-def symbol(text: str) -> Symbol:
-    return parse_symbol(text)
 
 
 def parse_symbol(text: str) -> Symbol:
@@ -153,26 +150,30 @@ def preimages_of_symbol(mapping: Mapping[str, str], sym: Symbol) -> list[Symbol]
     return sym.fold(make)
 
 
-@dataclass
 class FormalSum:
-    """Exact-rational combination of terms, keyed by a canonical form.
+    """Exact combination of terms, keyed by a canonical form: built from an
+    optional ``{term: coeff}`` mapping by adding each item.
 
     ``_normalize`` gives a term's key, the sign relating the term to its
     key, and a representative; the first representative added under a key
-    is kept until the key's coefficient cancels.  Sums are equal when they
+    is kept until the key's coefficient cancels.  ``int`` coefficients stay
+    ``int`` and any other becomes a ``Fraction``.  Sums are equal when they
     are of the same class and have the same terms, whatever their
     representatives.
     """
 
-    terms: dict[str, Fraction] = field(default_factory=dict)
-    reps: dict[str, object] = field(default_factory=dict)
+    def __init__(self, terms: Mapping | None = None):
+        self.terms: dict = {}
+        self.reps: dict = {}
+        for term, coeff in (terms or {}).items():
+            self.add(coeff, term)
 
-    def _normalize(self, term) -> tuple[str, int, object]:
+    def _normalize(self, term) -> tuple[object, int, object]:
         raise NotImplementedError
 
     def add(self, coeff, term) -> "FormalSum":
-        coeff = Fraction(coeff)
-        if coeff == 0:
+        coeff = _exact(coeff)
+        if not coeff:
             return self
         key, sign, rep = self._normalize(term)
         if sign < 0:
@@ -186,7 +187,27 @@ class FormalSum:
             self.reps.setdefault(key, rep)
         return self
 
-    def items(self) -> list[tuple[Fraction, object]]:
+    def scale(self, k) -> "FormalSum":
+        out = type(self)()
+        k = _exact(k)
+        if k:
+            out.terms = {key: k * c for key, c in self.terms.items()}
+            out.reps = dict(self.reps)
+        return out
+
+    def __add__(self, other: "FormalSum") -> "FormalSum":
+        out = self.scale(1)
+        for key, c in other.terms.items():   # each representative has sign +1
+            out.add(c, other.reps[key])
+        return out
+
+    def __neg__(self) -> "FormalSum":
+        return self.scale(-1)
+
+    def __sub__(self, other: "FormalSum") -> "FormalSum":
+        return self + -other
+
+    def items(self) -> list[tuple[object, object]]:
         return [(self.terms[k], self.reps[k]) for k in sorted(self.terms)]
 
     def __iter__(self):
@@ -197,6 +218,16 @@ class FormalSum:
 
     def __eq__(self, other) -> bool:
         return type(other) is type(self) and self.terms == other.terms
+
+    def __str__(self) -> str:
+        return _write_sum(self.items())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
+
+
+def _exact(coeff) -> int | Fraction:
+    return coeff if type(coeff) is int else Fraction(coeff)
 
 
 class SymbolSum(FormalSum):

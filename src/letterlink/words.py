@@ -304,11 +304,6 @@ class CompactWord:
 _EMPTY_RUN = CompactWord("run", ())
 
 
-def word(text: str, alphabet: Iterable[str] | None = None) -> Word:
-    """Shorthand for :func:`parse_word`."""
-    return parse_word(text, alphabet)
-
-
 def parse_word(text: str, alphabet: Iterable[str] | None = None) -> Word:
     """Parse ``text`` into a Word, expanding commutators and exponents.
 

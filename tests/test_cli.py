@@ -104,6 +104,22 @@ class TestGraphCommands:
                        "--graph", "{v1:a,v2:b,v3:c; v1->v2, v2->v3}",
                        "--order", order) == expected
 
+    def test_reduce_empty_order_is_refused(self, capsys):
+        code, out, err = run(capsys, "reduce",
+                             "--graph", "{v1:a,v2:b,v3:c; v1->v2, v2->v3}",
+                             "--order", "")
+        assert code == 1 and out == ""
+        assert err == ("error: reduction undefined at vertex (empty order): "
+                       "order must list 2 vertices\n")
+
+    def test_reduce_order_drops_empty_entries(self, capsys):
+        expected = run(capsys, "reduce",
+                       "--graph", "{v1:a,v2:b,v3:c; v1->v2, v2->v3}",
+                       "--order", "v2,v1")
+        assert run(capsys, "reduce",
+                   "--graph", "{v1:a,v2:b,v3:c; v1->v2, v2->v3}",
+                   "--order", "v2,,v1") == expected
+
     def test_matrix_32(self, capsys):
         code, out, _ = run(capsys, "matrix", "--weight", "5", "--gens", "a,b",
                            "--multidegree", "3,2")

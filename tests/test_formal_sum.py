@@ -1,0 +1,163 @@
+"""``symbols.FormalSum`` arithmetic against plain dict arithmetic on the keys,
+for all four sums: Lie elements, group-ring elements, symbol sums and graph
+sums."""
+
+import re
+
+import pytest
+from brute_force import reducing_product
+from hypothesis import given, settings, strategies as st
+
+from letterlink import (
+    BracketTree,
+    GraphSum,
+    GroupRingElement,
+    LieElement,
+    Letter,
+    MixedGrading,
+    SymbolSum,
+    Word,
+    free_reduce,
+    parse_graph,
+    parse_lie,
+    parse_symbol,
+)
+from letterlink.eil import canonical_form
+
+
+def trees(weight):
+    """Bracket trees of one weight over a, b."""
+    if weight == 1:
+        return st.sampled_from("ab").map(BracketTree.leaf)
+    return st.integers(1, weight - 1).flatmap(lambda cut: st.builds(
+        BracketTree.pair, trees(cut), trees(weight - cut)))
+
+
+letter_st = st.builds(Letter, st.sampled_from("ab"), st.sampled_from((1, -1)))
+word_st = st.lists(letter_st, max_size=4).map(lambda ls: Word(tuple(ls)))
+# equal keys under different representatives: child order, vertex ids and
+# edge directions (a flipped edge is the same key with sign -1)
+SYMBOLS = [parse_symbol(t) for t in
+           ("a", "(a)b", "(b)a", "(a)(c)b", "(c)(a)b", "((a)b)c", "(b)((a)c)d")]
+GRAPHS = [parse_graph(t) for t in (
+    "{v1:a}", "{v1:a, v2:b; v1->v2}", "{v1:a, v2:b; v2->v1}",
+    "{v7:b, v8:a; v8->v7}", "{v1:a, v2:b, v3:c; v1->v2, v2->v3}",
+    "{v3:c, v2:b, v1:a; v3->v2, v1->v2}", "{v1:(a)b, v2:c; v1->v2}")]
+
+# (class, terms of one draw, key and sign of a term, representative)
+KINDS = {
+    "lie": (LieElement, st.integers(1, 4).map(trees),
+            lambda t: (str(t), 1), lambda t: t),
+    "group ring": (GroupRingElement, st.just(word_st),
+                   lambda w: (free_reduce(w), 1), free_reduce),
+    "symbols": (SymbolSum, st.just(st.sampled_from(SYMBOLS)),
+                lambda s: (s.canonical(), 1), lambda s: s),
+    "graphs": (GraphSum, st.just(st.sampled_from(GRAPHS)),
+               lambda g: canonical_form(g)[:2], lambda g: canonical_form(g)[2]),
+}
+ints = st.integers(-3, 3)
+coeffs = st.one_of(ints, st.fractions(-3, 3, max_denominator=4))
+
+
+def dict_sum(*pairs_lists):
+    """The nonzero coefficients by key of the (coeff, key, sign) triples."""
+    out = {}
+    for pairs in pairs_lists:
+        for c, key, sign in pairs:
+            out[key] = out.get(key, 0) + sign * c
+    return {k: c for k, c in out.items() if c}
+
+
+def built(cls, pairs):
+    out = cls()
+    for c, term in pairs:
+        out.add(c, term)
+    return out
+
+
+@st.composite
+def operands(draw, kind, coeff_st):
+    """Two term lists over one term strategy (one weight for Lie elements)."""
+    cls, term_st, key_of, _ = KINDS[kind]
+    terms = draw(term_st)
+    pairs = [draw(st.lists(st.tuples(coeff_st, terms), max_size=6))
+             for _ in range(2)]
+    triples = [[(c, *key_of(t)) for c, t in p] for p in pairs]
+    return cls, pairs, triples
+
+
+@pytest.mark.parametrize("kind", KINDS)
+class TestAgainstDicts:
+    @given(data=st.data())
+    @settings(derandomize=True, deadline=None, max_examples=80)
+    def test_arithmetic(self, kind, data):
+        cls, (xp, yp), (xt, yt) = data.draw(operands(kind, coeffs))
+        k = data.draw(coeffs)
+        x, y = built(cls, xp), built(cls, yp)
+        mx, my = dict_sum(xt), dict_sum(yt)
+        assert x.terms == mx and y.terms == my and len(x) == len(mx)
+        assert (x + y).terms == dict_sum(xt, yt)
+        assert (x - y).terms == dict_sum(xt, [(-c, key, s) for c, key, s in yt])
+        assert (-x).terms == {key: -c for key, c in mx.items()}
+        assert x.scale(k).terms == {key: k * c for key, c in mx.items() if k}
+        assert (x == y) == (mx == my) and x == x.scale(1) != mx
+        assert x.terms == mx and y.terms == my   # the operands are unchanged
+        assert list(x) == x.items() and len(x.items()) == len(mx)
+
+    @given(data=st.data())
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    def test_int_coefficients_stay_int(self, kind, data):
+        cls, (xp, yp), _ = data.draw(operands(kind, ints))
+        x, y = built(cls, xp), built(cls, yp)
+        for result in (x, x + y, x - y, -x, x.scale(data.draw(ints))):
+            assert all(type(c) is int for c in result.terms.values())
+
+    @given(data=st.data())
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    def test_cancelled_terms_vanish_and_the_first_representative_stays(
+            self, kind, data):
+        cls, (xp, _), _ = data.draw(operands(kind, coeffs))
+        _, _, key_of, rep_of = KINDS[kind]
+        x, running, reps = cls(), {}, {}
+        for c, term in xp + [(-c, t) for c, t in xp[:len(xp) // 2]]:
+            x.add(c, term)
+            key, sign = key_of(term)
+            running[key] = running.get(key, 0) + sign * c
+            if running[key]:
+                reps.setdefault(key, rep_of(term))
+            else:
+                reps.pop(key, None)
+        assert x.reps == reps and set(x.terms) == set(reps)
+        for c, term in xp:
+            assert x.add(c, term).add(-c, term) == x
+
+
+class TestGroupRingProduct:
+    @given(operands("group ring", ints))
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    def test_product_agrees_with_the_reducing_oracle(self, drawn):
+        cls, (xp, yp), _ = drawn
+        x, y = built(cls, xp), built(cls, yp)
+        assert (x * y).terms == reducing_product(x.terms, y.terms)
+
+
+class TestMixedGrading:
+    @given(st.integers(1, 4), st.integers(1, 4), st.data())
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    def test_either_term_first(self, w1, w2, data):
+        if w1 == w2:
+            w2 += 1
+        t1, t2 = data.draw(trees(w1)), data.draw(trees(w2))
+        c1, c2 = (data.draw(coeffs.filter(bool)) for _ in range(2))
+        message = re.escape(f"mixed weights {sorted((w1, w2))}")
+        for (a, ca), (b, cb) in [((t1, c1), (t2, c2)), ((t2, c2), (t1, c1))]:
+            with pytest.raises(MixedGrading, match=message):
+                LieElement().add(ca, a).add(cb, b)
+            with pytest.raises(MixedGrading):
+                LieElement({a: ca, b: cb})
+            with pytest.raises(MixedGrading):
+                LieElement({a: ca}) + LieElement({b: cb})
+            with pytest.raises(MixedGrading, match=message):
+                parse_lie(f"{a} + {b}")
+            # a weight that cancels out leaves a homogeneous element
+            assert parse_lie(f"{a} + {b} - {a}") == LieElement({b: 1})
