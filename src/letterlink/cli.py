@@ -160,41 +160,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _split_gens(text: str) -> list[str]:
-    return [g.strip() for g in text.split(",") if g.strip()]
+def _entries(text: str, pattern, what: str):
+    """The comma-separated entries of ``text`` and their offsets, empty ones
+    skipped; an entry that is not one token of ``pattern`` is a parse error."""
+    sc = words.Scanner(text)
+    for position in sc.entries(""):
+        entry = sc.match(pattern)
+        if entry is None:
+            sc.fail(what)
+        yield entry, position
 
 
 def _distinct_gens(text: str) -> list[str]:
     """The generators of ``--gens``; a generator named twice is a parse
     error at its second occurrence."""
     gens: list[str] = []
-    position = 0
-    for part in text.split(","):
-        g = part.strip()
+    for g, position in _entries(text, words.GENERATOR_RE, "identifier"):
         if g in gens:
-            raise ParseError(f"generator {g!r} is repeated in --gens",
-                             position + part.index(g))
-        if g:
-            gens.append(g)
-        position += len(part) + 1
+            raise ParseError(f"generator {g!r} is repeated in --gens", position)
+        gens.append(g)
     return gens
 
 
 def _multidegree_from(gens: list[str], counts_text: str) -> dict[str, int]:
-    parts = counts_text.split(",")
-    try:
-        counts = [int(c) for c in parts]
-    except ValueError:
-        raise ParseError(f"bad multidegree {counts_text!r}", 0) from None
+    counts = []
+    for count, position in _entries(counts_text, words._INT_RE, "count"):
+        if len(count.lstrip("-")) > words._DIGIT_LIMIT:
+            raise ParseError(f"a count of more than {words._DIGIT_LIMIT} digits",
+                             position)
+        counts.append((int(count), position))
     if len(counts) != len(gens):
         raise ParseError("multidegree length differs from --gens", 0)
-    for i, c in enumerate(counts):
+    for c, position in counts:
         if c < 0:
-            raise ParseError(f"negative count {c} in the multidegree",
-                             sum(len(part) + 1 for part in parts[:i]))
-    if not any(counts):
+            raise ParseError(f"negative count {c} in the multidegree", position)
+    if not any(c for c, _ in counts):
         raise ParseError("multidegree counts sum to zero", 0)
-    return dict(zip(gens, counts))
+    return {g: c for g, (c, _) in zip(gens, counts)}
 
 
 def _run(args) -> int:
@@ -215,18 +217,15 @@ def _run(args) -> int:
             env.set_undefined(exc)
     elif args.command == "fox":
         w = words.parse_word(args.word)
-        seq = _split_gens(args.seq)
+        seq = [g for g, _ in _entries(args.seq, words.GENERATOR_RE, "identifier")]
         if not seq:
             raise ParseError("--seq names no generator", 0)
-        if args.full:
-            element = fox.iterated_fox(w, seq)
-            env.set_value(str(element))
-        else:
-            env.set_value(fox.fox_eval(w, seq))
+        env.set_value(str(fox.iterated_fox(w, seq)) if args.full
+                      else fox.fox_eval(w, seq))
     elif args.command == "reduce":
         graph = eil.parse_graph(args.graph)
-        order = (_split_gens(args.order) if args.order is not None
-                 else eil.default_order(graph))
+        order = ([v for v, _ in _entries(args.order, eil._VERTEX_ID_RE, "vertex id")]
+                 if args.order is not None else eil.default_order(graph))
         total = eil.reduce_full(graph, order)
         env.set_value([[_plain(c), str(s)] for c, s in total], str(total))
     elif args.command == "distinct":

@@ -126,21 +126,14 @@ class SymbolGraph:
         if len(seen) != len(labels):
             raise NotATree("graph is not connected")
         if not ambient:
-            self._check_edge_letters(labels)
+            for t, h in self.edges:
+                if labels[t].letter == labels[h].letter:
+                    raise InvalidEdge(f"edge {t}->{h} joins free letter "
+                                      f"{labels[t].letter!r} to itself")
         else:
             for v, sym in labels.items():
                 if sym.children:
-                    raise InvalidEdge(
-                        f"ambient graphs need letter labels; {v} has {sym}"
-                    )
-
-    def _check_edge_letters(self, labels: dict[str, Symbol]) -> None:
-        """Refuse an edge that joins a free letter to itself."""
-        for t, h in self.edges:
-            if labels[t].letter == labels[h].letter:
-                raise InvalidEdge(
-                    f"edge {t}->{h} joins free letter {labels[t].letter!r} to itself"
-                )
+                    raise InvalidEdge(f"ambient graphs need letter labels; {v} has {sym}")
 
     def is_eil(self) -> bool:
         return all(not sym.children for _, sym in self.vertices)
@@ -189,10 +182,11 @@ def parse_graph(text: str, ambient: bool = False) -> SymbolGraph:
 def parse_graph_sum(text: str) -> "GraphSum":
     """Parse ``[+|-] [coeff *] graph``, then terms each after ``+`` or ``-``,
     with coefficients as in ``lie.parse_lie``; each graph is validated, as
-    by ``parse_graph`` outside the ambient model, as soon as it is read."""
+    by ``parse_graph`` in the ambient model that the pairing reads, as soon
+    as it is read."""
     out = GraphSum()
-    for coeff, graph in _read_sum(Scanner(text),
-                                  lambda sc: SymbolGraph.build(*_read_graph(sc))):
+    for coeff, graph in _read_sum(Scanner(text), lambda sc: SymbolGraph.build(
+            *_read_graph(sc), ambient=True)):
         out.add(coeff, graph)
     return out
 
@@ -201,10 +195,7 @@ def _read_graph(sc: Scanner) -> tuple[dict[str, Symbol], list[tuple[str, str]]]:
     if not sc.take("{"):
         sc.fail("'{'", "graph must be enclosed in braces")
     vertices: dict[str, Symbol] = {}
-    while sc.char not in ";}":
-        if sc.take(","):
-            continue
-        start = sc.pos
+    for start in sc.entries(";}"):
         vid = sc.match(_VERTEX_ID_RE)
         if vid is None:
             sc.fail("vertex id", "bad vertex id")
@@ -215,10 +206,7 @@ def _read_graph(sc: Scanner) -> tuple[dict[str, Symbol], list[tuple[str, str]]]:
         vertices[vid] = _read_symbol(sc, ",;}")
     edges: list[tuple[str, str]] = []
     if sc.take(";"):
-        while sc.char not in "}":
-            if sc.take(","):
-                continue
-            start = sc.pos
+        for start in sc.entries("}"):
             tail = sc.match(_VERTEX_ID_RE)
             arrow = tail is not None and sc.take("->")
             head_pos = sc.pos
@@ -238,16 +226,25 @@ def _read_graph(sc: Scanner) -> tuple[dict[str, Symbol], list[tuple[str, str]]]:
 
 
 def _contract(g: SymbolGraph, labels: dict[str, Symbol], v: str,
-              u: str) -> tuple[SymbolGraph, dict[str, Symbol]]:
-    """Contract the edge between v and u, merging v into u with label
-    (label_v) label_u; ``labels`` are g's, in g's id order.  The new graph
-    and its labels."""
+              u: str) -> SymbolGraph:
+    """Contract the edge between v and u into u, labelled (label_v) label_u;
+    ``labels`` are g's, in id order.  Only an edge moved from v to u can join
+    a free letter to itself, and the first that does makes the step undefined."""
     new_labels = dict(labels)
     del new_labels[v]
-    new_labels[u] = Symbol(labels[u].letter, labels[u].children + (labels[v],))
-    new_edges = tuple((u if t == v else t, u if h == v else h)
-                      for t, h in g.edges if {t, h} != {v, u})
-    return SymbolGraph(tuple(new_labels.items()), new_edges), new_labels
+    letter = labels[u].letter
+    new_labels[u] = Symbol(letter, labels[u].children + (labels[v],))
+    new_edges = []
+    for t, h in g.edges:
+        if v in (t, h):
+            if u in (t, h):
+                continue
+            t, h = (u, h) if t == v else (t, u)
+            if labels[h if t == u else t].letter == letter:
+                raise UndefinedReduction(v, f"edge {t}->{h} joins free letter "
+                                            f"{letter!r} to itself")
+        new_edges.append((t, h))
+    return SymbolGraph(tuple(new_labels.items()), tuple(new_edges))
 
 
 def reduce_at(g: SymbolGraph, v: str) -> list[tuple[int, SymbolGraph]]:
@@ -263,17 +260,8 @@ def reduce_at(g: SymbolGraph, v: str) -> list[tuple[int, SymbolGraph]]:
     if not incident:
         raise UndefinedReduction(v, "vertex has no incident edge")
     incident.sort(key=lambda e: _id_key(e[1] if e[0] == v else e[0]))
-    out = []
-    for t, h in incident:
-        sign = 1 if t == v else -1
-        other = h if t == v else t
-        contracted, contracted_labels = _contract(g, labels, v, other)
-        try:   # contracting an edge of a tree leaves a tree
-            contracted._check_edge_letters(contracted_labels)
-        except InvalidEdge as exc:
-            raise UndefinedReduction(v, str(exc)) from exc
-        out.append((sign, contracted))
-    return out
+    return [(1, _contract(g, labels, v, h)) if t == v
+            else (-1, _contract(g, labels, v, t)) for t, h in incident]
 
 
 def _reduce_step(terms: list[tuple[int, SymbolGraph]],

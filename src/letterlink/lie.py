@@ -258,7 +258,7 @@ def pairing_matrix(graphs, trees) -> list[list[int]]:
     sides.  A bijection counts iff the leaves of every subtree induce a
     connected subgraph, and these are exactly what the recursion reaches.
     Equal subtrees share one node, and each graph keeps one memo over all
-    the trees.
+    the trees.  A graph label with children is an InvalidArgument.
     """
     # A letter content is a sum of per-letter units spaced so that counts up
     # to the largest graph's size never carry.  A subtree with a larger
@@ -297,6 +297,9 @@ def pairing_matrix(graphs, trees) -> list[list[int]]:
 def _graph_row(graph, roots, split, content, unit_of) -> list[int]:
     n = len(graph.vertices)
     index = {v: i for i, (v, _) in enumerate(graph.vertices)}
+    for v, sym in graph.vertices:
+        if sym.children:
+            raise InvalidArgument(f"the pairing needs letter labels; {v} has {sym}")
     units = [unit_of(sym.letter) for _, sym in graph.vertices]
     edges = [(index[t], index[h]) for t, h in graph.edges]
     # Root the graph at vertex 0: the tail side of an edge in the whole

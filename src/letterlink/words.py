@@ -21,10 +21,10 @@ before it is built.  Flat text, letters each alone or with the exponent
 -1, is read a maximal run at a time by one regular-expression match; every
 other term, and every error, goes through the token reader.
 
-Every grammar of the package (words, symbols, Lie sums, graphs and graph
-sums) is read through one :class:`Scanner`, so a ParseError's position is
-an offset into the text the reader was given.  Brackets and parentheses
-nest at most ``NESTING_LIMIT`` deep in all of them.
+Every grammar of the package (words, symbols, Lie sums, graphs, graph
+sums and the CLI's comma lists) is read through one :class:`Scanner`, so a
+ParseError's position is an offset into the text the reader was given.
+Brackets and parentheses nest at most ``NESTING_LIMIT`` deep in all of them.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import log10
-from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, NoReturn
 
 from .errors import InvalidArgument, ParseError, TooLarge, UnknownGenerator
 
@@ -120,6 +120,16 @@ class Scanner:
         """Consume ``bracket``, leaving the level the matching ``open`` entered."""
         self.expect(bracket)
         self.depth -= 1
+
+    def entries(self, closers: str) -> Iterator[int]:
+        """The offset of each comma-separated entry before a character of
+        ``closers`` or the end, empty ones skipped; the caller reads each
+        entry, which must end at ',', a closer or the end, before the next."""
+        while self.char not in closers:
+            if not self.take(","):
+                yield self.pos
+                if self.char not in closers + ",":
+                    self.fail("','")
 
     def fail(self, expected: str, message: str | None = None) -> NoReturn:
         """Raise ParseError here; the message defaults to what comes next."""

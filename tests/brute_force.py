@@ -10,19 +10,20 @@ size, definedness, splits and prunings) by recursion, encode a tree
 rooted at each vertex by recursion over it, scan every Prufer code and
 canonicalize each admissible tree, sum the pairing over every label-preserving bijection,
 eliminate over Fraction, tabulate every Magnus coefficient up to the
-weight, list every Lyndon word of a length by Duval's generation, and
-free-reduce every group-ring key as soon as it is made.  The tests check
-the library's fast paths against them.
+weight, list every Lyndon word of a length by Duval's generation,
+free-reduce every group-ring key as soon as it is made, split a comma
+list with ``str.split``, and check every edge after each contraction.  The
+tests check the library's fast paths against them.
 """
 
 from fractions import Fraction
 from itertools import chain, permutations, product
 
 from letterlink import lie
-from letterlink.eil import SymbolGraph, _prufer_trees
+from letterlink.eil import SymbolGraph, _id_key, _prufer_trees
 from letterlink.errors import (InconsistentSystem, InvalidArgument, NonzeroCount,
                                NotInGamma, TooLarge, UndefinedInvariant,
-                               UnknownGenerator)
+                               UndefinedReduction, UnknownGenerator)
 from letterlink.fox import magnus_coefficients
 from letterlink.linking import List
 from letterlink.symbols import Symbol
@@ -585,4 +586,48 @@ def duval_lyndon_words(length, alphabet):
             w.append(w[len(w) - m])
         while w and w[-1] == k - 1:
             w.pop()
+    return out
+
+
+# --- comma lists by str.split, contractions by rescanning every edge ----------
+
+
+def split_entries(text):
+    """The entries of a comma list with their offsets, by ``str.split``:
+    each part stripped, empty parts skipped, any other text an entry."""
+    out = []
+    position = 0
+    for part in text.split(","):
+        entry = part.strip()
+        if entry:
+            out.append((entry, position + part.index(entry)))
+        position += len(part) + 1
+    return out
+
+
+def rescanning_reduce_at(g, v):
+    """``eil.reduce_at`` by contracting each incident edge, rewriting every
+    edge, then scanning every edge of the new graph for one that joins a
+    free letter to itself."""
+    labels = g.labels
+    if v not in labels:
+        raise UndefinedReduction(v, "no such vertex")
+    incident = [(t, h) for t, h in g.edges if v in (t, h)]
+    if not incident:
+        raise UndefinedReduction(v, "vertex has no incident edge")
+    incident.sort(key=lambda e: _id_key(e[1] if e[0] == v else e[0]))
+    out = []
+    for t, h in incident:
+        u = h if t == v else t
+        new_labels = dict(labels)
+        del new_labels[v]
+        new_labels[u] = Symbol(labels[u].letter, labels[u].children + (labels[v],))
+        edges = tuple((u if a == v else a, u if b == v else b)
+                      for a, b in g.edges if {a, b} != {v, u})
+        for a, b in edges:
+            if new_labels[a].letter == new_labels[b].letter:
+                raise UndefinedReduction(v, f"edge {a}->{b} joins free letter "
+                                            f"{new_labels[a].letter!r} to itself")
+        out.append((1 if t == v else -1,
+                    SymbolGraph(tuple(new_labels.items()), edges)))
     return out

@@ -7,9 +7,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from brute_force import split_entries
+from hypothesis import given, settings, strategies as st
 
 import letterlink
-from letterlink.cli import main
+from letterlink.cli import _entries, main
+from letterlink.eil import _VERTEX_ID_RE
+from letterlink.errors import ParseError
+from letterlink.words import _INT_RE, GENERATOR_RE
 
 
 def run(capsys, *argv):
@@ -404,6 +409,74 @@ class TestTextJsonAgreement:
                            "--word", "a b a^-1 b^-1", "--timing")
         assert code == 0
         assert "timing:" in out
+
+
+class TestListOptions:
+    """``--seq``, ``--gens``, ``--order`` and ``--multidegree``: one name, id
+    or count per comma-separated entry, empty entries skipped."""
+
+    @pytest.mark.parametrize("argv, position", [
+        (("fox", "--word", "a b", "--seq", "a,b c"), 4),
+        (("basis", "--weight", "2", "--gens", "a b,x;]"), 2),
+        (("matrix", "--weight", "2", "--gens", "a,b c", "--multidegree", "1,1"), 4),
+        (("basis", "--weight", "2", "--gens", "a,[b]"), 2),
+        (("reduce", "--graph", "{v1:a, v2:b; v1->v2}", "--order", "v1 x"), 3),
+        (("matrix", "--weight", "5", "--gens", "a,b", "--multidegree", "+3,2"), 0),
+        (("matrix", "--weight", "5", "--gens", "a,b", "--multidegree", "3_0,2"), 1),
+        (("matrix", "--weight", "2", "--gens", "a,b",
+          "--multidegree", "1," + "1" * 4301), 2),
+    ])
+    def test_an_entry_that_is_not_one_token_exits_two(self, capsys, argv,
+                                                       position):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: ")
+        assert f" at position {position}" in err
+
+    @pytest.mark.parametrize("head, texts", [
+        (("matrix", "--weight", "5", "--gens", "a,b", "--multidegree"),
+         ("3,2", "3,,2", ",3, ,2,")),
+        (("basis", "--weight", "3", "--gens", "a,b", "--multidegree"),
+         ("2,1", "2,,1", " ,2,1,")),
+        (("basis", "--weight", "3", "--gens"), ("a,b", "a,,b", ",a, ,b ,")),
+        (("fox", "--word", "a b a^-1 b^-1", "--seq"), ("a,b", "a,,b", ",a,b,")),
+        (("reduce", "--graph", "{v1:a, v2:b, v3:c; v1->v2, v2->v3}", "--order"),
+         ("v2,v1", "v2,,v1", " v2 , ,v1")),
+    ])
+    def test_empty_entries_are_skipped(self, capsys, head, texts):
+        outputs = [run(capsys, *head, text) for text in texts]
+        assert outputs[0][0] == 0 and outputs == [outputs[0]] * len(texts)
+
+    @pytest.mark.parametrize("pattern", [GENERATOR_RE, _VERTEX_ID_RE, _INT_RE],
+                             ids=["generator", "vertex-id", "count"])
+    @given(text=st.lists(st.sampled_from(["a", "x1", "v1", "_w", ",", " ", ";",
+                                          "]", "3", "-", "+"]),
+                         max_size=12).map("".join))
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    def test_entries_are_the_split_entries_or_refuse_the_first_bad_one(
+            self, pattern, text):
+        expected = split_entries(text)
+        bad = [(entry, start) for entry, start in expected
+               if not pattern.fullmatch(entry)]
+        try:
+            got = list(_entries(text, pattern, "token"))
+        except ParseError as exc:
+            entry, start = bad[0]
+            assert start <= exc.position < start + len(entry)
+        else:
+            assert got == expected and not bad
+
+    @pytest.mark.parametrize("graphsum, lie_text, code, out, err", [
+        ("{v1:(b)a, v2:c; v1->v2}", "[a,c]", 1, "",
+         "error: ambient graphs need letter labels; v1 has (b)a\n"),
+        ("{v1:a, v2:a; v1->v2}", "[a,a]", 0, "0\n", ""),
+    ])
+    def test_pair_graphsum_reads_the_ambient_model(self, capsys, graphsum,
+                                                   lie_text, code, out, err):
+        assert run(capsys, "pair", "--graphsum", graphsum,
+                   "--lie", lie_text) == (code, out, err)
+        assert run(capsys, "pair", "--graph", graphsum,
+                   "--lie", lie_text) == (code, out, err)
 
 
 class TestSelfcheck:

@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 from brute_force import (centre_key, fraction_rank, memo_canonical_form,
-                         prufer_scan_graphs)
+                         prufer_scan_graphs, rescanning_reduce_at)
 from hypothesis import given, settings, strategies as st
 
 from letterlink import (
@@ -157,6 +157,58 @@ class TestReduce:
             reduce_full(g, ["v2", "v1"])
         # leaf-first orders stay valid on the same graph
         assert len(reduce_full(g, ["v1", "v2"])) == 1
+
+    def test_the_first_moved_edge_that_joins_a_letter_to_itself(self):
+        g = parse_graph("{v1:b, v2:a, v3:b, v4:c, v5:b; "
+                        "v1->v2, v4->v2, v2->v3, v5->v2}")
+        with pytest.raises(UndefinedReduction,
+                           match="edge v1->v3 joins free letter 'b' to itself$"):
+            reduce_at(g, "v2")
+
+
+# symbol labels by free letter, for graphs whose edges join distinct letters
+SYMBOL_LABELS = {"a": ["a", "(b)a", "(c)(b)a", "((a)b)a"],
+                 "b": ["b", "(a)b", "((c)a)b"],
+                 "c": ["c", "(a)c", "(a)(b)c"]}
+
+
+def contraction_outcome(reduce, g, v):
+    """The terms of one reduction step, or its UndefinedReduction's text."""
+    try:
+        return reduce(g, v)
+    except UndefinedReduction as exc:
+        return str(exc)
+
+
+class TestContractionOracle:
+    """``reduce_at``, which checks only the edges a contraction moves,
+    against contracting and then scanning every edge."""
+
+    @given(data=st.data())
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    def test_reduce_at_is_the_rescanning_contraction(self, data):
+        n = data.draw(st.integers(2, 7))
+        _, edges = draw_tree(data, n, [None])
+        adj = adjacency(n, edges)
+        letters = [data.draw(st.sampled_from("abc"))] + [None] * (n - 1)
+        order = [0]
+        for v in order:   # outwards from vertex 0, each letter unlike its parent's
+            for u in adj[v]:
+                if letters[u] is None:
+                    letters[u] = data.draw(
+                        st.sampled_from([x for x in "abc" if x != letters[v]]))
+                    order.append(u)
+        g = SymbolGraph.build(
+            {f"v{i + 1}": parse_symbol(data.draw(st.sampled_from(SYMBOL_LABELS[x])))
+             for i, x in enumerate(letters)},
+            [(f"v{a + 1}", f"v{b + 1}") for a, b in edges])
+        for v in g.ids():
+            got = contraction_outcome(reduce_at, g, v)
+            assert got == contraction_outcome(rescanning_reduce_at, g, v)
+            for _, h in ([] if isinstance(got, str) else got):
+                for u in h.ids():
+                    assert (contraction_outcome(reduce_at, h, u)
+                            == contraction_outcome(rescanning_reduce_at, h, u))
 
 
 class TestDefaultOrder:

@@ -353,6 +353,17 @@ class TestConfigurationPairing:
             configuration_pairing(g, t)
         assert graph_tree_pairing(g, t) == 2
 
+    @pytest.mark.parametrize("pair", [
+        lambda g, t: pairing_matrix([g], [t]),
+        graph_tree_pairing,
+        configuration_pairing,
+        lambda g, t: extended_pairing(g, LieElement().add(1, t)),
+    ], ids=["matrix", "graph-tree", "configuration", "extended"])
+    def test_a_label_with_children_is_refused(self, pair):
+        g = parse_graph("{v1:(b)a, v2:c; v1->v2}")
+        with pytest.raises(InvalidArgument, match=r"v1 has \(b\)a"):
+            pair(g, parse_lie("[a,c]").items()[0][1])
+
 
 class TestExtendedPairing:
     def test_star_24(self):
