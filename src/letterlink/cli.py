@@ -243,9 +243,7 @@ def _run(args) -> int:
         gens = _distinct_gens(args.gens)
         md = (None if args.multidegree is None
               else _multidegree_from(gens, args.multidegree))
-        # no tree of another weight has this multidegree
-        trees = ([] if md and sum(md.values()) != args.weight
-                 else lie.lyndon_basis(args.weight, gens, md))
+        trees = lie.lyndon_basis(args.weight, gens, md)
         env.set_value([str(t) for t in trees], "\n".join(str(t) for t in trees))
     elif args.command == "matrix":
         gens = _distinct_gens(args.gens)

@@ -5,7 +5,10 @@ A symbol graph is an oriented labeled tree whose edge endpoints carry
 distinct free letters.  Eil graphs are the depth-zero-labeled case; the
 ambient graph model additionally admits homogeneous edges (equal labels at
 an edge), which are accepted only by the ``ambient`` entry points and are
-what ``distinct_reduce`` eliminates.
+what ``distinct_reduce`` eliminates.  Reduction contracts, in place, the
+edges of one vertex of an order at a time in each term, so a leaf step
+costs only the edges it moves; a branching step copies its term for each
+edge but the last.
 
 Canonical forms treat edge reversal as a sign: the encoding depends only
 on the underlying undirected labeled tree, each edge gets an intrinsic
@@ -95,11 +98,12 @@ class SymbolGraph:
     def ids(self) -> list[str]:
         return [v for v, _ in self.vertices]
 
-    def adjacency(self) -> dict[str, list[str]]:
-        adj: dict[str, list[str]] = {v: [] for v in self.ids()}
-        for t, h in self.edges:
-            adj[t].append(h)
-            adj[h].append(t)
+    def adjacency(self) -> dict[str, dict[str, int]]:
+        """Each vertex, in id order, with its neighbours in edge order, each
+        mapped to the index of the edge that joins them."""
+        adj: dict[str, dict[str, int]] = {v: {} for v in self.ids()}
+        for i, (t, h) in enumerate(self.edges):
+            adj[t][h] = adj[h][t] = i
         return adj
 
     def validate(self, ambient: bool = False) -> None:
@@ -111,19 +115,12 @@ class SymbolGraph:
                 raise InvalidArgument(f"edge endpoint {t if t not in labels else h!r}"
                                       " is not a declared vertex")
         if len(self.edges) != len(labels) - 1:
-            raise NotATree(
-                f"{len(self.edges)} edges on {len(labels)} vertices"
-            )
-        seen = set()
-        stack = [next(iter(labels))]
+            raise NotATree(f"{len(self.edges)} edges on {len(labels)} vertices")
         adj = self.adjacency()
-        while stack:
-            v = stack.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            stack.extend(adj[v])
-        if len(seen) != len(labels):
+        stack = [next(iter(adj))]
+        while stack:   # a vertex's neighbours, the first time it is reached
+            stack.extend(adj.pop(stack.pop(), ()))
+        if adj:
             raise NotATree("graph is not connected")
         if not ambient:
             for t, h in self.edges:
@@ -225,26 +222,48 @@ def _read_graph(sc: Scanner) -> tuple[dict[str, Symbol], list[tuple[str, str]]]:
 # --- reduction -----------------------------------------------------------
 
 
-def _contract(g: SymbolGraph, labels: dict[str, Symbol], v: str,
-              u: str) -> SymbolGraph:
-    """Contract the edge between v and u into u, labelled (label_v) label_u;
-    ``labels`` are g's, in id order.  Only an edge moved from v to u can join
-    a free letter to itself, and the first that does makes the step undefined."""
-    new_labels = dict(labels)
-    del new_labels[v]
+def _contract(labels: dict[str, Symbol], adj: dict[str, dict[str, int]],
+              edges: list[tuple[str, str] | None], v: str, u: str) -> None:
+    """Contract, in place, the edge between v and u into u, labelled
+    (label_v) label_u.  Only v's other edges change: they move to u, and
+    the first in edge order that would join u's free letter to itself makes
+    the step undefined before anything changes."""
     letter = labels[u].letter
-    new_labels[u] = Symbol(letter, labels[u].children + (labels[v],))
-    new_edges = []
-    for t, h in g.edges:
-        if v in (t, h):
-            if u in (t, h):
-                continue
-            t, h = (u, h) if t == v else (t, u)
-            if labels[h if t == u else t].letter == letter:
-                raise UndefinedReduction(v, f"edge {t}->{h} joins free letter "
-                                            f"{letter!r} to itself")
-        new_edges.append((t, h))
-    return SymbolGraph(tuple(new_labels.items()), tuple(new_edges))
+    merged = Symbol(letter, labels[u].children + (labels[v],))
+    moved = adj[v]
+    bad = [i for w, i in moved.items() if w != u and labels[w].letter == letter]
+    if bad:
+        t, h = (u if x == v else x for x in edges[min(bad)])
+        raise UndefinedReduction(v, f"edge {t}->{h} joins free letter "
+                                    f"{letter!r} to itself")
+    del labels[v], adj[v], adj[u][v]
+    labels[u] = merged
+    edges[moved.pop(u)] = None
+    for w, i in moved.items():
+        adj[w][u] = adj[w].pop(v)
+        adj[u][w] = i
+        edges[i] = tuple(u if x == v else x for x in edges[i])
+
+
+def _reduce_step(terms: list[tuple], v: str) -> list[tuple]:
+    """``reduce_at`` on each term ``(sign, labels in id order, adjacency,
+    edges with None at each contracted edge)``, neighbours sorted by
+    ``_id_key`` and then by edge.  Each contraction copies its term but the
+    term's last, which works in place, so a leaf step copies nothing."""
+    out = []
+    for sign, labels, adj, edges in terms:
+        if v not in labels:
+            raise UndefinedReduction(v, "no such vertex")
+        if not adj[v]:
+            raise UndefinedReduction(v, "vertex has no incident edge")
+        steps = sorted(adj[v].items(), key=lambda e: (_id_key(e[0]), e[1]))
+        for k, (u, i) in enumerate(steps, 1):
+            term = (labels, adj, edges) if k == len(steps) else (
+                dict(labels), {w: dict(ns) for w, ns in adj.items()}, list(edges))
+            s = sign if edges[i][0] == v else -sign
+            _contract(*term, v, u)
+            out.append((s, *term))
+    return out
 
 
 def reduce_at(g: SymbolGraph, v: str) -> list[tuple[int, SymbolGraph]]:
@@ -253,62 +272,45 @@ def reduce_at(g: SymbolGraph, v: str) -> list[tuple[int, SymbolGraph]]:
     The sign is +1 for an edge oriented away from v, -1 towards it; each
     contraction labels the merged vertex (label_v) label_other.
     """
-    labels = g.labels
-    if v not in labels:
-        raise UndefinedReduction(v, "no such vertex")
-    incident = [(t, h) for t, h in g.edges if v in (t, h)]
-    if not incident:
-        raise UndefinedReduction(v, "vertex has no incident edge")
-    incident.sort(key=lambda e: _id_key(e[1] if e[0] == v else e[0]))
-    return [(1, _contract(g, labels, v, h)) if t == v
-            else (-1, _contract(g, labels, v, t)) for t, h in incident]
-
-
-def _reduce_step(terms: list[tuple[int, SymbolGraph]],
-                 v: str) -> list[tuple[int, SymbolGraph]]:
-    """``reduce_at`` each signed graph of ``terms`` at ``v``."""
-    return [(sign * s2, g2) for sign, graph in terms
-            for s2, g2 in reduce_at(graph, v)]
-
-
-def _symbol_sum(terms: list[tuple[int, SymbolGraph]]) -> SymbolSum:
-    """The signed sum of the labels of one-vertex graphs."""
-    out = SymbolSum()
-    for sign, graph in terms:
-        ((_, sym),) = graph.vertices
-        out.add(sign, sym)
-    return out
+    terms = _reduce_step([(1, g.labels, g.adjacency(), list(g.edges))], v)
+    return [(sign, SymbolGraph(tuple(labels.items()), tuple(filter(None, edges))))
+            for sign, labels, _, edges in terms]
 
 
 def reduce_full(g: SymbolGraph, order: list[str]) -> SymbolSum:
     """Compose reductions over ``order`` (all vertices but one) down to a
     signed sum of symbols."""
-    if len(order) != len(g.labels) - 1:
-        raise UndefinedReduction(
-            ",".join(order) or "(empty order)",
-            f"order must list {len(g.labels) - 1} vertices",
-        )
-    terms: list[tuple[int, SymbolGraph]] = [(1, g)]
+    if len(order) != len(g.vertices) - 1:
+        raise UndefinedReduction(",".join(order) or "(empty order)",
+                                 f"order must list {len(g.vertices) - 1} vertices")
+    terms = [(1, g.labels, g.adjacency(), list(g.edges))]
     for v in order:
         terms = _reduce_step(terms, v)
-    return _symbol_sum(terms)
+    out = SymbolSum()
+    for sign, labels, _, _ in terms:
+        out.add(sign, *labels.values())   # the one label left
+    return out
 
 
 def default_order(g: SymbolGraph) -> list[str]:
     """Deterministic valid order: repeatedly take the smallest-keyed leaf,
-    never the designated last vertex (largest key).  Leaf steps are always
-    valid on a valid symbol graph."""
-    labels = g.labels
-    key = {v: (sym.canonical(), _id_key(v)) for v, sym in labels.items()}
-    adj = {v: set(ns) for v, ns in g.adjacency().items()}
-    last = max(adj, key=lambda v: key[v])
+    never the designated last vertex (largest key).  Leaves wait in a heap,
+    and equal keys (``v1`` and ``v01`` with one label) go in ``g.vertices``
+    order, as ``min`` and ``max`` take them.  Leaf steps are always valid
+    on a valid symbol graph."""
+    adj = g.adjacency()
+    key = {v: (s.canonical(), _id_key(v), i) for i, (v, s) in enumerate(g.vertices)}
+    last = max(adj, key=lambda v: key[v][:2])
+    heap = [(key[v], v) for v, ns in adj.items() if len(ns) <= 1 and v != last]
+    heapq.heapify(heap)
     order = []
-    while len(adj) > 1:
-        leaves = [v for v, ns in adj.items() if len(ns) <= 1 and v != last]
-        v = min(leaves, key=lambda w: key[w])
+    while heap:
+        v = heapq.heappop(heap)[1]
         order.append(v)
-        for n in adj.pop(v):
-            adj[n].discard(v)
+        (u,) = adj.pop(v)
+        del adj[u][v]
+        if len(adj[u]) == 1 and u != last:
+            heapq.heappush(heap, (key[u], u))
     return order
 
 
@@ -368,10 +370,9 @@ def canonical_form(g: SymbolGraph) -> tuple[str, int, SymbolGraph]:
     """
     ids = g.ids()
     index = {v: i for i, v in enumerate(ids)}
-    adj = g.adjacency()
     rooted = dict(zip(ids, _rooted_encodings(
         [sym.canonical() for _, sym in g.vertices],
-        [[index[u] for u in adj[v]] for v in ids])))
+        [[index[u] for u in ns] for ns in g.adjacency().values()])))
     encoding = min(rooted.values())
     sign = 1
     new_edges = []

@@ -305,11 +305,8 @@ def _graph_row(graph, roots, split, content, unit_of) -> list[int]:
     # Root the graph at vertex 0: the tail side of an edge in the whole
     # graph is the subtree below it or its complement, and inside any
     # connected vertex set s holding the edge it is s & that side.
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for t, h in edges:
-        adj[t].append(h)
-        adj[h].append(t)
-    parent, order = _root_at_zero(adj)
+    parent, order = _root_at_zero(
+        [[index[u] for u in ns] for ns in graph.adjacency().values()])
     below = [1 << v for v in range(n)]
     for v in reversed(order):
         if v:

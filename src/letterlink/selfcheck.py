@@ -299,13 +299,17 @@ def _order_reductions(graph: eil.SymbolGraph):
 
     def walk(prefix: tuple[str, ...], terms):
         if len(prefix) == len(ids) - 1:
-            yield prefix, eil._symbol_sum(terms)
+            total = symbols.SymbolSum()
+            for sign, g in terms:   # each graph has one vertex left
+                total.add(sign, g.vertices[0][1])
+            yield prefix, total
             return
         for v in ids:
             if v in prefix:
                 continue
             try:
-                reduced = eil._reduce_step(terms, v)
+                reduced = [(sign * s, h) for sign, g in terms
+                           for s, h in eil.reduce_at(g, v)]
             except UndefinedReduction:
                 continue
             yield from walk(prefix + (v,), reduced)

@@ -12,8 +12,10 @@ canonicalize each admissible tree, sum the pairing over every label-preserving b
 eliminate over Fraction, tabulate every Magnus coefficient up to the
 weight, list every Lyndon word of a length by Duval's generation,
 free-reduce every group-ring key as soon as it is made, split a comma
-list with ``str.split``, and check every edge after each contraction.  The
-tests check the library's fast paths against them.
+list with ``str.split``, check every edge after each contraction, chain
+those contractions into a whole reduction, and rescan every vertex for the
+next leaf of the default order.  The tests check the library's fast paths
+against them.
 """
 
 from fractions import Fraction
@@ -26,7 +28,7 @@ from letterlink.errors import (InconsistentSystem, InvalidArgument, NonzeroCount
                                UndefinedReduction, UnknownGenerator)
 from letterlink.fox import magnus_coefficients
 from letterlink.linking import List
-from letterlink.symbols import Symbol
+from letterlink.symbols import Symbol, SymbolSum
 from letterlink.words import (_EMPTY_RUN, _INT_RE, GENERATOR_RE, CompactWord,
                               Letter, Scanner, Word, commutator, free_reduce)
 
@@ -589,7 +591,7 @@ def duval_lyndon_words(length, alphabet):
     return out
 
 
-# --- comma lists by str.split, contractions by rescanning every edge ----------
+# --- comma lists by str.split, reductions by rescanning every edge -----------
 
 
 def split_entries(text):
@@ -631,3 +633,40 @@ def rescanning_reduce_at(g, v):
         out.append((1 if t == v else -1,
                     SymbolGraph(tuple(new_labels.items()), edges)))
     return out
+
+
+def rescanning_reduce_full(g, order):
+    """``eil.reduce_full`` by chaining ``rescanning_reduce_at`` over every
+    graph of every step."""
+    if len(order) != len(g.labels) - 1:
+        raise UndefinedReduction(",".join(order) or "(empty order)",
+                                 f"order must list {len(g.labels) - 1} vertices")
+    terms = [(1, g)]
+    for v in order:
+        terms = [(sign * s, h) for sign, graph in terms
+                 for s, h in rescanning_reduce_at(graph, v)]
+    out = SymbolSum()
+    for sign, graph in terms:
+        ((_, sym),) = graph.vertices
+        out.add(sign, sym)
+    return out
+
+
+def rescanning_default_order(g):
+    """``eil.default_order`` by rescanning every vertex for the leaves at
+    each step and taking the least, the first of tied keys."""
+    labels = g.labels
+    key = {v: (sym.canonical(), _id_key(v)) for v, sym in labels.items()}
+    adj = {v: set() for v in labels}
+    for t, h in g.edges:
+        adj[t].add(h)
+        adj[h].add(t)
+    last = max(adj, key=lambda v: key[v])
+    order = []
+    while len(adj) > 1:
+        leaves = [v for v, ns in adj.items() if len(ns) <= 1 and v != last]
+        v = min(leaves, key=lambda w: key[w])
+        order.append(v)
+        for n in adj.pop(v):
+            adj[n].discard(v)
+    return order

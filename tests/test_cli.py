@@ -178,10 +178,10 @@ class TestGraphCommands:
 
     def test_basis_multidegree_is_checked_before_any_listing(self, capsys,
                                                              monkeypatch):
-        def refuse(weight, alphabet):
+        def refuse(*args):
             raise AssertionError("the basis was listed")
 
-        monkeypatch.setattr(letterlink.lie, "lyndon_basis", refuse)
+        monkeypatch.setattr(letterlink.lie, "standard_bracketing", refuse)
         code, out, err = run(capsys, "basis", "--weight", "9",
                              "--gens", "a,b,c,d", "--multidegree", "1,1")
         assert (code, out) == (2, "")
@@ -194,6 +194,15 @@ class TestGraphCommands:
                            "--gens", "a,b,c,d", "--multidegree", "1,1,1,1",
                            "--json")
         assert code == 0 and json.loads(out)["value"] == []
+
+    @pytest.mark.parametrize("weight, counts", [("1", "2,0"), ("99999999999", "1,1")])
+    def test_basis_of_a_multidegree_of_another_weight_is_empty(self, capsys,
+                                                                weight, counts):
+        # lyndon_words compares the counts with the weight before it
+        # allocates anything of the weight's size
+        code, out, _ = run(capsys, "basis", "--weight", weight, "--gens", "a,b",
+                           "--multidegree", counts)
+        assert (code, out) == (0, "\n")
 
     def test_basis_brackets_in_the_order_of_gens(self, capsys):
         code, out, _ = run(capsys, "basis", "--weight", "3", "--gens", "b,a")
@@ -254,6 +263,33 @@ class TestGraphCommands:
                              "--json")
         assert code == 0 and len(json.loads(out)["value"]) == 1
         assert "Traceback" not in err
+
+    # a leaf step contracts in place, so these stay linear in the vertices
+    def test_reduce_a_3000_vertex_path_along_its_leaf_order(self, capsys):
+        code, out, _ = run(capsys, "reduce", "--graph", ab_path(3000), "--order",
+                           ",".join(f"v{i}" for i in range(1, 3000)), "--json")
+        expected = "a"
+        for i in range(1, 3000):
+            expected = f"({expected}){'ab'[i % 2]}"
+        assert code == 0 and json.loads(out)["value"] == [[1, expected]]
+
+    @pytest.mark.parametrize("word, code, expected", [
+        ("c", 0, "0"),
+        ("[a,b]^200", 1, "undefined at (a)b (count=200)"),
+    ])
+    def test_eval_graph_on_a_3000_vertex_path(self, capsys, word, code,
+                                              expected):
+        got, out, _ = run(capsys, "eval", "--graph", ab_path(3000),
+                          "--word", word)
+        assert (got, out) == (code, expected + "\n")
+
+    def test_reduce_a_star_centre_first(self, capsys):
+        # the first step branches into one term per leaf
+        code, out, _ = run(capsys, "reduce", "--graph",
+                           "{v1:a, v2:b, v3:c, v4:d; v1->v2, v3->v1, v1->v4}",
+                           "--order", "v1,v2,v3")
+        assert (code, out) == (0, "-1*(((a)b)c)d + 1*((a)(b)c)d"
+                                  " + 1*((a)b)(c)d + -1*(a)(b)(c)d\n")
 
     def test_coords(self, capsys):
         code, out, _ = run(capsys, "coords", "--word", "a b a^-1 b^-1",

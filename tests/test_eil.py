@@ -7,7 +7,8 @@ from itertools import product
 
 import pytest
 from brute_force import (centre_key, fraction_rank, memo_canonical_form,
-                         prufer_scan_graphs, rescanning_reduce_at)
+                         prufer_scan_graphs, rescanning_default_order,
+                         rescanning_reduce_at, rescanning_reduce_full)
 from hypothesis import given, settings, strategies as st
 
 from letterlink import (
@@ -209,6 +210,112 @@ class TestContractionOracle:
                 for u in h.ids():
                     assert (contraction_outcome(reduce_at, h, u)
                             == contraction_outcome(rescanning_reduce_at, h, u))
+
+
+# vertex ids: v1, v01 and v001 tie on ``_id_key``, as do v2, v02, ...; x and
+# w_2 fall outside its pattern
+TIED_IDS = [f"v{'0' * z}{k}" for k in range(1, 4) for z in range(3)] + ["x", "w_2"]
+
+
+def draw_symbol_graph(data):
+    """A symbol graph of 2-7 vertices with ids from ``TIED_IDS``, randomly
+    oriented edges each joining distinct letters, and labels either all
+    bare letters or drawn from ``SYMBOL_LABELS``."""
+    n = data.draw(st.integers(2, 7))
+    _, edges = draw_tree(data, n, [None])
+    adj = adjacency(n, edges)
+    letters = [data.draw(st.sampled_from("abc"))] + [None] * (n - 1)
+    order = [0]
+    for v in order:   # outwards from vertex 0, each letter unlike its parent's
+        for u in adj[v]:
+            if letters[u] is None:
+                letters[u] = data.draw(
+                    st.sampled_from([x for x in "abc" if x != letters[v]]))
+                order.append(u)
+    bare = data.draw(st.booleans())
+    ids = data.draw(st.lists(st.sampled_from(TIED_IDS), min_size=n, max_size=n,
+                             unique=True))
+    return SymbolGraph.build(
+        {vid: parse_symbol(x if bare else data.draw(st.sampled_from(SYMBOL_LABELS[x])))
+         for vid, x in zip(ids, letters)},
+        [(ids[a], ids[b]) for a, b in edges])
+
+
+def draw_order(data, g):
+    """An order of all vertices but one, any of them first, so that steps
+    may branch or be undefined; or a list of known and unknown ids, repeats
+    allowed, of any length."""
+    ids = g.ids()
+    return data.draw(st.one_of(
+        st.permutations(ids).map(lambda order: order[:-1]),
+        st.lists(st.sampled_from(ids + ["v4", "y"]), max_size=len(ids) + 1)))
+
+
+def reduction_outcome(reduce, g, order):
+    """The text of a whole reduction's symbol sum, or of its UndefinedReduction."""
+    try:
+        return str(reduce(g, order))
+    except UndefinedReduction as exc:
+        return str(exc)
+
+
+class TestReductionOracle:
+    """``reduce_full``, which contracts each term in place, against chaining
+    ``rescanning_reduce_at`` over whole graphs, and ``default_order``,
+    which keeps its leaves in a heap, against rescanning for them."""
+
+    @given(data=st.data())
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    def test_reduce_full_is_the_chained_rescanning_reduction(self, data):
+        g = draw_symbol_graph(data)
+        for order in (default_order(g), draw_order(data, g), draw_order(data, g)):
+            assert (reduction_outcome(reduce_full, g, order)
+                    == reduction_outcome(rescanning_reduce_full, g, order))
+
+    @given(data=st.data())
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    def test_reduce_full_builds_no_graph(self, data):
+        g = draw_symbol_graph(data)
+        order = draw_order(data, g)
+        built = []
+
+        def spy(*args):
+            built.append(args)
+            return SymbolGraph(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(eil, "SymbolGraph", spy)
+            reduction_outcome(reduce_full, g, order)
+        assert built == []
+
+    @given(data=st.data())
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    def test_default_order_is_the_rescanning_one(self, data):
+        g = draw_symbol_graph(data)
+        assert default_order(g) == rescanning_default_order(g)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("{v1:a, v01:a, v2:b; v1->v2, v01->v2}", ["v1", "v01"]),
+        ("{v01:a, v1:a, v2:b; v1->v2, v01->v2}", ["v01", "v1"]),
+        # the last vertex is the first of the tied largest keys
+        ("{v2:b, v02:b, v1:a; v2->v1, v1->v02}", ["v02", "v1"]),
+        ("{v02:b, v2:b, v1:a; v2->v1, v1->v02}", ["v2", "v1"]),
+    ])
+    def test_tied_keys_go_in_vertex_order(self, text, expected):
+        g = parse_graph(text)
+        assert default_order(g) == rescanning_default_order(g) == expected
+
+    def test_tied_neighbours_go_in_edge_order(self):
+        # in the term where v3 went into v5, v5 took over the edge to v9,
+        # which comes before its own edge to v09 (same ``_id_key``) in edge
+        # order: v5 goes into v9 first, and that step is the undefined one
+        g = parse_graph("{v3:b, v9:c, v5:a, v09:c, v2:d; "
+                        "v3->v9, v5->v09, v3->v5, v3->v2}")
+        order = ["v3", "v5", "v2", "v9"]
+        message = ("reduction undefined at vertex v5: edge v9->v09 joins free "
+                   "letter 'c' to itself")
+        assert reduction_outcome(reduce_full, g, order) == message
+        assert reduction_outcome(rescanning_reduce_full, g, order) == message
 
 
 class TestDefaultOrder:
