@@ -1,5 +1,14 @@
 """Letter-linking invariants on free-group words, the graph calculus that
-organizes them, and the free differential calculus for cross-checks."""
+organizes them, and the free differential calculus for cross-checks.
+
+`diagram` and `selfcheck` serve one CLI command each, so they are loaded
+at first use: each is in ``sys.modules`` and bound here at once, but its
+code runs at its first attribute access.  Every other module is imported
+here eagerly.
+"""
+
+import importlib.util
+import sys
 
 from .errors import (
     InconsistentSystem,
@@ -86,5 +95,22 @@ from .fox import (
     fox_eval,
     iterated_fox,
 )
+
+
+def _load_at_first_use(name: str):
+    """The submodule ``name``, in ``sys.modules`` with its code not yet run,
+    unless it is there already."""
+    fullname = f"{__name__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[fullname] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
+
+
+diagram = _load_at_first_use("diagram")
+selfcheck = _load_at_first_use("selfcheck")
 
 __version__ = "0.1.0"

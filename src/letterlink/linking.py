@@ -16,8 +16,9 @@ signs) and keeps each node's list as an int list over its letter's
 occurrences.  A child's potential is the running sum of the child's signed
 values, read at the parent's occurrences through the number of the child's
 occurrences before each (kept per pair of letters).  Lists and counts are
-filled along ``Symbol.postorder`` and memoized per word by canonical
-sub-symbol, potentials by sub-symbol and parent letter.  The
+filled along ``Symbol.postorder``, up to the first undefined sub-symbol,
+and memoized per word by canonical sub-symbol, potentials by sub-symbol
+and parent letter.  The
 interval-building oracle (`enumerate_coboundings` + `link_via_cobounding`)
 is kept for cross-checking.
 
@@ -42,7 +43,7 @@ from functools import reduce
 from itertools import accumulate, chain, permutations, product
 from math import lcm, log10
 from operator import itemgetter, mul
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import (
     InvalidArgument,
@@ -221,13 +222,13 @@ class Evaluator:
 
     def value(self, sym: Symbol) -> int:
         """The letter-linking invariant: the count of the symbol list.
-        Raises UndefinedInvariant as `_check_defined` does; a symbol whose
-        invariant is known is one lookup in ``_defined``."""
+        Raises UndefinedInvariant as `_check_defined` does, with the nodes
+        after the undefined one left unfilled; a symbol whose invariant is
+        known is one lookup in ``_defined``."""
         key = sym.canonical()
         out = self._defined.get(key)
         if out is None:
-            self._visit(sym)
-            _check_defined(sym, self._counts)
+            _check_defined(sym, self._counts, self._visit)
             out = self._defined[key] = self._counts[key]
         return out
 
@@ -254,26 +255,25 @@ class Evaluator:
         """The signed count of placements of the symbol's nodes on letters,
         each child before its parent, whether or not the invariant is
         defined."""
-        self._visit(sym)
+        for node in sym.postorder():
+            self._visit(node)
         return self._counts[sym.canonical()]
 
-    def _visit(self, sym: Symbol) -> None:
-        """Memoize the list and count of every node of ``sym`` not yet
-        memoized, in post-order."""
-        memo, counts = self._memo, self._counts
-        for node in sym.postorder():
-            key = node.canonical()
-            if key in memo:
-                continue
-            positions, signs = self.occurrences(node.letter)
-            values = None if node.children else [1] * len(positions)
-            for child in node.children:
-                potential = self._potential(child.canonical(), child.letter,
-                                            node.letter)
-                values = (potential if values is None
-                          else list(map(mul, values, potential)))
-            memo[key] = values
-            counts[key] = sum(map(mul, values, signs))
+    def _visit(self, node: Symbol) -> None:
+        """Memoize the list and count of ``node``, whose children are
+        memoized, unless they are memoized already."""
+        key = node.canonical()
+        if key in self._memo:
+            return
+        positions, signs = self.occurrences(node.letter)
+        values = None if node.children else [1] * len(positions)
+        for child in node.children:
+            potential = self._potential(child.canonical(), child.letter,
+                                        node.letter)
+            values = (potential if values is None
+                      else list(map(mul, values, potential)))
+        self._memo[key] = values
+        self._counts[key] = sum(map(mul, values, signs))
 
     def _potential(self, key: str, gen: str, parent: str) -> list[int]:
         """Prefix potential of the zero-count list of the memoized ``key``,
@@ -392,7 +392,7 @@ class _Fold:
 
     value, value_sum = Evaluator.value, Evaluator.value_sum
 
-    def _visit(self, sym: Symbol) -> None:
+    def _visit(self, node: Symbol) -> None:
         """Every count is folded in advance."""
 
     def _fold(self, node: CompactWord, inverted: bool) -> list[int]:
@@ -433,13 +433,18 @@ class _Fold:
         return [1] + [ev.placements(sym) for sym in self._prunings.symbols[1:]]
 
 
-def _check_defined(sym: Symbol, counts: dict[str, int]) -> None:
+def _check_defined(sym: Symbol, counts: dict[str, int],
+                   visit: Callable[[Symbol], None] = lambda node: None) -> None:
     """Raise UndefinedInvariant at the first proper sub-symbol, in post-order
-    (leftmost, innermost), whose count is nonzero."""
+    (leftmost, innermost), whose count is nonzero.  ``visit`` is called on
+    each node before its count is read, so the counts can be filled along
+    the walk; no node after the undefined one is visited."""
     for node in sym.postorder()[:-1]:
+        visit(node)
         c = counts[node.canonical()]
         if c:
             raise UndefinedInvariant(node, c)
+    visit(sym)
 
 
 def _term_floor(syms: list[Symbol]) -> int:

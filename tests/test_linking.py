@@ -333,6 +333,15 @@ class TestEvaluatorMemo:
         assert repr(warm) == repr(cold)
         assert {warm: 1}[cold] == 1
 
+    def test_value_fills_no_node_after_the_undefined_one(self):
+        # post-order a, (a)b, c, (c)d, root: (a)b counts 1 on this word
+        ev = Evaluator(parse_word("a b a^-1 c d c^-1 e"))
+        sym = parse_symbol("((a)b)((c)d)e")
+        assert self.raised(ev, sym) == (sym.children[0], 1)
+        assert list(ev._memo) == ["a", "(a)b"]
+        assert ev.placements(sym) == 1
+        assert list(ev._memo) == ["a", "(a)b", "c", "(c)d", "((a)b)((c)d)e"]
+
 
 class TestRepresentativeIndependence:
     @given(
@@ -622,3 +631,13 @@ class TestWalksAgainstTheRecursion:
             for s in syms:
                 prunings.add(s)
             assert prunings.size == size >= floor
+
+    @given(walk_symbols(), oracle_words())
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    def test_value_fills_the_nodes_up_to_the_undefined_one(self, sym, w):
+        ev = Evaluator(w)
+        got = _failure(lambda: ev.value(sym))
+        nodes = sym.postorder()
+        if isinstance(got, tuple):
+            nodes = nodes[:list(map(id, nodes)).index(id(got[0])) + 1]
+        assert list(ev._memo) == list(dict.fromkeys(n.canonical() for n in nodes))
