@@ -16,7 +16,8 @@ class LetterLinkError(Exception):
         # Rebuild from the message and attributes without calling __init__,
         # whose parameters differ from ``args`` in most subclasses, so that
         # an error keeps its type, message and attributes through pickle
-        # (and so through a worker process, as in ``selfcheck.run_all``).
+        # (and so from a forked child to its caller, as in
+        # ``selfcheck.run_all``).
         return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 

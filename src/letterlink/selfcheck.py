@@ -5,25 +5,33 @@ Every check is exact (integer or rational equality, zero tolerance) and
 deterministic for a fixed seed.  Check k draws from its own
 ``random.Random(seed + k)``, so the checks are independent of each other.
 
-``run_all`` runs them in a pool of forked worker processes, one per usable
-CPU up to one per check, and hands out the costliest checks first.  It runs
-them in this process instead, in order, when fewer than two CPUs are
-usable, when the caller runs more than one thread (a forked child could
-wait forever on a lock another thread held), or when this process cannot
-fork children.  Its result, and so the ``selfcheck`` output and exit code,
-is the same either way, and an error a check raises reaches the caller
-unchanged.  A worker hands back, with its result, the distinct-vertex
-bases its check built (``eil.distinct_basis``), and they are kept here as
-if the check had run here, so a later call builds none of them again.  A
-tracer installed here sees the checks' inner calls only as time spent in
-``run_all``.
+``run_all`` runs them in this process and in forked children, one process
+per usable CPU up to one per check.  Every process pulls check numbers
+from one pipe, the costliest checks first, one at a time until the pipe is
+empty, so the caller takes its share of the checks as the children do.
+``run_all`` runs them in this process alone, in order, when fewer than two
+CPUs are usable, when the caller runs more than one thread (a forked child
+could wait forever on a lock another thread held), or when this process
+cannot fork children.  Its result, and so the ``selfcheck`` output and
+exit code, is the same either way, and an error a check raises reaches
+the caller unchanged; when several checks fail, it is the first in check
+order.  A child hands back, with each result, the distinct-vertex bases
+its check built (``eil.distinct_basis``), and they are kept here as if
+the check had run here, so a later call builds none of them again.  A
+child that ends without reporting a check it took makes ``run_all`` raise
+RuntimeError naming the checks with no result, and every child is reaped
+before ``run_all`` returns or raises.  A tracer installed here sees the
+inner calls of the checks this process runs, and the checks the children
+run only as time spent in ``run_all``.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
+import pickle
 import random
+import signal
 import threading
 from fractions import Fraction
 from math import lcm
@@ -651,21 +659,102 @@ def _run_check(index: int, seed: int, scale: str) -> tuple[str, bool, str]:
     return name, ok, detail
 
 
-def _run_in_worker(index: int, seed: int, scale: str):
-    """``_run_check`` in a pool worker, and the (key, basis) pairs that the
-    check added to the worker's ``eil.distinct_basis`` cache."""
-    before = set(eil._bases)
-    result = _run_check(index, seed, scale)
-    return result, [(key, basis) for key, basis in eil._bases.items()
-                    if key not in before]
+# the costliest checks, by number, costliest first: medians of about 92,
+# 82, 78, 30 and 16 ms of CPU, warm and in process, at seed 0, small
+# scale, on a shared 2-CPU VM, the others under 5 ms.  Taking the longest
+# checks first finishes sooner (Graham's LPT rule): two processes split
+# them as 10, 8, 11 and the rest against 7 and 6.
+_HEAVIEST_FIRST = (10, 7, 6, 8, 11)
 
 
-# the costliest checks, by number, costliest first: about 53, 46, 46, 17
-# and 10 ms of CPU in a forked worker at seed 0, small scale, the others
-# under 3 ms.  A pool that starts the longest jobs first finishes sooner
-# (Graham's LPT rule): two workers split them as 10, 8, 11 and the rest
-# against 6 and 7.
-_HEAVIEST_FIRST = (10, 6, 7, 8, 11)
+def _outcome(index: int, seed: int, scale: str):
+    """``_run_check``'s result, or the exception it raised."""
+    try:
+        return _run_check(index, seed, scale)
+    except Exception as error:
+        return error
+
+
+def _pull(tasks: int):
+    """The check indices read from the task pipe ``tasks``, one at a time,
+    until it is empty."""
+    while task := os.read(tasks, 1):
+        yield task[0]
+
+
+def _report(tasks: int, out: int, seed: int, scale: str):
+    """In a forked child: run the checks pulled from ``tasks``, write to
+    the pipe ``out`` one pickled (index, result or exception, new bases)
+    record per check, the new bases being the (key, basis) pairs that the
+    check added to the child's ``eil.distinct_basis`` cache, and leave
+    through os._exit, which runs none of the caller's exit handlers and
+    flushes none of its buffers."""
+    code = 1
+    try:
+        with open(out, "wb") as pipe:
+            for i in _pull(tasks):
+                before = set(eil._bases)
+                outcome = _outcome(i, seed, scale)
+                pipe.write(pickle.dumps((i, outcome, [
+                    (key, basis) for key, basis in eil._bases.items()
+                    if key not in before])))
+                pipe.flush()
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _run_forked(procs: int, seed: int, scale: str) -> list:
+    """The outcome (see ``_outcome``) of every check, in ``CHECKS`` order,
+    from this process and ``procs - 1`` forked children that pull the
+    checks from one task pipe; the children's new bases are kept here.
+    Raises RuntimeError, naming them, if some checks were not reported."""
+    heavy = [k - 1 for k in _HEAVIEST_FIRST if k <= len(CHECKS)]
+    tasks, fill = os.pipe()
+    # one byte per check, all written before any process reads, so a read
+    # of one byte never waits and an empty read means no check is left
+    os.write(fill, bytes(heavy + [i for i in range(len(CHECKS)) if i not in heavy]))
+    os.close(fill)
+    outcomes, bases, pids, readers = {}, [], [], []
+    try:
+        for _ in range(procs - 1):
+            reader, writer = os.pipe()
+            readers.append(reader)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _report(tasks, writer, seed, scale)    # never returns
+            finally:
+                os.close(writer)
+            pids.append(pid)
+        for i in _pull(tasks):
+            outcomes[i] = _outcome(i, seed, scale)
+        for reader in readers:
+            with open(reader, "rb", closefd=False) as pipe:
+                while True:
+                    try:
+                        i, outcome, new = pickle.load(pipe)
+                    except (EOFError, pickle.UnpicklingError):
+                        break       # the child has exited, maybe inside a record
+                    outcomes[i] = outcome
+                    bases += new
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(tasks)
+        for reader in readers:
+            os.close(reader)
+        for pid in pids:
+            os.waitpid(pid, 0)
+    for key, basis in bases:
+        eil._keep_basis(key, basis)
+    lost = [CHECKS[i][0] for i in range(len(CHECKS)) if i not in outcomes]
+    if lost:
+        raise RuntimeError(f"no result from check(s) {'; '.join(lost)}: "
+                           "a selfcheck child process ended early")
+    return [outcomes[i] for i in range(len(CHECKS))]
 
 
 def _usable_cpus() -> int:
@@ -676,34 +765,18 @@ def _usable_cpus() -> int:
 
 def run_all(seed: int = 0, scale: str = "small") -> list[tuple[str, bool, str]]:
     """(name, passed, detail) of every check, in ``CHECKS`` order, each
-    from the same ``_run_check`` call in a worker or here (see the module
-    docstring).  Raises InvalidArgument, before any check runs, unless
-    ``seed`` is an int and ``scale`` is "small" or "full"."""
+    from the same ``_run_check`` call in this process or in a forked child
+    (see the module docstring).  Raises InvalidArgument, before any check
+    runs, unless ``seed`` is an int and ``scale`` is "small" or "full"."""
     if type(seed) is not int:
         raise InvalidArgument(f"seed {seed!r} is not an int")
     if scale not in ("small", "full"):
         raise InvalidArgument(f"scale {scale!r} is not 'small' or 'full'")
-    indices = range(len(CHECKS))
-    workers = min(len(CHECKS), _usable_cpus())
-    if workers >= 2 and threading.active_count() == 1:
-        # imported here: it adds about a sixth to `import letterlink.cli`
-        import multiprocessing
-        if ("fork" in multiprocessing.get_all_start_methods()
-                and not multiprocessing.current_process().daemon):
-            # The pool forks its workers before it starts its own threads,
-            # and they leave through os._exit.  It starts the checks of
-            # _HEAVIEST_FIRST first, then the rest in CHECKS order; results
-            # are read in CHECKS order, so the first failure in that order
-            # is raised, as the loop below would raise it.
-            heavy = [k - 1 for k in _HEAVIEST_FIRST if k <= len(CHECKS)]
-            with multiprocessing.get_context("fork").Pool(workers) as pool:
-                pending = {i: pool.apply_async(_run_in_worker, (i, seed, scale))
-                           for i in heavy + [i for i in indices if i not in heavy]}
-                done = [pending[i].get() for i in indices]
-                pool.close()
-                pool.join()
-            for _, bases in done:
-                for key, basis in bases:
-                    eil._keep_basis(key, basis)
-            return [result for result, _ in done]
-    return [_run_check(i, seed, scale) for i in indices]
+    procs = min(len(CHECKS), _usable_cpus())
+    if procs < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
+        return [_run_check(i, seed, scale) for i in range(len(CHECKS))]
+    outcomes = _run_forked(procs, seed, scale)
+    for outcome in outcomes:
+        if isinstance(outcome, BaseException):
+            raise outcome
+    return outcomes

@@ -4,7 +4,7 @@ arithmetic, zero tolerance.  One PASS/FAIL line is printed per criterion
 
 import functools
 import itertools
-import multiprocessing
+import json
 import os
 import random
 import threading
@@ -17,6 +17,7 @@ from letterlink import eil, lie, linking, selfcheck
 from letterlink.errors import (InvalidArgument, NonzeroCount, UndefinedInvariant,
                                UndefinedReduction)
 from letterlink.symbols import parse_symbol
+from test_lazy_loading import python
 
 CRITERIA = {name: fn for name, fn in selfcheck.CHECKS}
 
@@ -109,8 +110,9 @@ def test_the_order_walk_is_reduce_full_over_every_permutation():
     assert undefined     # the walk skipped some orders
 
 
-# run_all runs the checks in forked workers where it can, and here where it
-# cannot; both must give the list the checks give when called in order.
+# run_all runs the checks here and in forked children where it can, and
+# here alone where it cannot; both must give the list the checks give when
+# called in order.
 
 @functools.cache
 def _in_order(seed):
@@ -127,6 +129,22 @@ def _run_with_pid_check(monkeypatch, seed):
     monkeypatch.setattr(selfcheck, "CHECKS", [*selfcheck.CHECKS, ("pid", _report_pid)])
     *results, (_, _, pid) = selfcheck.run_all(seed=seed, scale="small")
     return results, int(pid)
+
+
+def _with_pids(checks):
+    """The checks, each giving as its detail its own detail and the pid it
+    ran in."""
+    def tagged(fn):
+        def check(seed=0, scale="small"):
+            ok, detail = fn(seed=seed, scale=scale)
+            return ok, (detail, os.getpid())
+        return check
+    return [(name, tagged(fn)) for name, fn in checks]
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture
@@ -149,24 +167,19 @@ def extra_thread(two_cpus):
     thread.join()
 
 
-@pytest.fixture
-def daemon_process(two_cpus):
-    # a daemonic process, such as a pool worker, may not start children
-    multiprocessing.current_process().daemon = True
-    yield
-    multiprocessing.current_process().daemon = False
-
-
 @pytest.mark.parametrize("seed", [0, 3])
 def test_run_all_in_workers_equals_the_checks_in_order(seed, two_cpus, monkeypatch):
     expected = _in_order(seed)
-    results, pid = _run_with_pid_check(monkeypatch, seed)
-    assert results == expected
-    assert pid != os.getpid()
+    monkeypatch.setattr(selfcheck, "CHECKS", _with_pids(selfcheck.CHECKS))
+    results = selfcheck.run_all(seed=seed, scale="small")
+    assert [(name, ok, detail) for name, ok, (detail, _) in results] == expected
+    pids = {pid for _, _, (_, pid) in results}
+    assert os.getpid() in pids and len(pids) >= 2
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("seed", [0, 3])
-@pytest.mark.parametrize("fallback", ["one_cpu", "extra_thread", "daemon_process"])
+@pytest.mark.parametrize("fallback", ["one_cpu", "extra_thread"])
 def test_run_all_in_process_equals_the_checks_in_order(seed, fallback, request,
                                                        monkeypatch):
     expected = _in_order(seed)
@@ -194,7 +207,89 @@ def test_the_first_check_to_fail_in_order_raises_in_the_caller(two_cpus, monkeyp
     assert (info.value.subsymbol, info.value.count) == (parse_symbol("((a)b)c"), 2)
 
 
-# bases that workers build are handed back and kept in the caller
+def test_no_child_is_left_after_a_failing_check(two_cpus, monkeypatch):
+    def nonzero(seed=0, scale="small"):
+        raise NonzeroCount(5)
+
+    monkeypatch.setattr(selfcheck, "CHECKS", [*selfcheck.CHECKS, ("fails", nonzero)])
+    with pytest.raises(NonzeroCount):
+        selfcheck.run_all(seed=0, scale="small")
+    _assert_no_child_left()
+
+
+def test_an_interrupt_in_the_caller_kills_and_reaps_the_children(two_cpus,
+                                                                  monkeypatch):
+    caller = os.getpid()
+
+    def interrupted_here(seed=0, scale="small"):
+        if os.getpid() == caller:
+            time.sleep(0.2)     # the child takes the other check meanwhile
+            raise KeyboardInterrupt
+        time.sleep(30)
+        return True, "ran in a child"
+
+    monkeypatch.setattr(selfcheck, "CHECKS", [("first", interrupted_here),
+                                              ("second", interrupted_here)])
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        selfcheck.run_all(seed=0, scale="small")
+    assert time.perf_counter() - start < 10
+    _assert_no_child_left()
+
+
+# Two checks that each end the process they run in unless it is the caller,
+# where they wait a second, long enough for the child to take the other one.
+# Prints the error run_all raised, the check the caller ran, and whether a
+# child was left unreaped.
+DYING_CHILD = """
+import json, os, time
+from letterlink import selfcheck
+
+os.sched_getaffinity = lambda pid: {0, 1}
+caller = os.getpid()
+ran_here = []
+
+def dies_outside_the_caller(name):
+    def check(seed=0, scale="small"):
+        if os.getpid() != caller:
+            os._exit(3)
+        ran_here.append(name)
+        time.sleep(1)
+        return True, "ran in the caller"
+    return name, check
+
+selfcheck.CHECKS = [dies_outside_the_caller("first"), dies_outside_the_caller("second")]
+try:
+    selfcheck.run_all()
+except RuntimeError as error:
+    raised = str(error)
+else:
+    raised = None
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    left = False
+else:
+    left = True
+print(json.dumps([raised, ran_here, left]))
+"""
+
+
+def test_a_child_that_dies_makes_run_all_name_its_check_at_once():
+    # in a fresh interpreter with a timeout: a run_all that waits for the
+    # dead child's result would otherwise hang the suite
+    start = time.perf_counter()
+    done = python("-c", DYING_CHILD, timeout=20)
+    assert time.perf_counter() - start < 10
+    assert (done.returncode, done.stderr) == (0, "")
+    raised, ran_here, left = json.loads(done.stdout)
+    assert len(ran_here) == 1 and not left
+    lost = ({"first", "second"} - set(ran_here)).pop()
+    assert raised == (f"no result from check(s) {lost}: "
+                      "a selfcheck child process ended early")
+
+
+# bases that children build are handed back and kept in the caller
 
 def _bases_of_checks_5_and_11():
     for number in (5, 11):

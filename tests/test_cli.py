@@ -517,7 +517,7 @@ class TestListOptions:
 
 class TestSelfcheck:
     def test_one_envelope_on_a_pipe(self):
-        # the checks run in forked workers: none of them may print the
+        # the checks run in forked children: none of them may print the
         # parent's output again or warn about forking
         src = os.path.dirname(os.path.dirname(letterlink.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(

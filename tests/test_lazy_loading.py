@@ -42,12 +42,13 @@ print(json.dumps([codes, loaded]))
 """
 
 
-def python(*args):
+def python(*args, timeout=None):
     src = os.path.dirname(os.path.dirname(letterlink.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *args], stdout=subprocess.PIPE,
-                          stderr=subprocess.PIPE, text=True, env=env)
+                          stderr=subprocess.PIPE, text=True, env=env,
+                          timeout=timeout)
 
 
 def run_and_report(*argvs):
