@@ -35,8 +35,6 @@ from .words import (
     Word,
     commutator,
     free_reduce,
-    invert,
-    multiply,
     parse_compact,
     parse_word,
     random_gamma_element,
@@ -68,7 +66,6 @@ from .linking import (
 from .eil import (
     GraphSum,
     SymbolGraph,
-    canonicalize,
     default_order,
     distinct_reduce,
     enumerate_distinct_vertex_graphs,

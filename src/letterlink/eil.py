@@ -387,11 +387,6 @@ def canonical_form(g: SymbolGraph) -> tuple[str, int, SymbolGraph]:
     return encoding, sign, rep
 
 
-def canonicalize(g: SymbolGraph) -> tuple[str, int]:
-    encoding, sign, _ = canonical_form(g)
-    return encoding, sign
-
-
 class GraphSum(FormalSum):
     """Combination of graphs, keyed by ``canonical_form``: a graph adds its
     coefficient times its sign."""

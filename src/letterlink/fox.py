@@ -29,14 +29,6 @@ class GroupRingElement(FormalSum):
         key = free_reduce(w)
         return key, 1, key
 
-    @classmethod
-    def from_word(cls, w: Word) -> "GroupRingElement":
-        return cls({w: 1})
-
-    @classmethod
-    def zero(cls) -> "GroupRingElement":
-        return cls()
-
     def __mul__(self, other: "GroupRingElement") -> "GroupRingElement":
         out: dict[Word, int] = {}
         for u, cu in self.terms.items():
@@ -80,7 +72,7 @@ def iterated_fox(w: Word, seq: Iterable[str]) -> GroupRingElement:
     seq = list(seq)
     if not seq:
         raise InvalidArgument("need at least one generator")
-    x = GroupRingElement.from_word(w)
+    x = GroupRingElement({w: 1})
     for gen in reversed(seq):
         x = fox_derivative(x, gen)
     return x

@@ -103,9 +103,6 @@ class LieElement(FormalSum):
             return key.count(",") + 1
         return None
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
 
 # --- parsing ---------------------------------------------------------------
 

@@ -40,9 +40,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, chain, permutations, product
+from itertools import accumulate, chain, permutations, product, repeat
 from math import lcm, log10
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
 from typing import Callable, Iterable
 
 from .errors import (
@@ -52,7 +52,7 @@ from .errors import (
     TooLarge,
     UndefinedInvariant,
 )
-from .symbols import Symbol
+from .symbols import Symbol, _exact
 from .words import _DIGIT_LIMIT, CompactWord, Letter, Word
 
 # subtrees of a CompactWord of at most this many letters are evaluated on
@@ -203,8 +203,6 @@ class Evaluator:
         self._counts: dict[str, int] = {}
         # (key, parent letter) -> the key's potential, as `_potential` reads it
         self._potentials: dict[tuple[str, str], list[int]] = {}
-        # count of each key that `_check_defined` has passed
-        self._defined: dict[str, int] = {}
 
     def occurrences(self, gen: str) -> tuple[list[int], list[int]]:
         """The 0-based positions of ``gen`` in the word and the signs there."""
@@ -223,32 +221,17 @@ class Evaluator:
     def value(self, sym: Symbol) -> int:
         """The letter-linking invariant: the count of the symbol list.
         Raises UndefinedInvariant as `_check_defined` does, with the nodes
-        after the undefined one left unfilled; a symbol whose invariant is
-        known is one lookup in ``_defined``."""
-        key = sym.canonical()
-        out = self._defined.get(key)
-        if out is None:
-            _check_defined(sym, self._counts, self._visit)
-            out = self._defined[key] = self._counts[key]
-        return out
+        after the undefined one left unfilled; a memoized node is not
+        filled again."""
+        _check_defined(sym, self._counts, self._visit)
+        return self._counts[sym.canonical()]
 
     def value_sum(self, terms: Iterable[tuple[object, Symbol]]) -> Fraction:
-        """Sum of coeff * invariant; undefined if any term is.  Summed in
-        integers over the least common denominator of the coefficients."""
-        defined = self._defined
-        num, den = 0, 1
-        for coeff, sym in terms:
-            if not isinstance(coeff, (int, Fraction)):
-                coeff = Fraction(coeff)
-            value = defined.get(sym.canonical())
-            if value is None:
-                value = self.value(sym)
-            if value:
-                d = coeff.denominator
-                if den % d:
-                    scale = lcm(den, d)
-                    num, den = num * (scale // den), scale
-                num += coeff.numerator * (den // d) * value
+        """Sum of coeff * invariant; undefined if any term is.  Each
+        coefficient is made exact before its term's invariant is evaluated,
+        and the sum is `_combined_rows` of the invariants, one entry each."""
+        (num,), den = _combined_rows(
+            ((_exact(coeff), (self.value(sym),)) for coeff, sym in terms), 1)
         return Fraction(num, den)
 
     def placements(self, sym: Symbol) -> int:
@@ -388,7 +371,6 @@ class _Fold:
         self._prunings = prunings
         self._memo: dict[tuple[int, bool], list[int]] = {}
         self._counts = dict(zip(prunings.index, self._fold(w, False)))
-        self._defined: dict[str, int] = {}   # as in Evaluator
 
     value, value_sum = Evaluator.value, Evaluator.value_sum
 
@@ -445,6 +427,20 @@ def _check_defined(sym: Symbol, counts: dict[str, int],
         if c:
             raise UndefinedInvariant(node, c)
     visit(sym)
+
+
+def _combined_rows(terms, width: int) -> tuple[list[int], int]:
+    """The sum of the rows of ``width`` entries in (rational coefficient,
+    row) ``terms``, each times its coefficient, entry by entry, as
+    numerators over the coefficients' least common denominator, and that
+    denominator."""
+    terms = list(terms)
+    den = lcm(*(c.denominator for c, _ in terms))
+    out = [0] * width
+    for c, row in terms:
+        scale = c.numerator * (den // c.denominator)
+        out = list(map(add, out, map(mul, repeat(scale), row)))
+    return out, den
 
 
 def _term_floor(syms: list[Symbol]) -> int:

@@ -5,24 +5,24 @@ Every check is exact (integer or rational equality, zero tolerance) and
 deterministic for a fixed seed.  Check k draws from its own
 ``random.Random(seed + k)``, so the checks are independent of each other.
 
-``run_all`` runs them in this process and in forked children, one process
-per usable CPU up to one per check.  Every process pulls check numbers
-from one pipe, the costliest checks first, one at a time until the pipe is
-empty, so the caller takes its share of the checks as the children do.
-``run_all`` runs them in this process alone, in order, when fewer than two
+``run_all`` runs them in this process and in zero or more forked
+children, one process per usable CPU up to one per check.  Every process
+pulls check numbers from one pipe, the costliest checks first, one at a
+time until the pipe is empty.  No child is forked when fewer than two
 CPUs are usable, when the caller runs more than one thread (a forked child
-could wait forever on a lock another thread held), or when this process
-cannot fork children.  Its result, and so the ``selfcheck`` output and
-exit code, is the same either way, and an error a check raises reaches
-the caller unchanged; when several checks fail, it is the first in check
-order.  A child hands back, with each result, the distinct-vertex bases
-its check built (``eil.distinct_basis``), and they are kept here as if
-the check had run here, so a later call builds none of them again.  A
-child that ends without reporting a check it took makes ``run_all`` raise
-RuntimeError naming the checks with no result, and every child is reaped
-before ``run_all`` returns or raises.  A tracer installed here sees the
-inner calls of the checks this process runs, and the checks the children
-run only as time spent in ``run_all``.
+could wait forever on a lock another thread held), or where ``os.fork``
+is missing, and none after a fork fails (EAGAIN, ENOMEM).  Every check
+runs, and the result, and so the ``selfcheck`` output and exit code, is
+the same however many children ran; an error a check raises reaches the
+caller unchanged, and when several fail, the first in check order does.
+A child hands back, with each result, the distinct-vertex bases its check
+built (``eil.distinct_basis``), and they are kept here as if the check had
+run here, so a later call builds none of them again.  A child that ends
+without reporting a check it took makes ``run_all`` raise RuntimeError
+naming the checks with no result, and every child is reaped before
+``run_all`` returns or raises.  A tracer installed here sees the inner
+calls of the checks this process runs, and the checks the children run
+only as time spent in ``run_all``.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ import random
 import signal
 import threading
 from fractions import Fraction
-from math import lcm
-from operator import add, mul
 
 from . import eil, fox, lie, linking, symbols, words
 from .errors import (InvalidArgument, InvalidEdge, InvalidSymbol, UndefinedInvariant,
@@ -226,20 +224,6 @@ def _unique_commutators(n: int):
     return out
 
 
-def _combined_rows(terms, width: int) -> tuple[list[int], int]:
-    """The sum of the rows of ``width`` entries in (rational coefficient,
-    row) ``terms``, each times its coefficient, entry by entry, as
-    numerators over the coefficients' least common denominator, and that
-    denominator."""
-    terms = list(terms)
-    den = lcm(*(c.denominator for c, _ in terms))
-    out = [0] * width
-    for c, row in terms:
-        scale = c.numerator * (den // c.denominator)
-        out = list(map(add, out, map(mul, itertools.repeat(scale), row)))
-    return out, den
-
-
 def _symbol_values(sums: list[symbols.SymbolSum],
                    evaluators) -> dict[str, tuple[int, ...]]:
     """By canonical string, the invariants of each symbol of the ``sums``
@@ -257,7 +241,7 @@ def _sum_row(terms: symbols.SymbolSum, values: dict[str, tuple[int, ...]],
     """``Evaluator.value_sum`` of ``terms`` on each word of ``values`` (see
     ``_symbol_values``), as numerators over the least common denominator of
     its coefficients, and that denominator."""
-    return _combined_rows(((c, values[key]) for key, c in terms.terms.items()), width)
+    return linking._combined_rows(((c, values[k]) for k, c in terms.terms.items()), width)
 
 
 def check_6_exhaustive_duality(seed=0, scale="small"):
@@ -577,7 +561,7 @@ def _pairing_row(terms: list[tuple[object, eil.SymbolGraph]], trees) -> list[Fra
     """``lie.extended_pairing`` of the graph sum with (coefficient, graph)
     ``terms`` and each tree, from one ``lie.pairing_matrix`` call."""
     rows = lie.pairing_matrix([g for _, g in terms], trees)
-    nums, den = _combined_rows(zip([c for c, _ in terms], rows), len(trees))
+    nums, den = linking._combined_rows(zip([c for c, _ in terms], rows), len(trees))
     return [Fraction(num, den) for num in nums]
 
 
@@ -706,9 +690,10 @@ def _report(tasks: int, out: int, seed: int, scale: str):
 
 def _run_forked(procs: int, seed: int, scale: str) -> list:
     """The outcome (see ``_outcome``) of every check, in ``CHECKS`` order,
-    from this process and ``procs - 1`` forked children that pull the
-    checks from one task pipe; the children's new bases are kept here.
-    Raises RuntimeError, naming them, if some checks were not reported."""
+    from this process and up to ``procs - 1`` forked children, fewer if a
+    fork fails, that pull the checks from one task pipe; the children's new
+    bases are kept here.  Raises RuntimeError, naming them, if some checks
+    were not reported."""
     heavy = [k - 1 for k in _HEAVIEST_FIRST if k <= len(CHECKS)]
     tasks, fill = os.pipe()
     # one byte per check, all written before any process reads, so a read
@@ -724,6 +709,9 @@ def _run_forked(procs: int, seed: int, scale: str) -> list:
                 pid = os.fork()
                 if pid == 0:
                     _report(tasks, writer, seed, scale)    # never returns
+            except OSError:     # EAGAIN or ENOMEM: the others pull the rest
+                os.close(readers.pop())
+                break
             finally:
                 os.close(writer)
             pids.append(pid)
@@ -773,8 +761,8 @@ def run_all(seed: int = 0, scale: str = "small") -> list[tuple[str, bool, str]]:
     if scale not in ("small", "full"):
         raise InvalidArgument(f"scale {scale!r} is not 'small' or 'full'")
     procs = min(len(CHECKS), _usable_cpus())
-    if procs < 2 or threading.active_count() > 1 or not hasattr(os, "fork"):
-        return [_run_check(i, seed, scale) for i in range(len(CHECKS))]
+    if threading.active_count() > 1 or not hasattr(os, "fork"):
+        procs = 1
     outcomes = _run_forked(procs, seed, scale)
     for outcome in outcomes:
         if isinstance(outcome, BaseException):

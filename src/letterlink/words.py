@@ -428,14 +428,6 @@ def free_reduce(w: Word) -> Word:
     return Word(tuple(stack))
 
 
-def multiply(u: Word, v: Word) -> Word:
-    return u * v
-
-
-def invert(w: Word) -> Word:
-    return w.inverse()
-
-
 def commutator(u: Word, v: Word) -> Word:
     """[u, v] = u v u^-1 v^-1, unreduced."""
     return u * v * u.inverse() * v.inverse()

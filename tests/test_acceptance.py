@@ -189,6 +189,67 @@ def test_run_all_in_process_equals_the_checks_in_order(seed, fallback, request,
     assert pid == os.getpid()
 
 
+@pytest.fixture
+def no_fork(two_cpus, monkeypatch):
+    monkeypatch.delattr(os, "fork")
+
+
+@pytest.mark.parametrize("fallback", ["one_cpu", "extra_thread", "no_fork"])
+def test_without_children_the_caller_runs_every_check_heaviest_first(fallback, request,
+                                                                     monkeypatch):
+    request.getfixturevalue(fallback)
+    forks, ran = [], []
+
+    def fork():
+        forks.append(os.getpid())
+        raise BlockingIOError
+
+    def check(number, error=None):
+        def run(seed=0, scale="small"):
+            ran.append(number)
+            if error:
+                raise error
+            return True, "ran"
+        return str(number), run
+
+    if hasattr(os, "fork"):
+        monkeypatch.setattr(os, "fork", fork)
+    checks = [check(k) for k in range(1, 13)]
+    checks[0] = check(1, NonzeroCount(5))                              # pulled sixth
+    checks[9] = check(10, UndefinedInvariant(parse_symbol("(a)b"), 1))  # pulled first
+    monkeypatch.setattr(selfcheck, "CHECKS", checks)
+    with pytest.raises(NonzeroCount):
+        selfcheck.run_all(seed=0, scale="small")
+    assert ran == [10, 7, 6, 8, 11, 1, 2, 3, 4, 5, 9, 12]
+    assert forks == []
+
+
+@pytest.mark.parametrize("cpus, forks_before_failure", [(2, 0), (3, 1)])
+def test_a_failed_fork_leaves_the_checks_to_the_running_processes(
+        cpus, forks_before_failure, monkeypatch):
+    expected = _in_order(0)
+    real_fork, forks = os.fork, []
+
+    def fork():
+        if len(forks) == forks_before_failure:
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+        forks.append(None)
+        return real_fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(selfcheck, "CHECKS", _with_pids(selfcheck.CHECKS))
+    open_fds = len(os.listdir("/dev/fd"))
+    results = selfcheck.run_all(seed=0, scale="small")
+    assert [(name, ok, detail) for name, ok, (detail, _) in results] == expected
+    pids = {pid for _, _, (_, pid) in results}
+    assert os.getpid() in pids and len(pids) <= 1 + forks_before_failure
+    assert len(forks) == forks_before_failure
+    assert len(os.listdir("/dev/fd")) == open_fds
+    _assert_no_child_left()
+
+
 def test_the_first_check_to_fail_in_order_raises_in_the_caller(two_cpus, monkeypatch):
     def undefined(seed=0, scale="small"):
         time.sleep(0.1)     # the next check fails first
