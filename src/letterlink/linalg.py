@@ -1,22 +1,21 @@
-"""Exact linear algebra over the rationals by fraction-free elimination.
+"""Exact linear algebra over the integers by fraction-free elimination.
 
-A matrix is eliminated once (``eliminate``) and then solved for any number
-of right-hand sides (``back_substitute``).  Each row is scaled to
-integers and eliminated together with the diagonal block of its scales,
-using integer arithmetic only (Bareiss 1968): every entry stays a minor of
-the matrix and every division is exact, and that block ends as the integer
-row transform T that takes the matrix to its eliminated form.  Pivots
-are taken leftmost and never look at a right-hand side, so the pivot
-columns, the rank and the particular solution are those of rational
-Gauss-Jordan, and one elimination serves every right-hand side: each costs
-one product with T, the residual check and an integer back substitution.
+An ``int`` matrix is eliminated once (``eliminate``) and then solved for any
+number of ``int`` right-hand sides (``back_substitute``); a caller scales a
+rational system to integers.  Each row is eliminated beside the identity,
+in integer arithmetic only (Bareiss 1968): every entry stays a minor of the
+matrix, every division is exact, and the identity ends as the row transform
+T that takes the matrix to its eliminated form.  Pivots are taken leftmost
+and never look at a right-hand side, so the pivot columns, the rank and the
+particular solution are those of rational Gauss-Jordan, and one
+elimination serves every right-hand side: each costs one product with T,
+the residual check and an integer back substitution.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from math import lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -39,21 +38,12 @@ class Elimination(NamedTuple):
         return len(self.pivots)
 
 
-def _rational(value, where: str):
-    if type(value) is int:
-        return value
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError, ArithmeticError):
-        raise InvalidArgument(f"{where} {value!r} is not a rational number") from None
-
-
-def _integer_row(values, where: str) -> tuple[int, list[int]]:
-    """(scale, the row times scale), with scale the least common
-    denominator of the entries."""
-    row = [_rational(v, where) for v in values]
-    scale = lcm(*(v.denominator for v in row if type(v) is not int))
-    return scale, [int(v * scale) for v in row]
+def _integers(values, where: str) -> list[int]:
+    row = list(values)
+    for v in row:
+        if type(v) is not int:
+            raise InvalidArgument(f"{where} {v!r} is not an integer")
+    return row
 
 
 def _eliminate(m: list[list[int]], cols: int) -> list[int]:
@@ -88,11 +78,11 @@ def _eliminate(m: list[list[int]], cols: int) -> list[int]:
 
 
 def eliminate(matrix) -> Elimination:
-    """Eliminate a rational matrix (a list of equal-length rows) once, for
+    """Eliminate an integer matrix (a list of equal-length rows) once, for
     its rank, its pivot columns and ``back_substitute``.
 
     Raises InvalidArgument, before any elimination, for ragged rows or an
-    entry that is not a rational number.
+    entry that is not an ``int``.
     """
     try:
         matrix = list(matrix)
@@ -102,10 +92,9 @@ def eliminate(matrix) -> Elimination:
     if len(lengths) > 1:
         raise InvalidArgument(f"matrix rows have different lengths {sorted(lengths)}")
     cols = lengths.pop() if lengths else 0
-    m = []
-    for i, row in enumerate(matrix):
-        scale, ints = _integer_row(row, f"matrix entry in row {i}")
-        m.append(ints + [scale if i == j else 0 for j in range(len(matrix))])
+    m = [_integers(row, f"matrix entry in row {i}")
+         + [int(i == j) for j in range(len(matrix))]
+         for i, row in enumerate(matrix)]
     pivots = _eliminate(m, cols)
     return Elimination(cols, tuple(pivots),
                        tuple(tuple(m[k][c] for c in pivots) for k in range(len(pivots))),
@@ -117,26 +106,24 @@ def back_substitute(elimination: Elimination, rhs) -> list[Fraction]:
     ``elimination`` and b = ``rhs``, with the free variables set to zero.
 
     Raises InconsistentSystem when no solution exists, and InvalidArgument
-    when ``rhs`` does not have one rational entry per row of M.
+    when ``rhs`` does not have one ``int`` entry per row of M.
     """
     e = elimination
     try:
-        rhs = list(rhs)
+        b = _integers(rhs, "right-hand side entry")
     except TypeError:
         raise InvalidArgument("a right-hand side must be a list of entries") from None
-    if len(rhs) != len(e.transform):
-        raise InvalidArgument(f"right-hand side has {len(rhs)} entries "
+    if len(b) != len(e.transform):
+        raise InvalidArgument(f"right-hand side has {len(b)} entries "
                               f"for {len(e.transform)} rows")
-    # D x solves M z = D b, with D the least common denominator of b, and
-    # T M z = T D b is the eliminated system
-    denominator, b = _integer_row(rhs, "right-hand side entry")
+    # T M x = T b is the eliminated system
     t = [sum(map(mul, row, b)) for row in e.transform]
     r = e.rank
     for i in range(r, len(t)):
         if t[i]:
             raise InconsistentSystem(f"nonzero residual in row {i}")
     # Back substitution in integers: with d the last pivot (the pivot
-    # minor, up to sign), y = d z is integral on the pivot columns.
+    # minor, up to sign), y = d x is integral on the pivot columns.
     d = e.block[-1][-1] if r else 1
     y = [0] * r
     for k in reversed(range(r)):
@@ -144,5 +131,5 @@ def back_substitute(elimination: Elimination, rhs) -> list[Fraction]:
         y[k] = (d * t[k] - sum(row[j] * y[j] for j in range(k + 1, r))) // row[k]
     x = [Fraction(0)] * e.cols
     for k, c in enumerate(e.pivots):
-        x[c] = Fraction(y[k], d * denominator)
+        x[c] = Fraction(y[k], d)
     return x

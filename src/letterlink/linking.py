@@ -52,8 +52,8 @@ from .errors import (
     TooLarge,
     UndefinedInvariant,
 )
-from .symbols import Symbol, _exact
-from .words import _DIGIT_LIMIT, CompactWord, Letter, Word
+from .symbols import Symbol
+from .words import _DIGIT_LIMIT, CompactWord, Letter, Word, _exact
 
 # subtrees of a CompactWord of at most this many letters are evaluated on
 # their letters; longer products, powers and commutators are folded

@@ -236,14 +236,6 @@ def _symbol_values(sums: list[symbols.SymbolSum],
                                 for ev in evaluators))))
 
 
-def _sum_row(terms: symbols.SymbolSum, values: dict[str, tuple[int, ...]],
-             width: int) -> tuple[list[int], int]:
-    """``Evaluator.value_sum`` of ``terms`` on each word of ``values`` (see
-    ``_symbol_values``), as numerators over the least common denominator of
-    its coefficients, and that denominator."""
-    return linking._combined_rows(((c, values[k]) for k, c in terms.terms.items()), width)
-
-
 def check_6_exhaustive_duality(seed=0, scale="small"):
     checked = 0
     for n in range(1, 5):
@@ -255,7 +247,8 @@ def check_6_exhaustive_duality(seed=0, scale="small"):
         values = _symbol_values(reductions, (
             linking.Evaluator(words.expand_bracket(e)) for e in commutators))
         for graph, row, reduction in zip(graphs, pairings, reductions):
-            lhs, den = _sum_row(reduction, values, len(row))
+            lhs, den = linking._combined_rows(
+                ((c, values[k]) for k, c in reduction.terms.items()), len(row))
             if lhs != [rhs * den for rhs in row]:
                 tree, num, rhs = next((tree, num, rhs) for tree, num, rhs
                                       in zip(trees, lhs, row) if num != rhs * den)
@@ -326,7 +319,8 @@ def check_7_order_independence(seed=0, scale="small"):
                                 map(linking.Evaluator, sample))
         baseline = None
         for order, reduction in reductions:
-            sums, den = _sum_row(reduction, values, words_each)
+            sums, den = linking._combined_rows(
+                ((c, values[k]) for k, c in reduction.terms.items()), words_each)
             if baseline is None:
                 baseline, base_den = sums, den
             elif [x * base_den for x in sums] != [y * den for y in baseline]:

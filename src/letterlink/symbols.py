@@ -15,17 +15,17 @@ canonical string), ``eil.GraphSum`` (keyed by canonical encoding),
 ``lie.LieElement`` (keyed by the tree's text) and ``fox.GroupRingElement``
 (keyed by the freely reduced word).  Each key keeps the first
 representative added under it, and sums compare equal by their terms alone.
+Every coefficient goes through ``words._exact``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Mapping
 
 from .errors import InvalidSymbol, ParseError, UnknownGenerator
-from .words import GENERATOR_RE, Scanner, _write_sum
+from .words import GENERATOR_RE, Scanner, _exact, _write_sum
 
 
 @dataclass(frozen=True)
@@ -224,10 +224,6 @@ class FormalSum:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self})"
-
-
-def _exact(coeff) -> int | Fraction:
-    return coeff if type(coeff) is int else Fraction(coeff)
 
 
 class SymbolSum(FormalSum):

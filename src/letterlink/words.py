@@ -25,6 +25,10 @@ Every grammar of the package (words, symbols, Lie sums, graphs, graph
 sums and the CLI's comma lists) is read through one :class:`Scanner`, so a
 ParseError's position is an offset into the text the reader was given.
 Brackets and parentheses nest at most ``NESTING_LIMIT`` deep in all of them.
+
+``_exact`` reads every coefficient from outside the program, in a sum's
+text or passed to a sum or an evaluator, and refuses with InvalidArgument
+what is not a rational number or needs more than ``_DIGIT_LIMIT`` digits.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
 from math import log10
@@ -162,14 +167,27 @@ def _read_coefficient(sc: Scanner) -> Fraction:
     if text is None:
         return Fraction(1)
     sc.expect("*")
+    try:
+        return _exact("".join(text.split()))
+    except InvalidArgument:
+        raise ParseError(f"bad coefficient {text!r}", start,
+                         expected="rational number") from None
+
+
+def _exact(value) -> int | Fraction:
+    """An ``int`` or ``Fraction`` as it is, and any other rational (a float,
+    a ``Decimal`` or text such as ``"3/4"`` or ``"1e-3"``) as a ``Fraction``."""
+    if type(value) in (int, Fraction):
+        return value
+    text = str(value) if isinstance(value, (str, Decimal)) else ""
     mantissa, _, exponent = text.lower().partition("e")
     try:  # past _DIGIT_LIMIT digits int() raises ValueError
         if exponent and len(mantissa) + abs(int(exponent)) > _DIGIT_LIMIT:
             raise ValueError  # refused before 10**exponent is computed
-        return Fraction("".join(text.split()))
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad coefficient {text!r}", start,
-                         expected="rational number") from None
+        return Fraction(text or value)
+    except (TypeError, ValueError, ArithmeticError):
+        raise InvalidArgument(f"bad coefficient {value!r}, expected a rational "
+                              f"number of at most {_DIGIT_LIMIT} digits") from None
 
 
 def _write_sum(pairs: Iterable[tuple[object, object]]) -> str:
@@ -466,6 +484,8 @@ def _bracket_letters(expr) -> tuple[tuple[Letter, ...], tuple[Letter, ...]]:
 
 def random_bracket(weight: int, alphabet: list[str], rng: random.Random):
     """Random commutator shape of the given weight with random leaf labels."""
+    if weight < 1:
+        raise InvalidArgument(f"bracket weight {weight} is below 1")
     if weight == 1:
         return rng.choice(alphabet)
     split = rng.randint(1, weight - 1)
@@ -503,6 +523,8 @@ def random_gamma_element(depth: int, alphabet: Iterable[str],
     commutators of generators; depth 0 is an arbitrary word.  Deterministic
     for a fixed seed; ``seed`` may also be a random.Random instance.
     """
+    if depth < 0:
+        raise InvalidArgument(f"depth {depth} is negative")
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     gens = sorted(alphabet)
     if not gens:

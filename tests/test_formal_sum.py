@@ -1,8 +1,10 @@
 """``symbols.FormalSum`` arithmetic against plain dict arithmetic on the keys,
 for all four sums: Lie elements, group-ring elements, symbol sums and graph
-sums."""
+sums; and the one coefficient reader under the sums and the evaluators."""
 
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from brute_force import reducing_product
@@ -12,6 +14,7 @@ from letterlink import (
     BracketTree,
     GraphSum,
     GroupRingElement,
+    InvalidArgument,
     LieElement,
     Letter,
     MixedGrading,
@@ -21,8 +24,11 @@ from letterlink import (
     parse_graph,
     parse_lie,
     parse_symbol,
+    parse_word,
 )
 from letterlink.eil import canonical_form
+from letterlink.linking import Evaluator, _evaluator, _Fold, eval_symbol_sum
+from letterlink.words import parse_compact
 
 
 def trees(weight):
@@ -161,3 +167,71 @@ class TestMixedGrading:
                 parse_lie(f"{a} + {b}")
             # a weight that cancels out leaves a homogeneous element
             assert parse_lie(f"{a} + {b} - {a}") == LieElement({b: 1})
+
+
+SYMBOL = parse_symbol("(a)b")
+# (a)b counts 1 on [a,b], and 100 on the power, which is folded
+WORD, FOLDED = parse_word("[a,b]"), parse_compact("[a,b]^100")
+TERMS = {
+    "symbols": (SymbolSum, SYMBOL),
+    "graphs": (GraphSum, parse_graph("{v1:a, v2:b; v1->v2}")),
+    "lie": (LieElement, BracketTree.pair(BracketTree.leaf("a"), BracketTree.leaf("b"))),
+    "group ring": (GroupRingElement, parse_word("a b")),
+}
+
+
+def _sum_entry_points(kind, cls, term):
+    """The constructor, ``add`` and ``scale`` of a sum class, each as the
+    coefficient of the one-term sum it builds from a coefficient."""
+    def constructor(c):
+        return _only_coefficient(cls({term: c}))
+
+    def add(c):
+        return _only_coefficient(cls().add(c, term))
+
+    def scale(c):
+        return _only_coefficient(cls({term: 1}).scale(c))
+
+    return {f"{kind} {f.__name__}": f for f in (constructor, add, scale)}
+
+
+def _only_coefficient(total):
+    (coeff,) = total.terms.values()
+    return coeff
+
+
+# every place a coefficient enters the package, each as a function of the
+# coefficient, linear in it and nonzero at 1
+ENTRY_POINTS = {
+    name: enter for kind, (cls, term) in TERMS.items()
+    for name, enter in _sum_entry_points(kind, cls, term).items()}
+ENTRY_POINTS.update({
+    "Evaluator.value_sum": lambda c: Evaluator(WORD).value_sum([(c, SYMBOL)]),
+    "eval_symbol_sum on a Word": lambda c: eval_symbol_sum([(c, SYMBOL)], WORD),
+    "eval_symbol_sum on a folded CompactWord":
+        lambda c: eval_symbol_sum([(c, SYMBOL)], FOLDED),
+})
+
+
+def test_the_compact_word_is_folded():
+    assert isinstance(_evaluator(FOLDED, [SYMBOL]), _Fold)
+
+
+@pytest.mark.parametrize("enter", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+class TestCoefficients:
+    @pytest.mark.parametrize("coeff, exact", [
+        (3, 3), (Fraction(1, 3), Fraction(1, 3)), ("3/4", Fraction(3, 4)),
+        (0.5, Fraction(1, 2)), (Decimal("0.5"), Fraction(1, 2)),
+    ], ids=["int", "Fraction", "text", "float", "Decimal"])
+    def test_rational_numbers_are_read_exactly(self, enter, coeff, exact):
+        unit = enter(1)
+        assert unit and enter(coeff) == exact * unit
+
+    @pytest.mark.parametrize("coeff", [
+        "x", None, float("nan"), float("inf"), object(), "1/0", "1e10000000",
+        Decimal("1e10000000"),
+    ], ids=["x", "None", "nan", "inf", "object", "1/0", "1e10000000",
+            "Decimal 1e10000000"])
+    def test_anything_else_is_refused(self, enter, coeff):
+        with pytest.raises(InvalidArgument):
+            enter(coeff)

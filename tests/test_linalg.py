@@ -11,17 +11,16 @@ from letterlink.linalg import back_substitute, eliminate
 
 
 def random_entry(rng):
-    value = rng.choice((0, 0, 0, 1, -1, 2, rng.randint(-9, 9)))
-    return Fraction(value, rng.choice((1, 1, 2, 3, 7))) if rng.random() < 0.5 else value
+    return rng.choice((0, 0, 0, 1, -1, 2, rng.randint(-9, 9)))
 
 
 def random_system(rng):
-    """A rational system, often rank-deficient, often consistent."""
+    """An integer system, often rank-deficient, often consistent."""
     rows, cols = rng.randint(0, 6), rng.randint(0, 6)
     m = [[random_entry(rng) for _ in range(cols)] for _ in range(rows)]
     if rows >= 2 and rng.random() < 0.5:
         i, j = rng.sample(range(rows), 2)
-        f = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        f = rng.randint(-3, 3)
         m[i] = [a + f * b for a, b in zip(m[i], m[j])]
     if rng.random() < 0.5:
         x = [random_entry(rng) for _ in range(cols)]
@@ -53,7 +52,7 @@ def greedy_rank_increase(vectors):
 
 
 class TestAgainstFractionElimination:
-    def test_random_rational_systems(self):
+    def test_random_integer_systems(self):
         rng = random.Random(31)
         outcomes = set()
         for _ in range(1500):
@@ -86,7 +85,7 @@ class TestInconsistentSystem:
 
     def test_nonzero_rhs_of_an_empty_system(self):
         with pytest.raises(InconsistentSystem):
-            solve([[], []], [0, Fraction(1, 2)])
+            solve([[], []], [0, 1])
 
 
 class TestIndependentRows:
@@ -100,13 +99,12 @@ class TestIndependentRows:
             assert list(eliminate(transpose).pivots) == greedy_rank_increase(m)
 
 
-entries = st.one_of(st.just(0), st.integers(-9, 9),
-                    st.fractions(min_value=-9, max_value=9, max_denominator=7))
+entries = st.one_of(st.just(0), st.integers(-9, 9))
 
 
 @st.composite
 def matrices(draw):
-    """Rational matrices, among them empty, zero and rank-deficient ones."""
+    """Integer matrices, among them empty, zero and rank-deficient ones."""
     rows, cols = draw(st.integers(0, 5)), draw(st.integers(0, 5))
     m = [[draw(entries) for _ in range(cols)] for _ in range(rows)]
     if rows >= 2 and draw(st.booleans()):
@@ -161,6 +159,10 @@ class TestShapes:
         [["1/0"]],
         [1, 2],
         5,
+        [[1, Fraction(1, 2)]],
+        [[0.5]],
+        [["1"]],
+        [[True, 0]],
     ])
     def test_malformed_matrices(self, m, monkeypatch):
         calls = []
@@ -177,10 +179,11 @@ class TestShapes:
         ([[1]], ["x"]),
         ([[1]], [float("nan")]),
         ([[1]], 3),
+        ([[1]], [Fraction(1, 2)]),
+        ([[1]], [0.5]),
+        ([[1]], ["1"]),
+        ([[1]], [True]),
     ])
     def test_malformed_right_hand_sides(self, m, b):
         with pytest.raises(InvalidArgument):
             back_substitute(eliminate(m), b)
-
-    def test_strings_and_floats_that_are_rational_are_read(self):
-        assert solve([["1/2", 0.25]], ["3/4"]) == [Fraction(3, 2), 0]

@@ -384,6 +384,19 @@ class TestGammaElements:
         with pytest.raises(InvalidArgument):
             random_gamma_element(2, [], seed=0)
 
+    @pytest.mark.parametrize("draw", [
+        lambda rng: words.random_bracket(0, ["a", "b"], rng),
+        lambda rng: words.random_bracket(-2, ["a", "b"], rng),
+        lambda rng: random_gamma_element(-1, ["a", "b"], seed=rng),
+    ], ids=["weight 0", "weight -2", "depth -1"])
+    def test_a_weight_below_one_or_a_negative_depth_is_refused_before_any_draw(
+            self, draw):
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(InvalidArgument):
+            draw(rng)
+        assert rng.getstate() == state
+
     def test_commutator_exponent_sums_vanish(self):
         rng = random.Random(3)
         for depth in (1, 2, 3):
