@@ -16,7 +16,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import diagram, eil, fox, lie, linking, selfcheck, symbols, words
+from . import words
 from .errors import LetterLinkError, ParseError, TooLarge, UndefinedInvariant
 
 
@@ -209,13 +209,16 @@ def _run(args) -> int:
         w = words.parse_compact(args.word)
         try:
             if args.symbol is not None:
+                from . import linking, symbols
                 value = linking.eval_symbol(symbols.parse_symbol(args.symbol), w)
             else:
+                from . import eil
                 value = eil.eval_graph(eil.parse_graph(args.graph), w)
             env.set_value(value)
         except UndefinedInvariant as exc:
             env.set_undefined(exc)
     elif args.command == "fox":
+        from . import fox
         w = words.parse_word(args.word)
         seq = [g for g, _ in _entries(args.seq, words.GENERATOR_RE, "identifier")]
         if not seq:
@@ -223,16 +226,19 @@ def _run(args) -> int:
         env.set_value(str(fox.iterated_fox(w, seq)) if args.full
                       else fox.fox_eval(w, seq))
     elif args.command == "reduce":
+        from . import eil
         graph = eil.parse_graph(args.graph)
         order = ([v for v, _ in _entries(args.order, eil._VERTEX_ID_RE, "vertex id")]
                  if args.order is not None else eil.default_order(graph))
         total = eil.reduce_full(graph, order)
         env.set_value([[_plain(c), str(s)] for c, s in total], str(total))
     elif args.command == "distinct":
+        from . import eil
         graph = eil.parse_graph(args.graph, ambient=True)
         total = eil.distinct_reduce(graph)
         env.set_value([[_plain(c), str(g)] for c, g in total], str(total))
     elif args.command == "pair":
+        from . import eil, lie
         lie_part = lie.parse_lie(args.lie)
         if args.graph is not None:
             graphs = eil.parse_graph(args.graph, ambient=True)
@@ -240,23 +246,27 @@ def _run(args) -> int:
             graphs = eil.parse_graph_sum(args.graphsum)
         env.set_value(lie.extended_pairing(graphs, lie_part))
     elif args.command == "basis":
+        from . import lie
         gens = _distinct_gens(args.gens)
         md = (None if args.multidegree is None
               else _multidegree_from(gens, args.multidegree))
         trees = lie.lyndon_basis(args.weight, gens, md)
         env.set_value([str(t) for t in trees], "\n".join(str(t) for t in trees))
     elif args.command == "matrix":
+        from . import eil
         gens = _distinct_gens(args.gens)
         md = _multidegree_from(gens, args.multidegree)
         if sum(md.values()) != args.weight:
             raise ParseError("multidegree does not sum to --weight", 0)
         env.set_value(eil.dual_matrix(gens, md))
     elif args.command == "coords":
+        from . import lie
         w = words.parse_word(args.word)
         element = lie.lie_coordinates(w, args.weight)
         env.set_value([[_plain(c), str(t)] for c, t in element.items()],
                       str(element))
     elif args.command == "diagram":
+        from . import diagram, symbols
         w = words.parse_word(args.word)
         sym = symbols.parse_symbol(args.symbol)
         text, value, failure = diagram.render_diagram(w, sym)
@@ -266,6 +276,7 @@ def _run(args) -> int:
         else:
             env.set_value(value, text)
     elif args.command == "selfcheck":
+        from . import selfcheck
         results = selfcheck.run_all(seed=args.seed, scale=args.scale)
         all_ok = all(ok for _, ok, _ in results)
         report = [f"{'PASS' if ok else 'FAIL'}  {name}: {detail}"

@@ -29,6 +29,8 @@ Brackets and parentheses nest at most ``NESTING_LIMIT`` deep in all of them.
 ``_exact`` reads every coefficient from outside the program, in a sum's
 text or passed to a sum or an evaluator, and refuses with InvalidArgument
 what is not a rational number or needs more than ``_DIGIT_LIMIT`` digits.
+It reads text by one rule on every Python version: the coefficient grammar
+of a sum's text, with an optional sign.
 """
 
 from __future__ import annotations
@@ -62,11 +64,15 @@ _LETTER_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*(?![a-zA-Z0-9_])"
 _RUN_RE = re.compile(f"(?:{_LETTER_RE.pattern})+")
 # most digits CPython's int() converts to or from text by default
 _DIGIT_LIMIT = 4300
-# the unsigned forms of a fractions.Fraction string, with spaces allowed
-# around '/': 3, 1/2, 1 / 2, 0.5, .5, 1e-3, 1_000
+# an unsigned coefficient in a sum's text: 3, 1/2, 1 / 2, 0.5, .5, 5., 1e-3,
+# 1_000; an underscore may stand only between two digits, and reads as none
 _COEFFICIENT_RE = re.compile(
     r"(?=\.?\d)(?:\d+(?:_\d+)*)?"
     r"(?:\s*/\s*\d+(?:_\d+)*|(?:\.(?:\d+(?:_\d+)*)?)?(?:[eE][-+]?\d+(?:_\d+)*)?)")
+# the text ``_exact`` reads: an optional sign and an unsigned coefficient,
+# with whitespace around each, as a sum's text has them before a '*'
+_SIGNED_COEFFICIENT_RE = re.compile(
+    rf"\s*(?:[-+]\s*)?(?:{_COEFFICIENT_RE.pattern})\s*")
 
 
 class Scanner:
@@ -168,7 +174,7 @@ def _read_coefficient(sc: Scanner) -> Fraction:
         return Fraction(1)
     sc.expect("*")
     try:
-        return _exact("".join(text.split()))
+        return _exact(text)
     except InvalidArgument:
         raise ParseError(f"bad coefficient {text!r}", start,
                          expected="rational number") from None
@@ -176,15 +182,24 @@ def _read_coefficient(sc: Scanner) -> Fraction:
 
 def _exact(value) -> int | Fraction:
     """An ``int`` or ``Fraction`` as it is, and any other rational (a float,
-    a ``Decimal`` or text such as ``"3/4"`` or ``"1e-3"``) as a ``Fraction``."""
+    a ``Decimal`` or text such as ``"3/4"`` or ``"1e-3"``) as a ``Fraction``.
+    Text is read by ``_SIGNED_COEFFICIENT_RE`` on every Python version, so
+    it is refused exactly when a sum's text would refuse it before '*'."""
     if type(value) in (int, Fraction):
         return value
-    text = str(value) if isinstance(value, (str, Decimal)) else ""
-    mantissa, _, exponent = text.lower().partition("e")
     try:  # past _DIGIT_LIMIT digits int() raises ValueError
+        if not isinstance(value, (str, Decimal)):
+            return Fraction(value)
+        text = str(value)
+        if not _SIGNED_COEFFICIENT_RE.fullmatch(text):
+            raise ValueError
+        # Fraction reads spaces around '/' only from Python 3.12, and
+        # underscores only from 3.11
+        text = "".join(text.split()).replace("_", "")
+        mantissa, _, exponent = text.lower().partition("e")
         if exponent and len(mantissa) + abs(int(exponent)) > _DIGIT_LIMIT:
             raise ValueError  # refused before 10**exponent is computed
-        return Fraction(text or value)
+        return Fraction(text)
     except (TypeError, ValueError, ArithmeticError):
         raise InvalidArgument(f"bad coefficient {value!r}, expected a rational "
                               f"number of at most {_DIGIT_LIMIT} digits") from None
@@ -486,6 +501,8 @@ def random_bracket(weight: int, alphabet: list[str], rng: random.Random):
     """Random commutator shape of the given weight with random leaf labels."""
     if weight < 1:
         raise InvalidArgument(f"bracket weight {weight} is below 1")
+    if not alphabet:
+        raise InvalidArgument("alphabet must be nonempty")
     if weight == 1:
         return rng.choice(alphabet)
     split = rng.randint(1, weight - 1)

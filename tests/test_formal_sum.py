@@ -18,6 +18,7 @@ from letterlink import (
     LieElement,
     Letter,
     MixedGrading,
+    ParseError,
     SymbolSum,
     Word,
     free_reduce,
@@ -235,3 +236,39 @@ class TestCoefficients:
     def test_anything_else_is_refused(self, enter, coeff):
         with pytest.raises(InvalidArgument):
             enter(coeff)
+
+
+# (text, the coefficient it reads as, or None where it is refused); the
+# first group is accepted on every Python version from 3.10 on
+COEFFICIENT_TEXTS = [
+    ("3/4", Fraction(3, 4)), (" 3/4 ", Fraction(3, 4)), ("-3/4", Fraction(-3, 4)),
+    ("+3", 3), ("0.5", Fraction(1, 2)), (".5", Fraction(1, 2)), ("5.", 5),
+    ("1e-3", Fraction(1, 1000)), ("1E+3", 1000),
+    # spaces around '/' or after the sign: Fraction reads none before 3.12,
+    # and reads spaces after the sign on no version
+    ("3 / 4", Fraction(3, 4)), ("3/ 4", Fraction(3, 4)), ("- 3/4", Fraction(-3, 4)),
+    ("+ 3", 3),
+    # an underscore between two digits, which Fraction reads from 3.11 only
+    ("1_000", 1000), ("1_0/2_0", Fraction(1, 2)), ("1.2_5", Fraction(5, 4)),
+    ("1e1_0", 10 ** 10),
+    # refused: an underscore not between two digits, a second sign, a sign
+    # or space inside the number, and what is not a finite rational
+    ("1__0", None), ("_1", None), ("1_", None), ("1_/2", None), ("3/-4", None),
+    ("--3", None), ("+-3", None), ("1 0", None), ("3 /", None), ("e3", None),
+    (".", None), ("", None), (" ", None), ("0x10", None), ("1/0", None),
+    ("inf", None), ("nan", None), ("1.5/2", None), ("3/4.0", None),
+]
+
+
+@pytest.mark.parametrize("text, exact", COEFFICIENT_TEXTS,
+                         ids=[repr(t) for t, _ in COEFFICIENT_TEXTS])
+def test_the_library_reads_a_coefficient_as_a_sum_does(text, exact):
+    try:
+        in_the_library = _only_coefficient(SymbolSum().add(text, SYMBOL))
+    except InvalidArgument:
+        in_the_library = None
+    try:
+        in_a_sum = _only_coefficient(parse_lie(f"{text}*[a,b]"))
+    except ParseError:
+        in_a_sum = None
+    assert in_the_library == in_a_sum == exact

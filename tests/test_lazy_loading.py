@@ -1,6 +1,8 @@
-"""`diagram` and `selfcheck` are registered by the package but loaded at
-their first attribute access.  Each test runs in a fresh interpreter, since
-this one has loaded both already."""
+"""One loading rule for the package: every module but ``errors`` and ``cli``
+is put in ``sys.modules`` at once with its code not yet run, a package
+attribute runs its module's code at the first access, and each CLI command
+runs the code of the modules it uses only.  Each test runs in a fresh
+interpreter, since this one has loaded every module already."""
 
 import json
 import os
@@ -10,8 +12,11 @@ import sys
 import pytest
 
 import letterlink
+import letterlink.cli
 
 LAZY = ("diagram", "selfcheck")
+LAYERS = ("cli", "words", "symbols", "linking", "eil", "lie", "fox", "linalg",
+          "diagram", "selfcheck")
 
 # each command on one small input, as in the README
 COMMANDS = {
@@ -26,9 +31,29 @@ COMMANDS = {
     "diagram": ["diagram", "--word", "[a a,[b,a c]]", "--symbol", "((a)b)a"],
     "selfcheck": ["selfcheck", "--json"],
 }
+ARGV = {**COMMANDS, "eval --graph": [
+    "eval", "--graph", "{v1:a,v2:b; v1->v2}", "--word", "[a a,[b,a c]]"]}
 
-# prints the exit code of each argv in sys.argv[1], then whether each lazily
-# loaded module has been loaded
+# the modules whose code a bare import of the CLI runs
+CLI = {"errors", "words", "cli"}
+# with those, the modules whose code each command runs: its own and theirs
+EIL = {"eil", "lie", "fox", "linalg", "symbols", "linking"}
+RUNS = {
+    "eval": {"symbols", "linking"},
+    "eval --graph": EIL,
+    "fox": {"fox", "symbols"},
+    "reduce": EIL,
+    "distinct": EIL,
+    "pair": EIL,
+    "basis": {"lie", "fox", "symbols"},
+    "matrix": EIL,
+    "coords": {"lie", "fox", "symbols"},
+    "diagram": {"diagram", "symbols", "linking"},
+    "selfcheck": EIL | {"selfcheck"},
+}
+
+# prints the exit code of each argv in sys.argv[1], the letterlink modules
+# whose code has run and those in sys.modules
 RUN_AND_REPORT = """
 import contextlib, io, json, sys, types
 import letterlink.cli as cli
@@ -36,9 +61,11 @@ codes = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(cli.main(argv))
-loaded = {name: type(sys.modules["letterlink." + name]) is types.ModuleType
-          for name in ("diagram", "selfcheck")}
-print(json.dumps([codes, loaded]))
+ours = {name[len("letterlink."):]: type(module) is types.ModuleType
+        for name, module in sys.modules.items()
+        if name.startswith("letterlink.")}
+print(json.dumps([codes, sorted(n for n, ran in ours.items() if ran),
+                  sorted(ours)]))
 """
 
 
@@ -54,40 +81,84 @@ def python(*args, timeout=None):
 def run_and_report(*argvs):
     done = python("-c", RUN_AND_REPORT, json.dumps(argvs))
     assert (done.returncode, done.stderr) == (0, "")
-    return json.loads(done.stdout)
+    codes, ran, registered = json.loads(done.stdout)
+    assert registered == sorted({"errors", *LAYERS})
+    return codes, set(ran)
 
 
 def test_importing_the_cli_loads_neither():
-    assert run_and_report() == [[], {"diagram": False, "selfcheck": False}]
+    assert run_and_report() == ([], CLI)
 
 
-@pytest.mark.parametrize("command", [c for c in COMMANDS if c not in LAZY])
+@pytest.mark.parametrize("command", [c for c in ARGV if c not in LAZY])
 def test_other_commands_load_neither(command):
-    assert (run_and_report(COMMANDS[command])
-            == [[0], {"diagram": False, "selfcheck": False}])
+    assert not RUNS[command] & set(LAZY)
+    assert run_and_report(ARGV[command]) == ([0], CLI | RUNS[command])
 
 
 @pytest.mark.parametrize("command", LAZY)
 def test_each_lazy_command_loads_its_own_module_only(command):
-    assert (run_and_report(COMMANDS[command])
-            == [[0], {name: name == command for name in LAZY}])
+    assert set(LAZY) & RUNS[command] == {command}
+    assert run_and_report(COMMANDS[command]) == ([0], CLI | RUNS[command])
 
 
 def test_the_package_api_reaches_both():
+    # an attribute of the package is a loaded module or a name of one
     done = python("-c", """
 import pickle, sys, types
 import letterlink
 lazy = lambda: [type(sys.modules["letterlink." + n]) is not types.ModuleType
                 for n in ("diagram", "selfcheck")]
 assert {"diagram", "selfcheck"} <= set(dir(letterlink)) and lazy() == [True, True]
-from letterlink import diagram, selfcheck
-assert lazy() == [True, True]
-assert len(letterlink.selfcheck.CHECKS) == 12 and lazy() == [True, False]
-fn = selfcheck._run_check
+from letterlink import diagram
+assert lazy() == [False, True] and type(diagram) is types.ModuleType
+assert len(letterlink.selfcheck.CHECKS) == 12 and lazy() == [False, False]
+fn = letterlink.selfcheck._run_check
 assert pickle.loads(pickle.dumps(fn)) is fn
 assert diagram.render_diagram.__module__ == "letterlink.diagram"
-assert lazy() == [False, False]
+assert letterlink.lie_coordinates is sys.modules["letterlink.lie"].lie_coordinates
 """)
+    assert (done.returncode, done.stderr) == (0, "")
+
+
+# every public name that dir(letterlink) listed when all but diagram and
+# selfcheck were imported with the package
+PUBLIC = """
+BracketTree Cobounding CompactWord Evaluator GraphSum GroupRingElement
+InconsistentSystem InvalidArgument InvalidEdge InvalidMultidegree
+InvalidSymbol LabelMismatch Letter LetterLinkError LieElement List
+MixedGrading NonzeroCount NotATree NotInGamma ParseError SameGenerator
+Symbol SymbolGraph SymbolSum TooLarge UndefinedInvariant UndefinedReduction
+UnknownGenerator Word augmentation commutator configuration_pairing count
+default_order diagram distinct_reduce eil enumerate_coboundings
+enumerate_distinct_vertex_graphs equivalent errors eval_graph eval_symbol
+eval_symbol_sum extended_pairing fox fox_derivative fox_eval free_reduce
+graph_of_symbol importlib iterated_fox leibniz_terms lie lie_coordinates
+lie_image_of_bracket_word linalg link link_via_cobounding linking
+lyndon_basis parse_compact parse_graph parse_lie parse_symbol parse_word
+prefix_potential preimages_of_symbol random_gamma_element reduce_at
+reduce_full relabel relabel_symbol selfcheck standard_list symbol_list
+symbols sys words
+""".split()
+
+
+def test_every_public_name_is_listed_and_reachable():
+    done = python("-c", """
+import json, sys, types
+import letterlink
+names = json.loads(sys.argv[1])
+assert set(names) <= set(dir(letterlink)), set(names) - set(dir(letterlink))
+star = {}
+exec("from letterlink import *", star)
+assert set(names) <= set(star), set(names) - set(star)
+for name in names:
+    value = getattr(letterlink, name)
+    if isinstance(value, types.ModuleType):
+        assert sys.modules[value.__name__] is value, name
+    else:
+        assert value.__name__ == name, name
+        assert getattr(sys.modules[value.__module__], name) is value, name
+""", json.dumps(PUBLIC))
     assert (done.returncode, done.stderr) == (0, "")
 
 
@@ -101,12 +172,59 @@ for name in [n for n in sys.modules if n.split(".")[0] == "letterlink"]:
 cli = importlib.import_module("letterlink.cli")
 """), json.dumps([COMMANDS["diagram"], COMMANDS["selfcheck"]]))
     assert (done.returncode, done.stderr) == (0, "")
-    assert json.loads(done.stdout) == [[0, 0], {"diagram": True, "selfcheck": True}]
+    codes, ran, _ = json.loads(done.stdout)
+    assert codes == [0, 0] and set(LAZY) <= set(ran)
 
 
-@pytest.mark.parametrize("command", ["eval", "diagram"])
-def test_run_as_a_module_without_a_warning(command):
-    # cli itself is imported eagerly, so runpy finds it unloaded
-    done = python("-W", "error", "-m", "letterlink.cli", *COMMANDS[command])
+def test_a_module_taken_from_the_package_survives_a_purge():
+    # as benchmarks/oracles.Oracle keeps its modules across the purges of
+    # benchmarks/run.py
+    done = python("-c", """
+import importlib, sys
+from letterlink import eil, symbols
+for name in [n for n in sys.modules if n.split(".")[0] == "letterlink"]:
+    del sys.modules[name]
+importlib.import_module("letterlink.cli")
+graph = eil.parse_graph("{v1:a, v2:b; v1->v2}")
+print(eil.reduce_full(graph, eil.default_order(graph)), symbols.parse_symbol("(a)b"))
+""")
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", "1*(a)b (a)b\n")
+
+
+def test_threads_that_first_touch_the_package_at_once_get_loaded_modules():
+    # on Python 3.10 and 3.11 LazyLoader takes no lock of its own; the
+    # package's lock orders first touches through the package
+    done = python("-c", """
+import sys, threading
+sys.setswitchinterval(1e-6)
+import letterlink
+names = ["selfcheck", "diagram", "eil", "lie_coordinates", "fox_eval",
+         "parse_symbol", "linalg", "Word"]
+start, got, errors = threading.Barrier(8), [], []
+def touch():
+    start.wait()
+    try:
+        got.append([getattr(letterlink, name) for name in names])
+    except Exception as exc:
+        errors.append(repr(exc))
+threads = [threading.Thread(target=touch) for _ in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(30)
+assert not errors and not any(t.is_alive() for t in threads), errors
+assert len(got) == 8 and all(values == got[0] for values in got)
+assert got[0][3] is sys.modules["letterlink.lie"].lie_coordinates
+assert len(letterlink.selfcheck.CHECKS) == 12
+""", timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout.startswith("4\n" if command == "eval" else "-- (a)b --\n")
+
+
+@pytest.mark.parametrize("command", ["eval", "diagram", "coords", "fox",
+                                     "eval --graph", "reduce"])
+def test_run_as_a_module_without_a_warning(command, capsys):
+    # cli is not registered by the package, so runpy finds it unloaded
+    done = python("-W", "error", "-m", "letterlink.cli", *ARGV[command])
+    assert (done.returncode, done.stderr) == (0, "")
+    assert letterlink.cli.main(ARGV[command]) == 0
+    assert done.stdout == capsys.readouterr().out

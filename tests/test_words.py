@@ -397,6 +397,15 @@ class TestGammaElements:
             draw(rng)
         assert rng.getstate() == state
 
+    @pytest.mark.parametrize("weight", [1, 2])
+    def test_a_bracket_over_an_empty_alphabet_is_refused_before_any_draw(
+            self, weight):
+        rng = random.Random(0)
+        state = rng.getstate()
+        with pytest.raises(InvalidArgument):
+            words.random_bracket(weight, [], rng)
+        assert rng.getstate() == state
+
     def test_commutator_exponent_sums_vanish(self):
         rng = random.Random(3)
         for depth in (1, 2, 3):
