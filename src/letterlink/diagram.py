@@ -79,12 +79,16 @@ def _render_block(w: Word, node: Symbol, positions: list[int], values: list[int]
     centers = [s + len(c) // 2 for s, c in zip(starts, cells)]
 
     def row_of(entries: list[tuple[int, str]]) -> str:
+        # every text ends inside its cell or at a centre, so none runs past
+        # the last column
         line = [" "] * total
         for col, text in entries:
-            for i, ch in enumerate(text):
-                if 0 <= col + i < total:
-                    line[col + i] = ch
+            line[col:col + len(text)] = text
         return "".join(line).rstrip()
+
+    def arrow(a: int, b: int, orient: int) -> tuple[int, str]:
+        head = ">" if orient > 0 else "<"
+        return centers[a - 1], head + "-" * (centers[b - 1] - centers[a - 1] - 1) + head
 
     out = [f"-- {node.canonical()} --"]
     mult_row = row_of([(starts[i], m) for i, m in enumerate(mults) if m])
@@ -92,16 +96,8 @@ def _render_block(w: Word, node: Symbol, positions: list[int], values: list[int]
         out.append(mult_row)
     out.append(row_of([(starts[i], c) for i, c in enumerate(cells)]))
     for intervals in coboundings:
-        for row in _pack_rows(intervals):
-            line = [" "] * total
-            for (a, b, orient) in row:
-                c1, c2 = centers[a - 1], centers[b - 1]
-                head = ">" if orient > 0 else "<"
-                for col in range(c1, c2 + 1):
-                    line[col] = "-"
-                line[c1] = head
-                line[c2] = head
-            out.append("".join(line).rstrip())
+        out.extend(row_of([arrow(*interval) for interval in row])
+                   for row in _pack_rows(intervals))
     return out
 
 

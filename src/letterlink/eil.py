@@ -132,9 +132,6 @@ class SymbolGraph:
                 if sym.children:
                     raise InvalidEdge(f"ambient graphs need letter labels; {v} has {sym}")
 
-    def is_eil(self) -> bool:
-        return all(not sym.children for _, sym in self.vertices)
-
     def multidegree(self) -> dict[str, int]:
         out: dict[str, int] = {}
         for _, sym in self.vertices:
@@ -150,7 +147,7 @@ class SymbolGraph:
         return "{" + vs + "; " + es + "}"
 
 
-_ID_RE = re.compile(r"([a-zA-Z_]+)(\d+)")
+_ID_RE = re.compile(r"([a-zA-Z_]+)([0-9]+)")
 
 
 def _id_key(vid: str):

@@ -35,14 +35,6 @@ class BracketTree:
     left: "BracketTree | None" = None
     right: "BracketTree | None" = None
 
-    @classmethod
-    def leaf(cls, letter: str) -> "BracketTree":
-        return cls(letter=letter)
-
-    @classmethod
-    def pair(cls, left: "BracketTree", right: "BracketTree") -> "BracketTree":
-        return cls(left=left, right=right)
-
     def is_leaf(self) -> bool:
         return self.letter is not None
 
@@ -80,9 +72,9 @@ class BracketTree:
 def bracket_tree(expr) -> BracketTree:
     """Convert a nested-pair commutator expression to a bracket tree."""
     if isinstance(expr, str):
-        return BracketTree.leaf(expr)
+        return BracketTree(letter=expr)
     left, right = expr
-    return BracketTree.pair(bracket_tree(left), bracket_tree(right))
+    return BracketTree(left=bracket_tree(left), right=bracket_tree(right))
 
 
 class LieElement(FormalSum):
@@ -129,11 +121,11 @@ def _read_tree(sc: Scanner) -> BracketTree:
         sc.expect(",")
         right = _read_tree(sc)
         sc.close("]")
-        return BracketTree.pair(left, right)
+        return BracketTree(left=left, right=right)
     name = sc.match(GENERATOR_RE)
     if name is None:
         sc.fail("identifier or '['")
-    return BracketTree.leaf(name)
+    return BracketTree(letter=name)
 
 
 # --- Lyndon basis ----------------------------------------------------------
@@ -194,11 +186,11 @@ def standard_bracketing(word: tuple[int, ...], names: list[str]) -> BracketTree:
     stack: list[tuple[tuple, BracketTree]] = []   # the first factor last
     for letter in reversed(word):
         factor = (letter,)
-        tree = BracketTree.leaf(names[letter])
+        tree = BracketTree(letter=names[letter])
         while stack and factor < stack[-1][0]:
             right, right_tree = stack.pop()
             factor += right
-            tree = BracketTree.pair(tree, right_tree)
+            tree = BracketTree(left=tree, right=right_tree)
         stack.append((factor, tree))
     return stack[-1][1]
 

@@ -631,12 +631,6 @@ CHECKS = [
 ]
 
 
-def _run_check(index: int, seed: int, scale: str) -> tuple[str, bool, str]:
-    name, fn = CHECKS[index]
-    ok, detail = fn(seed=seed, scale=scale)
-    return name, ok, detail
-
-
 # the costliest checks, by number, costliest first: medians of about 92,
 # 82, 78, 30 and 16 ms of CPU, warm and in process, at seed 0, small
 # scale, on a shared 2-CPU VM, the others under 5 ms.  Taking the longest
@@ -646,11 +640,14 @@ _HEAVIEST_FIRST = (10, 7, 6, 8, 11)
 
 
 def _outcome(index: int, seed: int, scale: str):
-    """``_run_check``'s result, or the exception it raised."""
+    """(name, passed, detail) of check ``index``, or the exception it
+    raised."""
+    name, fn = CHECKS[index]
     try:
-        return _run_check(index, seed, scale)
+        ok, detail = fn(seed=seed, scale=scale)
     except Exception as error:
         return error
+    return name, ok, detail
 
 
 def _pull(tasks: int):
@@ -747,7 +744,7 @@ def _usable_cpus() -> int:
 
 def run_all(seed: int = 0, scale: str = "small") -> list[tuple[str, bool, str]]:
     """(name, passed, detail) of every check, in ``CHECKS`` order, each
-    from the same ``_run_check`` call in this process or in a forked child
+    from the same ``_outcome`` call in this process or in a forked child
     (see the module docstring).  Raises InvalidArgument, before any check
     runs, unless ``seed`` is an int and ``scale`` is "small" or "full"."""
     if type(seed) is not int:

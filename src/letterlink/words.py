@@ -55,20 +55,21 @@ NESTING_LIMIT = 100
 # allocated (folding a CompactWord expands only its short leaves)
 LENGTH_LIMIT = 2 ** 22
 
-_INT_RE = re.compile(r"-?\d+")
+_INT_RE = re.compile(r"-?[0-9]+")
 # one letter of a run, with the whitespace after it: a whole generator name,
 # alone or with an exponent that int() reads as -1 (^-1, ^ -1, ^-01, not
 # ^-10), followed by no other '^'
 _LETTER_RE = re.compile(r"[a-zA-Z][a-zA-Z0-9_]*(?![a-zA-Z0-9_])"
-                        r"(?:\s*\^\s*-0*1(?!\d))?(?!\s*\^)\s*")
+                        r"(?:\s*\^\s*-0*1(?![0-9]))?(?!\s*\^)\s*")
 _RUN_RE = re.compile(f"(?:{_LETTER_RE.pattern})+")
 # most digits CPython's int() converts to or from text by default
 _DIGIT_LIMIT = 4300
 # an unsigned coefficient in a sum's text: 3, 1/2, 1 / 2, 0.5, .5, 5., 1e-3,
 # 1_000; an underscore may stand only between two digits, and reads as none
+_DIGITS = "[0-9]+(?:_[0-9]+)*"
 _COEFFICIENT_RE = re.compile(
-    r"(?=\.?\d)(?:\d+(?:_\d+)*)?"
-    r"(?:\s*/\s*\d+(?:_\d+)*|(?:\.(?:\d+(?:_\d+)*)?)?(?:[eE][-+]?\d+(?:_\d+)*)?)")
+    rf"(?=\.?[0-9])(?:{_DIGITS})?"
+    rf"(?:\s*/\s*{_DIGITS}|(?:\.(?:{_DIGITS})?)?(?:[eE][-+]?{_DIGITS})?)")
 # the text ``_exact`` reads: an optional sign and an unsigned coefficient,
 # with whitespace around each, as a sum's text has them before a '*'
 _SIGNED_COEFFICIENT_RE = re.compile(
@@ -278,9 +279,6 @@ class Word:
 
     def __repr__(self) -> str:
         return f"Word({self})"
-
-
-EMPTY_WORD = Word()
 
 
 def _inverted(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
@@ -549,7 +547,7 @@ def random_gamma_element(depth: int, alphabet: Iterable[str],
     if depth == 0:
         return random_word(gens, rng.randint(1, max(1, budget)), rng)
     factors = rng.randint(1, 2)
-    out = EMPTY_WORD
+    out = Word()
     for _ in range(factors):
         core = expand_bracket(random_bracket(depth + 1, gens, rng))
         if rng.random() < 0.3:

@@ -148,10 +148,10 @@ def recursive_standard_bracketing(word, names):
     which name the leaves: split off its smallest proper suffix and bracket
     both parts afresh."""
     if len(word) == 1:
-        return lie.BracketTree.leaf(names[word[0]])
+        return lie.BracketTree(letter=names[word[0]])
     i = min(range(1, len(word)), key=lambda i: word[i:])
-    return lie.BracketTree.pair(recursive_standard_bracketing(word[:i], names),
-                                recursive_standard_bracketing(word[i:], names))
+    return lie.BracketTree(left=recursive_standard_bracketing(word[:i], names),
+                           right=recursive_standard_bracketing(word[i:], names))
 
 
 def commutator_expansion(expr):

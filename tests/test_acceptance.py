@@ -462,7 +462,7 @@ def test_run_all_gives_the_pinned_results(seed, scale, cpus, request):
 def test_run_all_refuses_a_bad_seed_or_scale_before_any_check(seed, scale, message,
                                                               two_cpus, monkeypatch):
     ran = []
-    monkeypatch.setattr(selfcheck, "_run_check", lambda *args: ran.append(args))
+    monkeypatch.setattr(selfcheck, "_outcome", lambda *args: ran.append(args))
     with pytest.raises(InvalidArgument) as info:
         selfcheck.run_all(seed=seed, scale=scale)
     assert str(info.value) == message

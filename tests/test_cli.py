@@ -338,6 +338,19 @@ class TestArgumentErrors:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("parse error: ")
 
+    # U+0663 and U+0662, the Arabic-Indic digits three and two, are decimal
+    # digits to Python's int() and \d, but no digits of these grammars
+    @pytest.mark.parametrize("argv, position", [
+        (("basis", "--weight", "5", "--gens", "a,b",
+          "--multidegree", "\u0663,\u0662"), 0),
+        (("eval", "--symbol", "(a)b", "--word", "[a,b]^\u0663"), 6),
+        (("pair", "--graph", "{v1:a,v2:b; v1->v2}", "--lie", "\u0663*[a,b]"), 0),
+    ], ids=["multidegree", "exponent", "coefficient"])
+    def test_a_digit_outside_ascii_exits_two(self, capsys, argv, position):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"parse error: got '\u0663' at position {position} ")
+
     @pytest.mark.parametrize(
         "graphsum, position",
         [
@@ -373,6 +386,15 @@ class TestArgumentErrors:
                              "a^99999999999999999999999", "--symbol", "a")
         assert code == 1 and out == ""
         assert err.startswith("error: word of ") and "exceeds bound" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("reduce", "--graph", "{v1:a, v2:b, v3:c; v1->v2, v2->v1}"),
+         "graph is not connected"),
+        (("eval", "--symbol", "a", "--word", "a^" + "1" * 5000),
+         "exponent of 5000 digits"),
+    ], ids=["disconnected-graph", "long-exponent"])
+    def test_exit_one_names_the_fault(self, capsys, argv, message):
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
     def test_a_value_past_the_digit_limit_exits_one(self, capsys):
         sevens = "7" * 2500

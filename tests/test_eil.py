@@ -91,6 +91,16 @@ class TestParse:
             parse_graph(text)
         assert text[info.value.position:].startswith(culprit)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: SymbolGraph.build({}, []), "graph has no vertices"),
+        (lambda: parse_graph("{v1:a, v2:b, v3:c; v1->v2, v2->v1}"),
+         "graph is not connected"),
+    ], ids=["empty", "disconnected"])
+    def test_a_graph_that_is_not_a_tree_names_why(self, build, message):
+        with pytest.raises(NotATree) as info:
+            build()
+        assert str(info.value) == message
+
     def test_build_rejects_an_undeclared_endpoint_without_a_position(self):
         with pytest.raises(InvalidArgument):
             SymbolGraph.build({"v1": Symbol("a")}, [("v1", "v2")])
@@ -342,7 +352,7 @@ class TestGraphOfSymbol:
     def test_round_trip(self, text):
         sym = parse_symbol(text)
         graph, order = graph_of_symbol(sym)
-        assert graph.is_eil()
+        assert all(not label.children for _, label in graph.vertices)
         total = reduce_full(graph, order)
         assert total.terms == {sym.canonical(): Fraction(1)}
 

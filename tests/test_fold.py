@@ -184,3 +184,28 @@ class TestLimits:
                 == Evaluator(parse_word(w)).value(star) != 0)
         with pytest.raises(TooLarge):
             eval_symbol(star, parse_compact("[a,b]^99999999999999999999999"))
+
+    # a 60-node chain: its subtrees' floor of prunings is 1890, under
+    # TERM_LIMIT, but listing every split of its prunings passes it
+    @pytest.mark.parametrize("text", [
+        "[a b, c]^100 [b, c a]^50",             # undefined at (a)b
+        "[[[a,b],c],[[b,c],a]]^10 [a,b c]",     # undefined 7 nodes deep
+        "[b,c]^200 [c b, b]^30",                # no a: the value 0
+    ])
+    def test_a_split_past_the_term_limit_evaluates_the_expanded_word(self, text):
+        chain = Symbol("a")
+        for i in range(1, 60):
+            chain = Symbol("abc"[i % 3], (chain,))
+        w = parse_compact(text)
+        assert len(w) > linking.LEAF_LETTERS and w.kind != "run"
+        assert linking._term_floor([chain]) == 1890 < linking.TERM_LIMIT
+        assert isinstance(linking._evaluator(w, [chain]), Evaluator)
+
+        def outcome(evaluate):
+            try:
+                return evaluate(chain)
+            except UndefinedInvariant as exc:
+                return exc.subsymbol.canonical(), exc.count
+
+        assert (outcome(lambda sym: eval_symbol(sym, w))
+                == outcome(Evaluator(w.expand()).value))

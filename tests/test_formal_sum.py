@@ -35,9 +35,9 @@ from letterlink.words import parse_compact
 def trees(weight):
     """Bracket trees of one weight over a, b."""
     if weight == 1:
-        return st.sampled_from("ab").map(BracketTree.leaf)
+        return st.sampled_from("ab").map(lambda letter: BracketTree(letter=letter))
     return st.integers(1, weight - 1).flatmap(lambda cut: st.builds(
-        BracketTree.pair, trees(cut), trees(weight - cut)))
+        BracketTree, left=trees(cut), right=trees(weight - cut)))
 
 
 letter_st = st.builds(Letter, st.sampled_from("ab"), st.sampled_from((1, -1)))
@@ -176,7 +176,8 @@ WORD, FOLDED = parse_word("[a,b]"), parse_compact("[a,b]^100")
 TERMS = {
     "symbols": (SymbolSum, SYMBOL),
     "graphs": (GraphSum, parse_graph("{v1:a, v2:b; v1->v2}")),
-    "lie": (LieElement, BracketTree.pair(BracketTree.leaf("a"), BracketTree.leaf("b"))),
+    "lie": (LieElement, BracketTree(left=BracketTree(letter="a"),
+                                    right=BracketTree(letter="b"))),
     "group ring": (GroupRingElement, parse_word("a b")),
 }
 

@@ -113,7 +113,7 @@ assert {"diagram", "selfcheck"} <= set(dir(letterlink)) and lazy() == [True, Tru
 from letterlink import diagram
 assert lazy() == [False, True] and type(diagram) is types.ModuleType
 assert len(letterlink.selfcheck.CHECKS) == 12 and lazy() == [False, False]
-fn = letterlink.selfcheck._run_check
+fn = letterlink.selfcheck._outcome
 assert pickle.loads(pickle.dumps(fn)) is fn
 assert diagram.render_diagram.__module__ == "letterlink.diagram"
 assert letterlink.lie_coordinates is sys.modules["letterlink.lie"].lie_coordinates

@@ -167,9 +167,9 @@ def single_weight_elements(draw):
     Fraction coefficients."""
     def tree(k):
         if k == 1:
-            return BracketTree.leaf(draw(st.sampled_from("abc")))
+            return BracketTree(letter=draw(st.sampled_from("abc")))
         cut = draw(st.integers(1, k - 1))
-        return BracketTree.pair(tree(cut), tree(k - cut))
+        return BracketTree(left=tree(cut), right=tree(k - cut))
 
     weight = draw(st.integers(1, 4))
     coeffs = st.one_of(st.integers(-5, 5),
@@ -396,14 +396,14 @@ class TestExtendedPairing:
         rng = random.Random(3)
         for labels in (["a", "b", "c", "d"], ["a", "a", "b", "c"]):
             for _ in range(15):
-                x = BracketTree.leaf(labels[0])
-                y = BracketTree.pair(BracketTree.leaf(labels[1]),
-                                     BracketTree.leaf(labels[2]))
-                z = BracketTree.leaf(labels[3])
+                x = BracketTree(letter=labels[0])
+                y = BracketTree(left=BracketTree(letter=labels[1]),
+                                right=BracketTree(letter=labels[2]))
+                z = BracketTree(letter=labels[3])
                 jacobi = [
-                    (1, BracketTree.pair(BracketTree.pair(x, y), z)),
-                    (1, BracketTree.pair(BracketTree.pair(y, z), x)),
-                    (1, BracketTree.pair(BracketTree.pair(z, x), y)),
+                    (1, BracketTree(left=BracketTree(left=x, right=y), right=z)),
+                    (1, BracketTree(left=BracketTree(left=y, right=z), right=x)),
+                    (1, BracketTree(left=BracketTree(left=z, right=x), right=y)),
                 ]
                 md = {}
                 for l in labels:
@@ -657,9 +657,9 @@ def ambient_graph_and_tree(draw):
 
     def bracketing(lo, hi):
         if hi - lo == 1:
-            return BracketTree.leaf(leaves[lo])
+            return BracketTree(letter=leaves[lo])
         cut = draw(st.integers(lo + 1, hi - 1))
-        return BracketTree.pair(bracketing(lo, cut), bracketing(cut, hi))
+        return BracketTree(left=bracketing(lo, cut), right=bracketing(cut, hi))
 
     return graph, bracketing(0, k)
 

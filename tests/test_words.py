@@ -11,6 +11,7 @@ from letterlink import (
     Letter,
     LetterLinkError,
     ParseError,
+    SymbolSum,
     TooLarge,
     UnknownGenerator,
     Word,
@@ -111,6 +112,18 @@ class TestParse:
         with pytest.raises(TooLarge):
             parse_word(text)
         assert len(parse_word("[a b c, d e]")) == 10
+
+    # U+0663 and U+0662, the Arabic-Indic digits three and two, are decimal
+    # digits to Python's int() and \d, but no digits of these grammars
+    @pytest.mark.parametrize("read", [
+        lambda: parse_word("a^-1\u0663"),
+        lambda: parse_word("a^\u0663"),
+        lambda: parse_lie("\u0663*[a,b]"),
+        lambda: SymbolSum().add("\u0663/\u0662", parse_symbol("(a)b")),
+    ], ids=["after-an-inverse", "exponent", "lie-coefficient", "sum-coefficient"])
+    def test_a_digit_outside_ascii_is_refused(self, read):
+        with pytest.raises(LetterLinkError):
+            read()
 
     def test_a_power_of_the_empty_word_is_empty(self):
         assert parse_word("()^99999999999999999999999") == Word()
