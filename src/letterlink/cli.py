@@ -86,6 +86,13 @@ class _Envelope:
         return 1 if self.data["undefined_at"] is not None else 0
 
 
+def _integer(text: str) -> int:
+    """An integer option: an optional '-' and ASCII digits, as in the grammars."""
+    if words._INT_RE.fullmatch(text.strip()) is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
+
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--json", action="store_true", help="emit a JSON envelope")
     parser.add_argument("--timing", action="store_true",
@@ -131,20 +138,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("basis", help="Lyndon bracket basis of a weight")
-    p.add_argument("--weight", type=int, required=True)
+    p.add_argument("--weight", type=_integer, required=True)
     p.add_argument("--gens", required=True)
     p.add_argument("--multidegree", help="comma-separated counts matching --gens")
     _add_common(p)
 
     p = sub.add_parser("matrix", help="pairing matrix of dual graphs vs basis trees")
-    p.add_argument("--weight", type=int, required=True)
+    p.add_argument("--weight", type=_integer, required=True)
     p.add_argument("--gens", required=True)
     p.add_argument("--multidegree", required=True)
     _add_common(p)
 
     p = sub.add_parser("coords", help="graded Lie coordinates of a word")
     p.add_argument("--word", required=True)
-    p.add_argument("--weight", type=int, required=True)
+    p.add_argument("--weight", type=_integer, required=True)
     _add_common(p)
 
     p = sub.add_parser("diagram", help="render the by-hand evaluation diagram")
@@ -153,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("selfcheck", help="run the acceptance suite")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--scale", choices=("small", "full"), default="small")
     _add_common(p)
 

@@ -567,7 +567,8 @@ _bases_lock = threading.Lock()
 
 def distinct_basis(multidegree: dict[str, int]) -> DistinctBasis:
     """The basis of a multidegree, built once and kept for later calls in
-    this process, keyed by the multidegree without its zero counts.
+    this process, keyed by the multidegree without its zero counts.  This
+    is the only function that reads or writes the kept bases.
 
     The multidegree is validated on every call, so an error is never kept.
     The least recently used bases are dropped once the kept ones hold more
@@ -586,24 +587,15 @@ def distinct_basis(multidegree: dict[str, int]) -> DistinctBasis:
     trees = tuple(lyndon_trees_of_multidegree(dict(key)))
     rows = tuple(map(tuple, pairing_matrix(graphs, trees)))
     basis = DistinctBasis(graphs, encodings, trees, rows, eliminate(zip(*rows)))
-    _keep_basis(key, basis)
-    return basis
-
-
-def _keep_basis(key: tuple[tuple[str, int], ...], basis: DistinctBasis) -> None:
-    """Keep ``basis`` under ``key`` as the most recently used, dropping the
-    least recently used bases while the kept ones would hold more than
-    ``BASIS_CELL_LIMIT`` cells; a basis larger than that is not kept.  The
-    key is a multidegree as ``distinct_basis`` normalizes it."""
     cells = _cells(basis)
-    if cells > BASIS_CELL_LIMIT:
-        return
-    with _bases_lock:
-        _bases.pop(key, None)   # another thread may have built it too
-        held = sum(map(_cells, _bases.values()))
-        while held + cells > BASIS_CELL_LIMIT:
-            held -= _cells(_bases.pop(next(iter(_bases))))
-        _bases[key] = basis
+    if cells <= BASIS_CELL_LIMIT:
+        with _bases_lock:
+            _bases.pop(key, None)   # another thread may have built it too
+            held = sum(map(_cells, _bases.values()))
+            while held + cells > BASIS_CELL_LIMIT:
+                held -= _cells(_bases.pop(next(iter(_bases))))
+            _bases[key] = basis
+    return basis
 
 
 def _cells(basis: DistinctBasis) -> int:

@@ -6,23 +6,24 @@ deterministic for a fixed seed.  Check k draws from its own
 ``random.Random(seed + k)``, so the checks are independent of each other.
 
 ``run_all`` runs them in this process and in zero or more forked
-children, one process per usable CPU up to one per check.  Every process
-pulls check numbers from one pipe, the costliest checks first, one at a
-time until the pipe is empty.  No child is forked when fewer than two
-CPUs are usable, when the caller runs more than one thread (a forked child
-could wait forever on a lock another thread held), or where ``os.fork``
-is missing, and none after a fork fails (EAGAIN, ENOMEM).  Every check
-runs, and the result, and so the ``selfcheck`` output and exit code, is
-the same however many children ran; an error a check raises reaches the
-caller unchanged, and when several fail, the first in check order does.
-A child hands back, with each result, the distinct-vertex bases its check
-built (``eil.distinct_basis``), and they are kept here as if the check had
-run here, so a later call builds none of them again.  A child that ends
-without reporting a check it took makes ``run_all`` raise RuntimeError
-naming the checks with no result, and every child is reaped before
-``run_all`` returns or raises.  A tracer installed here sees the inner
-calls of the checks this process runs, and the checks the children run
-only as time spent in ``run_all``.
+children, one process per usable CPU up to one per check.  This process
+first runs checks 11 and 5, the two that build distinct-vertex bases
+(``eil.distinct_basis``), so every basis is kept here and a later call
+builds none of them again.  Then every process pulls the other check
+numbers from one pipe, the costliest checks first, one at a time until the
+pipe is empty.  No child is forked when fewer than two CPUs are usable,
+when the caller runs more than one thread (a forked child could wait
+forever on a lock another thread held), or where ``os.fork`` is missing,
+and none after a fork fails (EAGAIN, ENOMEM).  Every check runs, and the
+result, and so the ``selfcheck`` output and exit code, is the same however
+many children ran; an error a check raises reaches the caller unchanged,
+and when several fail, the first in check order does.  A child hands back
+only the result of each check it ran.  A child that ends without
+reporting a check it took makes ``run_all`` raise RuntimeError naming the
+checks with no result, and every child is reaped before ``run_all``
+returns or raises.  A tracer installed here sees the inner calls of the
+checks this process runs, 11 and 5 always among them, and the checks the
+children run only as time spent in ``run_all``.
 """
 
 from __future__ import annotations
@@ -631,12 +632,15 @@ CHECKS = [
 ]
 
 
-# the costliest checks, by number, costliest first: medians of about 92,
-# 82, 78, 30 and 16 ms of CPU, warm and in process, at seed 0, small
-# scale, on a shared 2-CPU VM, the others under 5 ms.  Taking the longest
-# checks first finishes sooner (Graham's LPT rule): two processes split
-# them as 10, 8, 11 and the rest against 7 and 6.
-_HEAVIEST_FIRST = (10, 7, 6, 8, 11)
+# the costliest checks the processes pull, by number, costliest first:
+# medians of about 92, 82, 78 and 30 ms of CPU, warm and in process, at
+# seed 0, small scale, on a shared 2-CPU VM, the others under 5 ms.
+# Taking the longest checks first finishes sooner (Graham's LPT rule).
+_HEAVIEST_FIRST = (10, 7, 6, 8)
+# the checks that build distinct-vertex bases, by number: this process runs
+# them, in this order, before it pulls any check, so every basis is built
+# here and ``eil.distinct_basis`` keeps it for later calls
+_IN_CALLER = (11, 5)
 
 
 def _outcome(index: int, seed: int, scale: str):
@@ -659,20 +663,14 @@ def _pull(tasks: int):
 
 def _report(tasks: int, out: int, seed: int, scale: str):
     """In a forked child: run the checks pulled from ``tasks``, write to
-    the pipe ``out`` one pickled (index, result or exception, new bases)
-    record per check, the new bases being the (key, basis) pairs that the
-    check added to the child's ``eil.distinct_basis`` cache, and leave
-    through os._exit, which runs none of the caller's exit handlers and
-    flushes none of its buffers."""
+    the pipe ``out`` one pickled (index, result or exception) record per
+    check, and leave through os._exit, which runs none of the caller's exit
+    handlers and flushes none of its buffers."""
     code = 1
     try:
         with open(out, "wb") as pipe:
             for i in _pull(tasks):
-                before = set(eil._bases)
-                outcome = _outcome(i, seed, scale)
-                pipe.write(pickle.dumps((i, outcome, [
-                    (key, basis) for key, basis in eil._bases.items()
-                    if key not in before])))
+                pipe.write(pickle.dumps((i, _outcome(i, seed, scale))))
                 pipe.flush()
         code = 0
     finally:
@@ -682,16 +680,18 @@ def _report(tasks: int, out: int, seed: int, scale: str):
 def _run_forked(procs: int, seed: int, scale: str) -> list:
     """The outcome (see ``_outcome``) of every check, in ``CHECKS`` order,
     from this process and up to ``procs - 1`` forked children, fewer if a
-    fork fails, that pull the checks from one task pipe; the children's new
-    bases are kept here.  Raises RuntimeError, naming them, if some checks
-    were not reported."""
+    fork fails.  This process runs the ``_IN_CALLER`` checks, then all
+    processes pull the others from one task pipe.  Raises RuntimeError,
+    naming them, if some checks were not reported."""
+    here = [k - 1 for k in _IN_CALLER if k <= len(CHECKS)]
     heavy = [k - 1 for k in _HEAVIEST_FIRST if k <= len(CHECKS)]
     tasks, fill = os.pipe()
     # one byte per check, all written before any process reads, so a read
     # of one byte never waits and an empty read means no check is left
-    os.write(fill, bytes(heavy + [i for i in range(len(CHECKS)) if i not in heavy]))
+    os.write(fill, bytes(heavy + [i for i in range(len(CHECKS))
+                                  if i not in heavy and i not in here]))
     os.close(fill)
-    outcomes, bases, pids, readers = {}, [], [], []
+    outcomes, pids, readers = {}, [], []
     try:
         for _ in range(procs - 1):
             reader, writer = os.pipe()
@@ -706,17 +706,16 @@ def _run_forked(procs: int, seed: int, scale: str) -> list:
             finally:
                 os.close(writer)
             pids.append(pid)
-        for i in _pull(tasks):
+        for i in itertools.chain(here, _pull(tasks)):
             outcomes[i] = _outcome(i, seed, scale)
         for reader in readers:
             with open(reader, "rb", closefd=False) as pipe:
                 while True:
                     try:
-                        i, outcome, new = pickle.load(pipe)
+                        i, outcome = pickle.load(pipe)
                     except (EOFError, pickle.UnpicklingError):
                         break       # the child has exited, maybe inside a record
                     outcomes[i] = outcome
-                    bases += new
     except BaseException:
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
@@ -727,8 +726,6 @@ def _run_forked(procs: int, seed: int, scale: str) -> list:
             os.close(reader)
         for pid in pids:
             os.waitpid(pid, 0)
-    for key, basis in bases:
-        eil._keep_basis(key, basis)
     lost = [CHECKS[i][0] for i in range(len(CHECKS)) if i not in outcomes]
     if lost:
         raise RuntimeError(f"no result from check(s) {'; '.join(lost)}: "

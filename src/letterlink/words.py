@@ -81,12 +81,15 @@ class Scanner:
 
     Whitespace is skipped after each token, so ``pos`` is always at the next
     token or at the end of the text and ``char`` is the character there ('' at
-    the end); ``depth`` counts the open brackets.
+    the end); ``depth`` counts the open brackets.  A text that is not a str
+    raises InvalidArgument, so every grammar refuses it.
     """
 
     __slots__ = ("text", "pos", "char", "depth")
 
     def __init__(self, text: str):
+        if not isinstance(text, str):
+            raise InvalidArgument(f"text of type {type(text).__name__}, not str")
         self.text = text
         self.depth = 0
         self._skip_to(0)

@@ -215,12 +215,12 @@ def test_without_children_the_caller_runs_every_check_heaviest_first(fallback, r
     if hasattr(os, "fork"):
         monkeypatch.setattr(os, "fork", fork)
     checks = [check(k) for k in range(1, 13)]
-    checks[0] = check(1, NonzeroCount(5))                              # pulled sixth
-    checks[9] = check(10, UndefinedInvariant(parse_symbol("(a)b"), 1))  # pulled first
+    checks[0] = check(1, NonzeroCount(5))                              # run seventh
+    checks[9] = check(10, UndefinedInvariant(parse_symbol("(a)b"), 1))  # run third
     monkeypatch.setattr(selfcheck, "CHECKS", checks)
     with pytest.raises(NonzeroCount):
         selfcheck.run_all(seed=0, scale="small")
-    assert ran == [10, 7, 6, 8, 11, 1, 2, 3, 4, 5, 9, 12]
+    assert ran == [11, 5, 10, 7, 6, 8, 1, 2, 3, 4, 9, 12]
     assert forks == []
 
 
@@ -350,7 +350,7 @@ def test_a_child_that_dies_makes_run_all_name_its_check_at_once():
                       "a selfcheck child process ended early")
 
 
-# bases that children build are handed back and kept in the caller
+# the caller runs the checks that build bases, so it keeps every basis
 
 def _bases_of_checks_5_and_11():
     for number in (5, 11):
@@ -367,12 +367,27 @@ def test_workers_hand_back_the_bases_they_build(two_cpus, monkeypatch):
     assert set(eil._bases) == set(used)
     assert all(eil._bases[key] == basis for key, basis in used.items())
 
-    kept = []
-    keep = eil._keep_basis
-    monkeypatch.setattr(eil, "_keep_basis",
-                        lambda key, basis: kept.append(key) or keep(key, basis))
+    kept = dict(eil._bases)
     assert selfcheck.run_all(seed=0, scale="small") == _in_order(0)
-    assert kept == []
+    assert set(eil._bases) == set(kept)
+    assert all(eil._bases[key] is basis for key, basis in kept.items())
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_run_all_keeps_the_bases_of_every_check(seed, two_cpus, monkeypatch):
+    monkeypatch.setattr(eil, "_bases", {})
+    for _, fn in selfcheck.CHECKS:
+        fn(seed=seed, scale="small")
+    used = dict(eil._bases)
+    monkeypatch.setattr(eil, "_bases", {})
+    assert selfcheck.run_all(seed=seed, scale="small") == _in_order(seed)
+    assert eil._bases == used
+
+
+def test_the_caller_runs_checks_5_and_11(two_cpus, monkeypatch):
+    monkeypatch.setattr(selfcheck, "CHECKS", _with_pids(selfcheck.CHECKS))
+    results = selfcheck.run_all(seed=0, scale="small")
+    assert [results[k - 1][2][1] for k in (5, 11)] == [os.getpid()] * 2
 
 
 def test_bases_handed_back_respect_the_cell_limit(two_cpus, monkeypatch):

@@ -351,6 +351,18 @@ class TestArgumentErrors:
         assert (code, out) == (2, "")
         assert err.startswith(f"parse error: got '\u0663' at position {position} ")
 
+    @pytest.mark.parametrize("argv", [
+        ("basis", "--weight", "\u0663", "--gens", "a,b"),
+        ("basis", "--weight", "1_0", "--gens", "a"),
+        ("coords", "--word", "[a,b]", "--weight", "+2"),
+        ("selfcheck", "--seed", "\u0663"),
+    ], ids=["weight-digit", "weight-underscore", "weight-plus", "seed-digit"])
+    def test_an_integer_option_outside_the_grammars_exits_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        assert info.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "graphsum, position",
         [

@@ -125,6 +125,15 @@ class TestParse:
         with pytest.raises(LetterLinkError):
             read()
 
+    @pytest.mark.parametrize("read", [
+        parse_word, parse_compact, parse_symbol, parse_graph, parse_graph_sum,
+        parse_lie, lie_image_of_bracket_word,
+    ])
+    @pytest.mark.parametrize("text", [None, 5, b"a b"], ids=["none", "int", "bytes"])
+    def test_every_grammar_refuses_a_text_that_is_not_a_str(self, read, text):
+        with pytest.raises(InvalidArgument):
+            read(text)
+
     def test_a_power_of_the_empty_word_is_empty(self):
         assert parse_word("()^99999999999999999999999") == Word()
 
