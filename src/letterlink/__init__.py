@@ -10,18 +10,21 @@ attributes (the modules, and the names they lend the package, such as
 below: at the first access it runs the module's code under one lock and
 binds the result here, so that ``from letterlink import eil`` always
 returns a loaded module.  ``cli`` imports ``errors`` and ``words`` at its
-top and the rest in each command's branch:
+top and the rest in each command's branch; ``eil.eval_graph`` and
+``lie.lie_coordinates`` take ``linking`` and ``fox`` from the package when
+they are called:
 
 =====================================  ======================================
 command                                modules whose code runs
 =====================================  ======================================
 ``eval --symbol``                      ``symbols``, ``linking``
-``eval --graph``                       ``eil`` (with ``lie``, ``fox``,
-                                       ``linalg``, ``symbols``, ``linking``)
+``eval --graph``                       ``eil`` (with ``lie``, ``linalg``,
+                                       ``symbols``), ``linking``
 ``fox``                                ``fox`` (with ``symbols``)
-``coords``, ``basis``                  ``lie`` (with ``fox``, ``symbols``)
-``reduce``, ``distinct``, ``matrix``,  ``eil`` (and its imports, as for
-``pair``                               ``eval --graph``)
+``basis``                              ``lie`` (with ``symbols``)
+``coords``                             ``lie`` (with ``symbols``), ``fox``
+``reduce``, ``distinct``, ``matrix``,  ``eil`` (with ``lie``, ``linalg``,
+``pair``                               ``symbols``)
 ``diagram``                            ``diagram`` (with ``symbols``,
                                        ``linking``)
 ``selfcheck``                          ``selfcheck`` (every module but

@@ -58,7 +58,6 @@ from .errors import (
 from .lie import (BracketTree, _multidegree_key, _root_at_zero,
                   lyndon_trees_of_multidegree, pairing_matrix)
 from .linalg import Elimination, back_substitute, eliminate
-from .linking import eval_symbol_sum
 from .symbols import FormalSum, Symbol, SymbolSum, _read_symbol
 from .words import Scanner, Word, _read_sum
 
@@ -330,7 +329,8 @@ def graph_of_symbol(sym: Symbol) -> tuple[SymbolGraph, list[str]]:
 
 def eval_graph(g: SymbolGraph, w: Word) -> Fraction:
     """Reduce along the default order, then evaluate the symbol sum."""
-    return eval_symbol_sum(reduce_full(g, default_order(g)), w)
+    from . import linking
+    return linking.eval_symbol_sum(reduce_full(g, default_order(g)), w)
 
 
 # --- canonical forms -----------------------------------------------------

@@ -24,7 +24,6 @@ from typing import Iterable
 
 from .errors import (InvalidArgument, InvalidMultidegree, LabelMismatch,
                      MixedGrading, NotInGamma, TooLarge)
-from .fox import magnus_coefficients
 from .symbols import FormalSum
 from .words import GENERATOR_RE, Scanner, Word, _read_sum
 
@@ -198,6 +197,8 @@ def standard_bracketing(word: tuple[int, ...], names: list[str]) -> BracketTree:
 def lyndon_basis(weight: int, alphabet: Iterable[str],
                  content: dict[str, int] | None = None) -> list[BracketTree]:
     """The ``lyndon_words``, bracketed in the order of ``alphabet``."""
+    if not isinstance(weight, int):
+        raise InvalidArgument(f"weight {weight!r} is not an int")
     if weight < 1:
         raise InvalidArgument(f"weight {weight} is below 1")
     alphabet = list(alphabet)
@@ -468,6 +469,8 @@ def lie_coordinates(w: Word, weight: int) -> LieElement:
     the last one holds, at degree ``weight``, only the Lyndon words, the
     only coefficients ``_to_lyndon`` reads there.
     """
+    if not isinstance(weight, int):
+        raise InvalidArgument(f"weight {weight!r} is not an int")
     alphabet = sorted(w.generators())
     if not alphabet or weight < 1:
         return LieElement()
@@ -504,4 +507,5 @@ def _magnus_table(w: Word, alphabet: list[str], depth: int, weight: int):
         for l in lyndon_words(weight, alphabet):
             top[l] = len(monomials)
             monomials.append((prefix[l[:-1]], l[-1]))
-    return magnus_coefficients(w, monomials), degrees, top
+    from . import fox
+    return fox.magnus_coefficients(w, monomials), degrees, top

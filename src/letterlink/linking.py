@@ -458,7 +458,7 @@ def _evaluator(w: Word | CompactWord, syms: list[Symbol]) -> Evaluator | _Fold:
     """The fold when ``w`` is a CompactWord longer than one leaf, else the
     Evaluator on its letters; also the Evaluator when the symbols have more
     prunings than ``TERM_LIMIT`` allows."""
-    if isinstance(w, Word):
+    if not isinstance(w, CompactWord):
         return Evaluator(w)
     if (w.kind == "run" or w.length <= LEAF_LETTERS
             or _term_floor(syms) > TERM_LIMIT):

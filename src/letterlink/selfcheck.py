@@ -632,11 +632,13 @@ CHECKS = [
 ]
 
 
-# the costliest checks the processes pull, by number, costliest first:
-# medians of about 92, 82, 78 and 30 ms of CPU, warm and in process, at
-# seed 0, small scale, on a shared 2-CPU VM, the others under 5 ms.
-# Taking the longest checks first finishes sooner (Graham's LPT rule).
-_HEAVIEST_FIRST = (10, 7, 6, 8)
+# the costliest checks the processes pull, by number: 10, 7, 6 and 8 take
+# medians of about 94, 85, 72 and 29 ms of CPU, warm and in process, at
+# seed 0, small scale, on a shared 2-CPU VM, the others under 5 ms.  Taking
+# the longest checks first finishes sooner (Graham's LPT rule); 7 leads, as
+# the caller runs 11 and 5 first: on two CPUs a child takes 7 and 6 while
+# the caller runs 11, 5, 10, 8 and the small checks.
+_HEAVIEST_FIRST = (7, 10, 6, 8)
 # the checks that build distinct-vertex bases, by number: this process runs
 # them, in this order, before it pulls any check, so every basis is built
 # here and ``eil.distinct_basis`` keeps it for later calls

@@ -36,36 +36,42 @@ ARGV = {**COMMANDS, "eval --graph": [
 
 # the modules whose code a bare import of the CLI runs
 CLI = {"errors", "words", "cli"}
-# with those, the modules whose code each command runs: its own and theirs
-EIL = {"eil", "lie", "fox", "linalg", "symbols", "linking"}
+# with those, the modules whose code each command runs: its own and theirs.
+# The graph commands evaluate no symbol list and no Magnus coefficient, so
+# eil and lie load linking and fox only where a call needs them.
+EIL = {"eil", "lie", "linalg", "symbols"}
 RUNS = {
     "eval": {"symbols", "linking"},
-    "eval --graph": EIL,
+    "eval --graph": EIL | {"linking"},
     "fox": {"fox", "symbols"},
     "reduce": EIL,
     "distinct": EIL,
     "pair": EIL,
-    "basis": {"lie", "fox", "symbols"},
+    "basis": {"lie", "symbols"},
     "matrix": EIL,
     "coords": {"lie", "fox", "symbols"},
     "diagram": {"diagram", "symbols", "linking"},
-    "selfcheck": EIL | {"selfcheck"},
+    "selfcheck": EIL | {"linking", "fox", "selfcheck"},
 }
 
 # prints the exit code of each argv in sys.argv[1], the letterlink modules
-# whose code has run and those in sys.modules
+# whose code has run after the import and after each call, and those in
+# sys.modules
 RUN_AND_REPORT = """
 import contextlib, io, json, sys, types
 import letterlink.cli as cli
-codes = []
+def ours():
+    return {name[len("letterlink."):]: type(module) is types.ModuleType
+            for name, module in sys.modules.items()
+            if name.startswith("letterlink.")}
+def ran():
+    return sorted(name for name, loaded in ours().items() if loaded)
+codes, runs = [], [ran()]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         codes.append(cli.main(argv))
-ours = {name[len("letterlink."):]: type(module) is types.ModuleType
-        for name, module in sys.modules.items()
-        if name.startswith("letterlink.")}
-print(json.dumps([codes, sorted(n for n, ran in ours.items() if ran),
-                  sorted(ours)]))
+    runs.append(ran())
+print(json.dumps([codes, runs, sorted(ours())]))
 """
 
 
@@ -78,12 +84,19 @@ def python(*args, timeout=None):
                           timeout=timeout)
 
 
-def run_and_report(*argvs):
+def report(*argvs):
+    """The exit code of each argv, run in turn in one fresh interpreter, and
+    the modules whose code had run after the import and after each call."""
     done = python("-c", RUN_AND_REPORT, json.dumps(argvs))
     assert (done.returncode, done.stderr) == (0, "")
-    codes, ran, registered = json.loads(done.stdout)
+    codes, runs, registered = json.loads(done.stdout)
     assert registered == sorted({"errors", *LAYERS})
-    return codes, set(ran)
+    return codes, [set(ran) for ran in runs]
+
+
+def run_and_report(*argvs):
+    codes, runs = report(*argvs)
+    return codes, runs[-1]
 
 
 def test_importing_the_cli_loads_neither():
@@ -100,6 +113,16 @@ def test_other_commands_load_neither(command):
 def test_each_lazy_command_loads_its_own_module_only(command):
     assert set(LAZY) & RUNS[command] == {command}
     assert run_and_report(COMMANDS[command]) == ([0], CLI | RUNS[command])
+
+
+@pytest.mark.parametrize("first, second, deferred", [
+    ("matrix", "eval --graph", "linking"), ("basis", "coords", "fox")])
+def test_a_module_a_command_does_not_need_loads_at_the_first_call_that_does(
+        first, second, deferred):
+    codes, runs = report(ARGV[first], ARGV[second])
+    assert codes == [0, 0]
+    assert deferred not in runs[1]
+    assert runs[2] - runs[1] == {deferred}
 
 
 def test_the_package_api_reaches_both():
@@ -172,23 +195,28 @@ for name in [n for n in sys.modules if n.split(".")[0] == "letterlink"]:
 cli = importlib.import_module("letterlink.cli")
 """), json.dumps([COMMANDS["diagram"], COMMANDS["selfcheck"]]))
     assert (done.returncode, done.stderr) == (0, "")
-    codes, ran, _ = json.loads(done.stdout)
-    assert codes == [0, 0] and set(LAZY) <= set(ran)
+    codes, runs, _ = json.loads(done.stdout)
+    assert codes == [0, 0] and set(LAZY) <= set(runs[-1])
 
 
 def test_a_module_taken_from_the_package_survives_a_purge():
     # as benchmarks/oracles.Oracle keeps its modules across the purges of
-    # benchmarks/run.py
+    # benchmarks/run.py; eil and lie, kept from before the purge, load
+    # linking and fox after it, and take the words of the old module
     done = python("-c", """
 import importlib, sys
-from letterlink import eil, symbols
+from letterlink import eil, lie, symbols, words
 for name in [n for n in sys.modules if n.split(".")[0] == "letterlink"]:
     del sys.modules[name]
 importlib.import_module("letterlink.cli")
 graph = eil.parse_graph("{v1:a, v2:b; v1->v2}")
 print(eil.reduce_full(graph, eil.default_order(graph)), symbols.parse_symbol("(a)b"))
+w = words.Word((words.Letter("a", 1), words.Letter("b", 1),
+                words.Letter("a", -1), words.Letter("b", -1)))
+print(eil.eval_graph(graph, w), lie.lie_coordinates(w, 2))
 """)
-    assert (done.returncode, done.stderr, done.stdout) == (0, "", "1*(a)b (a)b\n")
+    assert (done.returncode, done.stderr, done.stdout) == (
+        0, "", "1*(a)b (a)b\n1 [a,b]\n")
 
 
 def test_threads_that_first_touch_the_package_at_once_get_loaded_modules():
@@ -218,6 +246,39 @@ assert got[0][3] is sys.modules["letterlink.lie"].lie_coordinates
 assert len(letterlink.selfcheck.CHECKS) == 12
 """, timeout=60)
     assert (done.returncode, done.stderr) == (0, "")
+
+
+def test_threads_that_first_need_linking_and_fox_at_once_get_equal_values():
+    # eil.eval_graph and lie.lie_coordinates load linking and fox through
+    # the package, under its lock
+    done = python("-c", """
+import sys, threading, types
+sys.setswitchinterval(1e-6)
+from letterlink import eil, lie, words
+loaded = lambda: [type(sys.modules["letterlink." + n]) is types.ModuleType
+                  for n in ("linking", "fox")]
+assert loaded() == [False, False]
+graph = eil.parse_graph("{v1:a, v2:b, v3:c; v1->v2, v2->v3}")
+w = words.parse_word("[a a,[b,a c]]")
+start, got, errors = threading.Barrier(8), [], []
+def touch():
+    start.wait()
+    try:
+        got.append((eil.eval_graph(graph, w), lie.lie_coordinates(w, 3)))
+    except Exception as exc:
+        errors.append(repr(exc))
+threads = [threading.Thread(target=touch) for _ in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(30)
+assert not errors and not any(t.is_alive() for t in threads), errors
+assert loaded() == [True, True]
+assert len(got) == 8 and all(values == got[0] for values in got)
+print(got[0][0], got[0][1])
+""", timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "2 -2*[a,[a,b]] + 2*[a,[b,c]]\n"
 
 
 @pytest.mark.parametrize("command", ["eval", "diagram", "coords", "fox",

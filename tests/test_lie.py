@@ -35,7 +35,7 @@ from letterlink import (
     parse_word,
     eval_graph,
 )
-from letterlink import lie
+from letterlink import fox, lie
 from letterlink.eil import _prufer_trees
 from letterlink.fox import fox_eval, magnus_coefficients
 from letterlink.lie import (
@@ -510,6 +510,20 @@ class TestLieCoordinates:
             lie_coordinates(parse_word("[a,b]"), 60)
         assert info.value.functional == ("a", "b")
 
+    @pytest.mark.parametrize("function, weight", [
+        ("coords", "3"), ("coords", 2.5), ("basis", 2.5), ("basis", "3")])
+    def test_a_weight_that_is_not_an_int_is_refused(self, function, weight):
+        call = {"coords": lambda: lie_coordinates(parse_word("[a,b]"), weight),
+                "basis": lambda: lyndon_basis(weight, ["a", "b"])}[function]
+        with pytest.raises(InvalidArgument, match=f"weight {weight!r} is not an int"):
+            call()
+
+    def test_a_bool_weight_is_taken_and_weight_zero_gives_zero(self):
+        w = parse_word("a b a^-1")
+        assert str(lie_coordinates(w, True)) == "b"
+        assert lie_coordinates(w, 0) == LieElement()
+        assert [str(t) for t in lyndon_basis(True, ["a", "b"])] == ["a", "b"]
+
 
 class TestTopDegree:
     """The last Magnus table holds the top degree only at the Lyndon words;
@@ -523,7 +537,7 @@ class TestTopDegree:
             sizes.append(len(monomials))
             return magnus_coefficients(w, monomials)
 
-        monkeypatch.setattr(lie, "magnus_coefficients", spy)
+        monkeypatch.setattr(fox, "magnus_coefficients", spy)
         w = parse_word("[[a,b],[a,c]]")
         coords = lie_coordinates(w, 4)
         # tables of depth 1, 2 and 4; the last has 18 of the 81 words of
