@@ -87,10 +87,14 @@ class _Envelope:
 
 
 def _integer(text: str) -> int:
-    """An integer option: an optional '-' and ASCII digits, as in the grammars."""
-    if words._INT_RE.fullmatch(text.strip()) is None:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    return int(text)
+    """An integer option: an optional '-' and ASCII digits, as in the grammars.
+    Digits past int()'s limit are refused with the same message."""
+    if words._INT_RE.fullmatch(text.strip()) is not None:
+        try:
+            return int(text)
+        except ValueError:   # more than sys.get_int_max_str_digits() digits
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _add_common(parser: argparse.ArgumentParser):

@@ -64,15 +64,11 @@ from .words import Scanner, Word, _read_sum
 # most vertices of a graph that the distinct-vertex computations accept
 DISTINCT_VERTEX_LIMIT = 7
 
-# the two documented dual graphs per weight-5 mixed multidegree of F_2,
-# in the documented row order
+# the two documented dual graphs of the weight-5 multidegree (3,2) of F_2,
+# in the documented row order; those of (2,3) are these with a and b swapped
 DOCUMENTED_DUALS_32 = (
     "{v1:b, v2:a, v3:b, v4:a, v5:a; v1->v2, v2->v3, v3->v4, v5->v3}",
     "{v1:a, v2:b, v3:a, v4:b, v5:a; v1->v2, v2->v3, v3->v4, v4->v5}",
-)
-DOCUMENTED_DUALS_23 = (
-    "{v1:a, v2:b, v3:a, v4:b, v5:b; v1->v2, v2->v3, v3->v4, v5->v3}",
-    "{v1:b, v2:a, v3:b, v4:a, v5:b; v1->v2, v2->v3, v3->v4, v4->v5}",
 )
 
 
@@ -629,9 +625,9 @@ def distinct_reduce(g: SymbolGraph) -> GraphSum:
 def dual_graphs(gens: list[str], multidegree: dict[str, int]) -> list[SymbolGraph]:
     """Row graphs of the ``matrix`` command, paired with the Lyndon trees of
     ``multidegree``: the documented duals for the two-generator weight-5
-    block shapes (written over a, b, which stand for ``gens[0]``,
-    ``gens[1]``), the star graph when one of two nonzero counts is 1, and
-    otherwise the rank-increasing rows of the distinct-vertex enumeration."""
+    block shapes (the (3,2) texts, a and b standing for the counts 3 and
+    2), the star graph when one of two nonzero counts is 1, and otherwise
+    the rank-increasing rows of the distinct-vertex enumeration."""
     fixed = _fixed_duals(gens, multidegree)
     if fixed is not None:
         return fixed
@@ -663,10 +659,9 @@ def _fixed_duals(gens: list[str], multidegree: dict[str, int]) -> list[SymbolGra
             f"gens {list(gens)} do not list the multidegree's generators once each")
     counts = [multidegree[g] for g in gens]
     if len(gens) == 2 and counts in ([3, 2], [2, 3]):
-        relabel = {"a": gens[0], "b": gens[1]}
-        texts = DOCUMENTED_DUALS_32 if counts == [3, 2] else DOCUMENTED_DUALS_23
+        relabel = dict(zip("ab", gens if counts == [3, 2] else gens[::-1]))
         rows = []
-        for text in texts:
+        for text in DOCUMENTED_DUALS_32:
             g = parse_graph(text)
             rows.append(SymbolGraph.build(
                 {v: Symbol(relabel[s.letter]) for v, s in g.vertices},

@@ -25,7 +25,7 @@ from typing import Iterable
 from .errors import (InvalidArgument, InvalidMultidegree, LabelMismatch,
                      MixedGrading, NotInGamma, TooLarge)
 from .symbols import FormalSum
-from .words import GENERATOR_RE, Scanner, Word, _read_sum
+from .words import GENERATOR_RE, LENGTH_LIMIT, Scanner, Word, _read_sum
 
 
 @dataclass(frozen=True)
@@ -135,7 +135,9 @@ def lyndon_words(length: int, alphabet: list[str],
     """Lyndon words of exactly the given length, in the lexicographic order
     that the order of ``alphabet`` induces; given a multidegree ``content``,
     only those of that content.  An iterative prenecklace walk with letter
-    counts (Sawada, TCS 2003) that never takes a letter past its count."""
+    counts (Sawada, TCS 2003) that never takes a letter past its count.
+    A length past ``words.LENGTH_LIMIT``, which no word the package builds
+    passes, is refused with TooLarge before any list of its size is made."""
     gens = list(alphabet)
     k = len(gens)
     left = [length] * k
@@ -146,6 +148,8 @@ def lyndon_words(length: int, alphabet: list[str],
             raise InvalidMultidegree(f"{sorted(content)} not in the alphabet {gens}")
     if length < 1 or content is not None and sum(left) != length:
         return []
+    if length > LENGTH_LIMIT:
+        raise TooLarge(f"Lyndon words of length {length} exceed bound {LENGTH_LIMIT}")
     out = []
     # w[1:t] is the prefix, period[t] its period and w[0] = 0 a sentinel.  A
     # content's words start with its least letter: stop before w[1] changes.

@@ -30,8 +30,10 @@ of a product compose from its factors' counts, ``u^N`` takes O(log N)
 products, and `Evaluator` counts only the short leaves.  On either counts
 `_check_defined`, one loop over the post-order, names the first undefined
 sub-symbol.  The fold is refused with TooLarge when a count could pass
-``words._DIGIT_LIMIT`` digits; symbols with more than ``TERM_LIMIT``
-product terms are evaluated on the expanded word instead.
+``words._DIGIT_LIMIT`` digits.  It has one budget: `_Prunings` charges
+each pruning its product terms as it enters, the subtrees first, and
+symbols whose charges pass ``TERM_LIMIT`` are evaluated on the expanded
+word instead.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain, permutations, product, repeat
-from math import lcm, log10
+from math import lcm, log10, prod
 from operator import add, itemgetter, mul
 from typing import Callable, Iterable
 
@@ -276,43 +278,60 @@ class Evaluator:
 
 
 class _Prunings:
-    """Every pruning of every subtree of some symbols, keyed by canonical
-    string, and the product that composes their placement counts over a
-    concatenation (Chen's identity for tree-ordered sums).
+    """Every pruning of every subtree of ``syms``, and the product that
+    composes their placement counts over a concatenation (Chen's identity
+    for tree-ordered sums).
 
     Index 0 is the empty pruning, whose count is 1.  The placements of a
     pruning P on ``uv`` split by the set D of nodes placed in ``u``: D is
     closed under taking children, so it is a union of whole subtrees, and P
     minus D is a pruning that keeps P's root.  ``terms[i]`` lists, for each
-    D, the indices of D's maximal subtrees and of P minus D.
+    D, the indices of D's maximal subtrees and of P minus D, D = P first.
+
+    A pruning is charged its number of terms, one more than its prunings
+    that keep the root, as it enters, and TooLarge is raised once ``size``,
+    the sum of the charges, passes ``TERM_LIMIT``: first every subtree of
+    ``syms``, then each P minus D as a split list names it.  A pruning
+    enters after its children, so the lists are built once each, in index
+    order, from the children's lists: per child, the child whole in D or
+    one of the child's splits.
     """
 
-    def __init__(self):
+    def __init__(self, syms: Iterable[Symbol]):
         self.symbols: list[Symbol | None] = [None]
         self.terms: list[list[tuple[tuple[int, ...], int]]] = [[]]
         self.size = 0
-        self.index = {"": 0}  # canonical string -> index
-
-    def add(self, sym: Symbol) -> int:
-        """The index of ``sym``; a new symbol is added with every subtree
-        and pruning that its terms name, each split once, in the order
-        they are first named."""
-        out = self._index(sym)
+        self._children: list[list[int]] = [[]]
+        self._kept = [0]  # prunings that keep the root
+        # (root letter, sorted indices of the children) -> index: equal
+        # exactly when the canonical strings are, which it never builds
+        self._index: dict[tuple[str, tuple[int, ...]], int] = {}
+        for sym in syms:
+            sym.fold(lambda node, children: self._enter(node.letter, children))
         while len(self.terms) < len(self.symbols):
             i = len(self.terms)
-            splits = _splits(self.symbols[i])
-            self.size += len(splits) + 1
+            letter = self.symbols[i].letter
+            self.terms.append([((i,), 0)] + [
+                (tuple(chain.from_iterable(inside for inside, _ in combo)),
+                 self._enter(letter, [rest for _, rest in combo if rest]))
+                for combo in product(*map(self.terms.__getitem__,
+                                          self._children[i]))])
+
+    def _enter(self, letter: str, children: list[int]) -> int:
+        """The index of the pruning with root ``letter`` over the prunings
+        at ``children``; a new one is charged, then built."""
+        key = (letter, tuple(sorted(children)))
+        i = self._index.get(key)
+        if i is None:
+            kept = prod(self._kept[c] + 1 for c in children)
+            self.size += kept + 1
             if self.size > TERM_LIMIT:
                 raise TooLarge(f"more than {TERM_LIMIT} product terms")
-            self.terms.append([((i,), 0)] + [
-                (tuple(map(self._index, inside)), self._index(rest))
-                for inside, rest in splits])
-        return out
-
-    def _index(self, sym: Symbol) -> int:
-        i = self.index.setdefault(sym.canonical(), len(self.symbols))
-        if i == len(self.symbols):
-            self.symbols.append(sym)
+            i = self._index[key] = len(self.symbols)
+            self.symbols.append(Symbol(
+                letter, tuple(map(self.symbols.__getitem__, children))))
+            self._children.append(children)
+            self._kept.append(kept)
         return i
 
     def multiply(self, x: list[int], y: list[int]) -> list[int]:
@@ -341,20 +360,6 @@ class _Prunings:
             x = self.multiply(x, x)
 
 
-def _splits(sym: Symbol) -> list[tuple[tuple[Symbol, ...], Symbol]]:
-    """(maximal subtrees of D, ``sym`` minus D) for each set D of nodes that
-    is closed under taking children and misses the root; there are as many
-    as prunings of ``sym`` that keep its root."""
-    def make(node: Symbol, below: list) -> list:
-        options = [[((c,), None)] + splits
-                   for c, splits in zip(node.children, below)]
-        return [(tuple(chain.from_iterable(inside for inside, _ in combo)),
-                 Symbol(node.letter, tuple(rest for _, rest in combo if rest)))
-                for combo in product(*options)]
-
-    return sym.fold(make)
-
-
 class _Fold:
     """Placement counts of every pruning in a ``_Prunings`` over a
     CompactWord, composed over its products, powers and commutators.
@@ -370,7 +375,8 @@ class _Fold:
     def __init__(self, w: CompactWord, prunings: _Prunings):
         self._prunings = prunings
         self._memo: dict[tuple[int, bool], list[int]] = {}
-        self._counts = dict(zip(prunings.index, self._fold(w, False)))
+        self._counts = dict(zip(map(Symbol.canonical, prunings.symbols[1:]),
+                                self._fold(w, False)[1:]))
 
     value, value_sum = Evaluator.value, Evaluator.value_sum
 
@@ -443,30 +449,16 @@ def _combined_rows(terms, width: int) -> tuple[list[int], int]:
     return out, den
 
 
-def _term_floor(syms: list[Symbol]) -> int:
-    """Each distinct subtree's prunings that keep its root, plus one, summed:
-    a lower bound of the size of `_Prunings` on ``syms``, which adds every
-    subtree, known before any split is built."""
-    kept: dict[str, int] = {}
-    for node in chain.from_iterable(sym.postorder() for sym in syms):
-        kept[node.canonical()] = reduce(
-            mul, [1 + kept[c.canonical()] for c in node.children], 1)
-    return sum(kept.values()) + len(kept)
-
-
 def _evaluator(w: Word | CompactWord, syms: list[Symbol]) -> Evaluator | _Fold:
     """The fold when ``w`` is a CompactWord longer than one leaf, else the
-    Evaluator on its letters; also the Evaluator when the symbols have more
-    prunings than ``TERM_LIMIT`` allows."""
+    Evaluator on its letters; also the Evaluator when the symbols' prunings
+    pass the budget of ``_Prunings``."""
     if not isinstance(w, CompactWord):
         return Evaluator(w)
-    if (w.kind == "run" or w.length <= LEAF_LETTERS
-            or _term_floor(syms) > TERM_LIMIT):
+    if w.kind == "run" or w.length <= LEAF_LETTERS:
         return Evaluator(w.expand())
-    prunings = _Prunings()
     try:
-        for sym in syms:
-            prunings.add(sym)
+        prunings = _Prunings(syms)
     except TooLarge:
         return Evaluator(w.expand())
     nodes = max((sym.node_count() for sym in syms), default=0)

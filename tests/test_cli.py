@@ -356,7 +356,9 @@ class TestArgumentErrors:
         ("basis", "--weight", "1_0", "--gens", "a"),
         ("coords", "--word", "[a,b]", "--weight", "+2"),
         ("selfcheck", "--seed", "\u0663"),
-    ], ids=["weight-digit", "weight-underscore", "weight-plus", "seed-digit"])
+        ("basis", "--weight", "1" * 4301, "--gens", "a"),   # past int()'s limit
+    ], ids=["weight-digit", "weight-underscore", "weight-plus", "seed-digit",
+            "weight-past-int-digits"])
     def test_an_integer_option_outside_the_grammars_exits_two(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
             main(list(argv))
@@ -404,7 +406,13 @@ class TestArgumentErrors:
          "graph is not connected"),
         (("eval", "--symbol", "a", "--word", "a^" + "1" * 5000),
          "exponent of 5000 digits"),
-    ], ids=["disconnected-graph", "long-exponent"])
+        # refused before a list of weight + 1 entries is allocated
+        (("basis", "--weight", "99999999999999999999", "--gens", "a,b"),
+         "Lyndon words of length 99999999999999999999 exceed bound 4194304"),
+        (("basis", "--weight", "9223372036854775806", "--gens", "a"),
+         "Lyndon words of length 9223372036854775806 exceed bound 4194304"),
+    ], ids=["disconnected-graph", "long-exponent", "weight-past-an-index",
+            "weight-past-memory"])
     def test_exit_one_names_the_fault(self, capsys, argv, message):
         assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 

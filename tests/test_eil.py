@@ -791,6 +791,19 @@ class TestDualGraphs:
             "{v1:b, v2:a, v3:b, v4:a, v5:b; v1->v2, v2->v3, v3->v4, v4->v5}",
         ]
 
+    @pytest.mark.parametrize("gens, expected", [
+        (["a", "b"], [
+            "{v1:a, v2:b, v3:a, v4:b, v5:b; v1->v2, v2->v3, v3->v4, v5->v3}",
+            "{v1:b, v2:a, v3:b, v4:a, v5:b; v1->v2, v2->v3, v3->v4, v4->v5}"]),
+        (["b", "a"], [
+            "{v1:b, v2:a, v3:b, v4:a, v5:a; v1->v2, v2->v3, v3->v4, v5->v3}",
+            "{v1:a, v2:b, v3:a, v4:b, v5:a; v1->v2, v2->v3, v3->v4, v4->v5}"]),
+    ])
+    def test_the_23_duals_are_the_32_duals_with_a_and_b_swapped(self, gens, expected):
+        # the counts read (2, 3) in the order of gens
+        multidegree = dict(zip(gens, (2, 3)))
+        assert [str(g) for g in dual_graphs(gens, multidegree)] == expected
+
     def test_star(self):
         assert [str(g) for g in dual_graphs(["a", "b"], {"a": 1, "b": 3})] == [
             "{v1:b, v2:b, v3:b, v4:a; v1->v4, v2->v4, v3->v4}"]

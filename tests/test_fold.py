@@ -5,6 +5,7 @@ from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
+from brute_force import recursive_pruning_count
 from hypothesis import given, settings, strategies as st
 
 from letterlink import (
@@ -145,8 +146,7 @@ class TestPowers:
         # pruning's node count
         sym = parse_symbol(text)
         k = sym.node_count()
-        prunings = linking._Prunings()
-        prunings.add(sym)
+        prunings = linking._Prunings([sym])
         samples = {}
         for n in range(-k, k + 1):
             ev = Evaluator(parse_word(f"({base})^{n}"))
@@ -155,7 +155,7 @@ class TestPowers:
             folded = linking._Fold(parse_compact(f"({base})^{n}"), prunings)
             expected = [_interpolate({m: s[i] for m, s in samples.items()}, n)
                         for i in range(len(prunings.symbols) - 1)]
-            assert list(folded._counts.values())[1:] == expected
+            assert list(folded._counts.values()) == expected
 
     def test_the_worked_example_at_a_googol(self):
         w = parse_compact(f"[a a,[b,a c]]^{10 ** 100}")
@@ -185,8 +185,8 @@ class TestLimits:
         with pytest.raises(TooLarge):
             eval_symbol(star, parse_compact("[a,b]^99999999999999999999999"))
 
-    # a 60-node chain: its subtrees' floor of prunings is 1890, under
-    # TERM_LIMIT, but listing every split of its prunings passes it
+    # a 60-node chain: its subtrees alone are charged 1890, under
+    # TERM_LIMIT, but the prunings that their split lists name pass it
     @pytest.mark.parametrize("text", [
         "[a b, c]^100 [b, c a]^50",             # undefined at (a)b
         "[[[a,b],c],[[b,c],a]]^10 [a,b c]",     # undefined 7 nodes deep
@@ -198,7 +198,10 @@ class TestLimits:
             chain = Symbol("abc"[i % 3], (chain,))
         w = parse_compact(text)
         assert len(w) > linking.LEAF_LETTERS and w.kind != "run"
-        assert linking._term_floor([chain]) == 1890 < linking.TERM_LIMIT
+        assert (sum(recursive_pruning_count(n) + 1 for n in chain.postorder())
+                == 1890 < linking.TERM_LIMIT)
+        with pytest.raises(TooLarge):
+            linking._Prunings([chain])
         assert isinstance(linking._evaluator(w, [chain]), Evaluator)
 
         def outcome(evaluate):

@@ -48,6 +48,7 @@ from letterlink.lie import (
     standard_bracketing,
 )
 from letterlink.words import (
+    LENGTH_LIMIT,
     NESTING_LIMIT,
     all_bracketings,
     expand_bracket,
@@ -208,6 +209,14 @@ class TestLyndon:
     def test_weight_below_one_is_rejected(self, weight):
         with pytest.raises(InvalidArgument):
             lyndon_basis(weight, ["a", "b"])
+
+    @pytest.mark.parametrize("weight, alphabet", [
+        (2 ** 70, ["a", "b"]), (2 ** 63 - 2, ["a"]), (LENGTH_LIMIT + 1, ["a"])],
+        ids=["2^70", "2^63-2", "limit+1"])
+    def test_a_weight_past_the_length_limit_is_refused(self, weight, alphabet):
+        # refused before the walk's lists of weight + 1 entries are allocated
+        with pytest.raises(TooLarge, match=f"length {weight} exceed"):
+            lyndon_basis(weight, alphabet)
 
     @pytest.mark.parametrize("alphabet", [["a", "a"], ["a", "b", "a"]])
     def test_a_repeated_generator_is_rejected(self, alphabet):

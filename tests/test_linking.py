@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from brute_force import (position_assoc, position_count, position_prefix_potential,
@@ -579,6 +580,24 @@ def _failure(f):
         return exc.subsymbol, exc.count
 
 
+def _names(prunings):
+    """The canonical string of each pruning of a ``_Prunings``, None at 0."""
+    return [None] + [sym.canonical() for sym in prunings.symbols[1:]]
+
+
+def _named_splits(prunings, i):
+    """The splits of the pruning at index ``i``, by canonical string."""
+    names = _names(prunings)
+    return [(tuple(map(names.__getitem__, inside)), names[rest])
+            for inside, rest in prunings.terms[i][1:]]
+
+
+def _recursive_splits(sym):
+    """``recursive_splits`` of ``sym``, by canonical string."""
+    return [(tuple(map(recursive_canonical, inside)), recursive_canonical(rest))
+            for inside, rest in recursive_splits(sym)]
+
+
 class TestWalksAgainstTheRecursion:
     """Every walk over ``Symbol.postorder`` against the recursion it
     replaced."""
@@ -591,9 +610,12 @@ class TestWalksAgainstTheRecursion:
         assert sym.depth == recursive_depth(sym)
         assert (list(map(id, sym.postorder()))
                 == list(map(id, recursive_postorder(sym))))
-        if recursive_pruning_count(sym) <= 256:
-            assert linking._splits(sym) == recursive_splits(sym)
-            assert len(linking._splits(sym)) == recursive_pruning_count(sym)
+        if recursive_prunings_size([sym], linking.TERM_LIMIT) is not None:
+            prunings = linking._Prunings([sym])
+            names = _names(prunings)
+            root = names.index(sym.canonical())
+            assert _named_splits(prunings, root) == _recursive_splits(sym)
+            assert len(prunings.terms[root]) == recursive_pruning_count(sym) + 1
 
         ev = Evaluator(w)
         counts = {n.canonical(): ev.placements(n) for n in sym.postorder()}
@@ -613,24 +635,32 @@ class TestWalksAgainstTheRecursion:
 
     @given(st.lists(walk_symbols(), min_size=1, max_size=3))
     @settings(derandomize=True, deadline=None, max_examples=200)
-    def test_the_term_floor_refuses_only_what_the_prunings_would(self, syms):
-        subtrees = {recursive_canonical(n): recursive_pruning_count(n) + 1
-                    for s in syms for n in s.postorder()}
-        floor = linking._term_floor(syms)
-        assert floor == sum(subtrees.values())
+    def test_the_prunings_refuse_only_past_the_term_limit(self, syms):
         size = recursive_prunings_size(syms, linking.TERM_LIMIT)
-        if floor > linking.TERM_LIMIT:
-            assert size is None
-            return
-        prunings = linking._Prunings()
         if size is None:
             with pytest.raises(TooLarge):
-                for s in syms:
-                    prunings.add(s)
-        else:
-            for s in syms:
-                prunings.add(s)
-            assert prunings.size == size >= floor
+                linking._Prunings(syms)
+            return
+        prunings = linking._Prunings(syms)
+        assert prunings.size == size
+        for i, sym in enumerate(prunings.symbols[1:], 1):
+            assert _named_splits(prunings, i) == _recursive_splits(sym)
+
+    def test_each_split_list_is_built_once(self, monkeypatch):
+        # one product over the children's lists per pruning, each pruning
+        # entered once: the two symbols share the subtree (a)b, and the
+        # list of no subtree is built again for a parent or a pruning
+        built = []
+
+        def spy(*options):
+            built.append(options)
+            return product(*options)
+
+        monkeypatch.setattr(linking, "product", spy)
+        prunings = linking._Prunings([parse_symbol("((a)b)(c)a"),
+                                      parse_symbol("((a)b)((c)b)a")])
+        names = _names(prunings)[1:]
+        assert len(built) == len(names) == len(set(names))
 
     @given(walk_symbols(), oracle_words())
     @settings(derandomize=True, deadline=None, max_examples=200)
