@@ -6,6 +6,13 @@ errors.  With ``--json`` each invocation emits one envelope object::
     {"command": ..., "input": ..., "value": ..., "undefined_at": ..., "timing_ms": ...}
 
 Rationals are serialized as "p/q" strings.
+
+Each call builds its own argparse parser.  It registers every command by
+name and help, so ``letterlink -h``, the usage lines and argparse's
+refusals read as if every command's arguments were built, but it adds
+arguments to the called command only (``build_parser``); building all ten
+took most of a tiny call.  Nothing is kept from one call to the next; the
+README's "Start-up" section says why.
 """
 
 from __future__ import annotations
@@ -103,71 +110,94 @@ def _add_common(parser: argparse.ArgumentParser):
                         help="report the computation time")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _eval_arguments(p: argparse.ArgumentParser):
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--symbol")
+    group.add_argument("--graph")
+    p.add_argument("--word", required=True)
+
+
+def _fox_arguments(p: argparse.ArgumentParser):
+    p.add_argument("--word", required=True)
+    p.add_argument("--seq", required=True, help="comma-separated generators, e.g. a,b,a")
+    p.add_argument("--full", action="store_true",
+                   help="print the group-ring element instead of its augmentation")
+
+
+def _reduce_arguments(p: argparse.ArgumentParser):
+    p.add_argument("--graph", required=True)
+    p.add_argument("--order", help="comma-separated vertex ids (default: automatic)")
+
+
+def _distinct_arguments(p: argparse.ArgumentParser):
+    p.add_argument("--graph", required=True)
+
+
+def _pair_arguments(p: argparse.ArgumentParser):
+    group = p.add_mutually_exclusive_group(required=True)
+    group.add_argument("--graph")
+    group.add_argument("--graphsum")
+    p.add_argument("--lie", required=True)
+
+
+def _basis_arguments(p: argparse.ArgumentParser):
+    p.add_argument("--weight", type=_integer, required=True)
+    p.add_argument("--gens", required=True)
+    p.add_argument("--multidegree", help="comma-separated counts matching --gens")
+
+
+def _matrix_arguments(p: argparse.ArgumentParser):
+    p.add_argument("--weight", type=_integer, required=True)
+    p.add_argument("--gens", required=True)
+    p.add_argument("--multidegree", required=True)
+
+
+def _coords_arguments(p: argparse.ArgumentParser):
+    p.add_argument("--word", required=True)
+    p.add_argument("--weight", type=_integer, required=True)
+
+
+def _diagram_arguments(p: argparse.ArgumentParser):
+    p.add_argument("--word", required=True)
+    p.add_argument("--symbol", required=True)
+
+
+def _selfcheck_arguments(p: argparse.ArgumentParser):
+    p.add_argument("--seed", type=_integer, default=0)
+    p.add_argument("--scale", choices=("small", "full"), default="small")
+
+
+# each command, in the order ``letterlink -h`` lists them: its help text and
+# the function that adds its own arguments
+_COMMANDS = {
+    "eval": ("evaluate a symbol or graph on a word", _eval_arguments),
+    "fox": ("iterated derivative of a word", _fox_arguments),
+    "reduce": ("reduce a graph to a sum of symbols", _reduce_arguments),
+    "distinct": ("rewrite over distinct-vertex graphs", _distinct_arguments),
+    "pair": ("configuration pairing of graphs with brackets", _pair_arguments),
+    "basis": ("Lyndon bracket basis of a weight", _basis_arguments),
+    "matrix": ("pairing matrix of dual graphs vs basis trees", _matrix_arguments),
+    "coords": ("graded Lie coordinates of a word", _coords_arguments),
+    "diagram": ("render the by-hand evaluation diagram", _diagram_arguments),
+    "selfcheck": ("run the acceptance suite", _selfcheck_arguments),
+}
+
+
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser of ``letterlink``, with every command registered by name
+    and help, but arguments (``--json`` and ``--timing`` too) added to
+    ``command``'s subparser only; ``command`` may name no command at all."""
     parser = argparse.ArgumentParser(
         prog="letterlink",
         description="letter-linking invariants, graph reductions, and the "
         "free differential calculus on free-group words",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("eval", help="evaluate a symbol or graph on a word")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--symbol")
-    group.add_argument("--graph")
-    p.add_argument("--word", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("fox", help="iterated derivative of a word")
-    p.add_argument("--word", required=True)
-    p.add_argument("--seq", required=True, help="comma-separated generators, e.g. a,b,a")
-    p.add_argument("--full", action="store_true",
-                   help="print the group-ring element instead of its augmentation")
-    _add_common(p)
-
-    p = sub.add_parser("reduce", help="reduce a graph to a sum of symbols")
-    p.add_argument("--graph", required=True)
-    p.add_argument("--order", help="comma-separated vertex ids (default: automatic)")
-    _add_common(p)
-
-    p = sub.add_parser("distinct", help="rewrite over distinct-vertex graphs")
-    p.add_argument("--graph", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("pair", help="configuration pairing of graphs with brackets")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--graph")
-    group.add_argument("--graphsum")
-    p.add_argument("--lie", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("basis", help="Lyndon bracket basis of a weight")
-    p.add_argument("--weight", type=_integer, required=True)
-    p.add_argument("--gens", required=True)
-    p.add_argument("--multidegree", help="comma-separated counts matching --gens")
-    _add_common(p)
-
-    p = sub.add_parser("matrix", help="pairing matrix of dual graphs vs basis trees")
-    p.add_argument("--weight", type=_integer, required=True)
-    p.add_argument("--gens", required=True)
-    p.add_argument("--multidegree", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("coords", help="graded Lie coordinates of a word")
-    p.add_argument("--word", required=True)
-    p.add_argument("--weight", type=_integer, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("diagram", help="render the by-hand evaluation diagram")
-    p.add_argument("--word", required=True)
-    p.add_argument("--symbol", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("selfcheck", help="run the acceptance suite")
-    p.add_argument("--seed", type=_integer, default=0)
-    p.add_argument("--scale", choices=("small", "full"), default="small")
-    _add_common(p)
-
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == command:
+            add_arguments(p)
+            _add_common(p)
     return parser
 
 
@@ -261,8 +291,8 @@ def _run(args) -> int:
         gens = _distinct_gens(args.gens)
         md = (None if args.multidegree is None
               else _multidegree_from(gens, args.multidegree))
-        trees = lie.lyndon_basis(args.weight, gens, md)
-        env.set_value([str(t) for t in trees], "\n".join(str(t) for t in trees))
+        texts = [str(t) for t in lie.lyndon_basis(args.weight, gens, md)]
+        env.set_value(texts, "\n".join(texts))
     elif args.command == "matrix":
         from . import eil
         gens = _distinct_gens(args.gens)
@@ -303,7 +333,13 @@ def _run(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # the top-level parser has no option that takes a value, so argparse
+    # dispatches on the first entry that does not start with '-', or refuses
+    # the argv at the top level before it dispatches
+    command = next((a for a in argv if not a.startswith("-")), None)
+    args = build_parser(command).parse_args(argv)
     try:
         return _run(args)
     except ParseError as exc:

@@ -59,7 +59,7 @@ from .lie import (BracketTree, _multidegree_key, _root_at_zero,
                   lyndon_trees_of_multidegree, pairing_matrix)
 from .linalg import Elimination, back_substitute, eliminate
 from .symbols import FormalSum, Symbol, SymbolSum, _read_symbol
-from .words import Scanner, Word, _read_sum
+from .words import LENGTH_LIMIT, Scanner, Word, _read_sum
 
 # most vertices of a graph that the distinct-vertex computations accept
 DISTINCT_VERTEX_LIMIT = 7
@@ -649,9 +649,11 @@ def dual_matrix(gens: list[str], multidegree: dict[str, int]) -> list[list[int]]
 
 def _fixed_duals(gens: list[str], multidegree: dict[str, int]) -> list[SymbolGraph] | None:
     """The documented duals or the star graph where ``dual_graphs`` takes
-    them, else None.  The star graph has no vertex limit.  Refuses
-    ``gens`` unless it lists each generator of the multidegree once, those
-    of count 0 included, and nothing else."""
+    them, else None.  A star of more than ``words.LENGTH_LIMIT`` vertices,
+    the bound ``lie.lyndon_words`` puts on the same weight, is refused with
+    TooLarge before any vertex is built.  Refuses ``gens`` unless it lists
+    each generator of the multidegree once, those of count 0 included, and
+    nothing else."""
     _multidegree_key(multidegree)   # refuses a malformed multidegree
     if (not all(type(g) is str for g in gens)
             or sorted(gens) != sorted(multidegree)):
@@ -672,6 +674,8 @@ def _fixed_duals(gens: list[str], multidegree: dict[str, int]) -> list[SymbolGra
         center = singles[0]
         (other,) = [g for g in gens if multidegree[g] > 0 and g != center]
         n = multidegree[other]
+        if n + 1 > LENGTH_LIMIT:
+            raise TooLarge(f"a star of {n + 1} vertices exceeds bound {LENGTH_LIMIT}")
         vertices = {f"v{i + 1}": Symbol(other) for i in range(n)}
         vertices[f"v{n + 1}"] = Symbol(center)
         return [SymbolGraph.build(

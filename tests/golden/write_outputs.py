@@ -190,12 +190,20 @@ TEXT_ONLY = [
     ["selfcheck", "--seed", "3", "--json"],
 ]
 
+# argv run as text and with --json, after TEXT_ONLY so that the entries
+# above keep their indices: the (3,2,2) basis, which builds in about 0.1 s
+LATER = [
+    ["distinct", "--graph", "{v1:a, v2:b, v3:c, v4:a, v5:b, v6:c, v7:a; "
+     "v1->v2, v2->v3, v3->v4, v4->v5, v5->v6, v6->v7}"],
+    ["matrix", "--weight", "7", "--gens", "a,b,c", "--multidegree", "3,2,2"],
+]
+
 
 def all_argv() -> list[list[str]]:
-    cases = []
-    for argv in readme_cli_lines() + COMMANDS:
-        cases += [argv, argv + ["--json"]]
-    return cases + TEXT_ONLY
+    def with_json(argvs):
+        return [a for argv in argvs for a in (argv, argv + ["--json"])]
+
+    return with_json(readme_cli_lines() + COMMANDS) + TEXT_ONLY + with_json(LATER)
 
 
 def _stored(text: str):

@@ -411,8 +411,12 @@ class TestArgumentErrors:
          "Lyndon words of length 99999999999999999999 exceed bound 4194304"),
         (("basis", "--weight", "9223372036854775806", "--gens", "a"),
          "Lyndon words of length 9223372036854775806 exceed bound 4194304"),
+        # refused before any vertex of the star graph is built
+        (("matrix", "--weight", "99999999999999999999", "--gens", "a,b",
+          "--multidegree", "99999999999999999998,1"),
+         "a star of 99999999999999999999 vertices exceeds bound 4194304"),
     ], ids=["disconnected-graph", "long-exponent", "weight-past-an-index",
-            "weight-past-memory"])
+            "weight-past-memory", "star-past-the-length-limit"])
     def test_exit_one_names_the_fault(self, capsys, argv, message):
         assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 

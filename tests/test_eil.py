@@ -808,6 +808,20 @@ class TestDualGraphs:
         assert [str(g) for g in dual_graphs(["a", "b"], {"a": 1, "b": 3})] == [
             "{v1:b, v2:b, v3:b, v4:a; v1->v4, v2->v4, v3->v4}"]
 
+    def test_a_star_past_the_length_limit_is_refused_before_any_vertex(
+            self, monkeypatch):
+        monkeypatch.setattr(eil, "LENGTH_LIMIT", 4)
+        assert [str(g) for g in dual_graphs(["a", "b"], {"a": 1, "b": 3})] == [
+            "{v1:b, v2:b, v3:b, v4:a; v1->v4, v2->v4, v3->v4}"]
+
+        def no_vertex(letter, children=()):
+            raise AssertionError("a vertex was built")
+
+        monkeypatch.setattr(eil, "Symbol", no_vertex)
+        for call in (dual_graphs, eil.dual_matrix):
+            with pytest.raises(TooLarge, match="a star of 5 vertices exceeds bound 4"):
+                call(["b", "a"], {"a": 1, "b": 4})
+
     @pytest.mark.parametrize("multidegree", [
         {"a": 2, "b": 2}, {"a": 3, "b": 3}, {"a": 2, "b": 1, "c": 1}])
     def test_rank_increasing_rows_span_the_basis(self, multidegree):
