@@ -10,9 +10,11 @@ Rationals are serialized as "p/q" strings.
 Each call builds its own argparse parser.  It registers every command by
 name and help, so ``letterlink -h``, the usage lines and argparse's
 refusals read as if every command's arguments were built, but it adds
-arguments to the called command only (``build_parser``); building all ten
-took most of a tiny call.  Nothing is kept from one call to the next; the
-README's "Start-up" section says why.
+arguments, ``-h`` among them, to the called command only (``build_parser``);
+building all ten took most of a tiny call.  Nothing is kept from one call
+to the next; the README's "Start-up" section says why.  ``diagram --json``
+evaluates the symbol without drawing the diagram, which its envelope does
+not hold.
 """
 
 from __future__ import annotations
@@ -185,8 +187,9 @@ _COMMANDS = {
 
 def build_parser(command: str | None) -> argparse.ArgumentParser:
     """The parser of ``letterlink``, with every command registered by name
-    and help, but arguments (``--json`` and ``--timing`` too) added to
-    ``command``'s subparser only; ``command`` may name no command at all."""
+    and help, but arguments (``-h``, ``--json`` and ``--timing`` too) added
+    to ``command``'s subparser only; ``command`` may name no command at all.
+    argparse dispatches to that subparser alone, so no other can print."""
     parser = argparse.ArgumentParser(
         prog="letterlink",
         description="letter-linking invariants, graph reductions, and the "
@@ -194,7 +197,7 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, add_arguments) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, add_help=name == command)
         if name == command:
             add_arguments(p)
             _add_common(p)
@@ -307,15 +310,23 @@ def _run(args) -> int:
         env.set_value([[_plain(c), str(t)] for c, t in element.items()],
                       str(element))
     elif args.command == "diagram":
-        from . import diagram, symbols
+        from . import symbols
         w = words.parse_word(args.word)
         sym = symbols.parse_symbol(args.symbol)
-        text, value, failure = diagram.render_diagram(w, sym)
-        if failure is not None:
-            env.set_undefined(failure)
-            env.lines = [text]
+        if args.json:   # the envelope holds the value, not the drawing
+            from . import linking
+            try:
+                env.set_value(linking.eval_symbol(sym, w))
+            except UndefinedInvariant as exc:
+                env.set_undefined(exc)
         else:
-            env.set_value(value, text)
+            from . import diagram
+            text, value, failure = diagram.render_diagram(w, sym)
+            if failure is not None:
+                env.set_undefined(failure)
+                env.lines = [text]
+            else:
+                env.set_value(value, text)
     elif args.command == "selfcheck":
         from . import selfcheck
         results = selfcheck.run_all(seed=args.seed, scale=args.scale)

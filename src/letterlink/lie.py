@@ -153,26 +153,37 @@ def lyndon_words(length: int, alphabet: list[str],
     out = []
     # w[1:t] is the prefix, period[t] its period and w[0] = 0 a sentinel.  A
     # content's words start with its least letter: stop before w[1] changes.
+    # A Lyndon word of 2 or more letters ends in a letter greater than its
+    # first, so not in the least letter: a nonempty prefix has no completion
+    # once every letter left is the least one.  ``others`` counts the
+    # letters left that are not.
     w, period = [0] * (length + 1), [1] * (length + 2)
+    least = next(i for i, n in enumerate(left) if n)
+    others = sum(left) - left[least]
     t, j, root = 1, 0, 1 if content is None else 2
     while True:
-        if t <= length:
+        if t > length:
+            if period[t] == length:
+                out.append(tuple(map(gens.__getitem__, w[1:])))
+        elif t == 1 or others:
             while j < k and not left[j]:
                 j += 1
             if j < k:   # position t takes j, at least w[t - p], p the period
                 p = period[t] if j == w[t - period[t]] else t
                 w[t] = j
                 left[j] -= 1
+                if j != least:
+                    others -= 1
                 t += 1
                 period[t] = p
                 j = w[t - p]
                 continue
-        elif period[t] == length:
-            out.append(tuple(map(gens.__getitem__, w[1:])))
         t -= 1
         if t < root:
             return out
         left[w[t]] += 1
+        if w[t] != least:
+            others += 1
         j = w[t] + 1
 
 

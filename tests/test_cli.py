@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -8,12 +10,15 @@ from pathlib import Path
 
 import pytest
 from brute_force import split_entries
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from test_cli_fuzz import symbol_texts
 
 import letterlink
+from letterlink import parse_symbol, parse_word
 from letterlink.cli import _entries, main
+from letterlink.diagram import render_diagram
 from letterlink.eil import _VERTEX_ID_RE
-from letterlink.errors import ParseError
+from letterlink.errors import LetterLinkError, ParseError
 from letterlink.words import _INT_RE, GENERATOR_RE
 
 
@@ -466,6 +471,26 @@ class TestDiagram:
                            "--symbol", "(a)b")
         assert code == 1
         assert "undefined at a (count=1)" in out
+
+    @given(st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from(["", "^-1"])),
+                    max_size=12), symbol_texts())
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    def test_json_gives_the_value_or_failure_of_the_drawing(self, letters, symbol):
+        # --json evaluates without drawing; the drawing evaluates first
+        word = " ".join(g + power for g, power in letters)
+        try:
+            sym = parse_symbol(symbol)
+        except LetterLinkError:
+            assume(False)
+        _, value, failure = render_diagram(parse_word(word), sym)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["diagram", "--word", word, "--symbol", symbol, "--json"])
+        data = json.loads(out.getvalue())
+        assert code == (failure is not None)
+        assert (data["value"], data["undefined_at"]) == (
+            value, None if failure is None
+            else f"{failure.subsymbol} (count={failure.count})")
 
 
 class TestTextJsonAgreement:

@@ -1,5 +1,6 @@
-"""``cli.main`` builds only the called command's arguments.  The reference
-parser, built here from the same table, has every command's arguments;
+"""``cli.main`` builds only the called command's arguments, ``-h`` among
+them.  The reference parser, built here from the same table with plain
+argparse, has ``-h`` and every command's arguments on every subparser;
 ``main`` must give the same exit code, stdout and stderr with either
 parser on every golden argv, on argv that argparse itself refuses and on
 argv drawn by the CLI fuzz's strategies."""
@@ -7,9 +8,12 @@ argv drawn by the CLI fuzz's strategies."""
 import argparse
 import contextlib
 import gc
+import gettext
 import io
 import re
+import shutil
 import weakref
+from collections import Counter
 
 import pytest
 from golden.write_outputs import INPUTS, all_argv
@@ -30,10 +34,15 @@ def subparsers(parser: argparse.ArgumentParser) -> dict:
 
 
 def reference_parser(command) -> argparse.ArgumentParser:
-    """The parser with every command's arguments, whatever ``command`` is."""
-    parser = build_parser(None)
-    for name, p in subparsers(parser).items():
-        cli._COMMANDS[name][1](p)
+    """The parser with ``-h`` and every command's arguments on every
+    subparser, whatever ``command`` is; only its description is read from
+    ``build_parser``."""
+    parser = argparse.ArgumentParser(prog="letterlink",
+                                     description=build_parser(None).description)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in cli._COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        add_arguments(p)
         cli._add_common(p)
     return parser
 
@@ -105,7 +114,27 @@ def test_only_the_named_command_gets_arguments(command):
             assert options[-2:] == [["--json"], ["--timing"]]
             assert len(options) > 3
         else:
-            assert options == [["-h", "--help"]]
+            assert p._actions == []
+
+
+def test_a_build_probes_the_locale_and_the_terminal_a_fixed_number_of_times(
+        monkeypatch):
+    # argparse looks up each parser's translated strings with gettext.find
+    # and asks each help formatter for the terminal's size
+    calls = Counter()
+
+    def counted(module, name):
+        probe = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return probe(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(gettext, "find")
+    counted(shutil, "get_terminal_size")
+    build_parser("eval")
+    assert calls == {"find": 24, "get_terminal_size": 6}
 
 
 def test_no_parser_outlives_its_call(monkeypatch):
