@@ -12,9 +12,7 @@ name and help, so ``letterlink -h``, the usage lines and argparse's
 refusals read as if every command's arguments were built, but it adds
 arguments, ``-h`` among them, to the called command only (``build_parser``);
 building all ten took most of a tiny call.  Nothing is kept from one call
-to the next; the README's "Start-up" section says why.  ``diagram --json``
-evaluates the symbol without drawing the diagram, which its envelope does
-not hold.
+to the next; the README's "Start-up" section says why.
 """
 
 from __future__ import annotations
@@ -310,23 +308,15 @@ def _run(args) -> int:
         env.set_value([[_plain(c), str(t)] for c, t in element.items()],
                       str(element))
     elif args.command == "diagram":
-        from . import symbols
+        from . import diagram, symbols
         w = words.parse_word(args.word)
         sym = symbols.parse_symbol(args.symbol)
-        if args.json:   # the envelope holds the value, not the drawing
-            from . import linking
-            try:
-                env.set_value(linking.eval_symbol(sym, w))
-            except UndefinedInvariant as exc:
-                env.set_undefined(exc)
+        text, value, failure = diagram.render_diagram(w, sym)
+        if failure is not None:
+            env.set_undefined(failure)
+            env.lines = [text]
         else:
-            from . import diagram
-            text, value, failure = diagram.render_diagram(w, sym)
-            if failure is not None:
-                env.set_undefined(failure)
-                env.lines = [text]
-            else:
-                env.set_value(value, text)
+            env.set_value(value, text)
     elif args.command == "selfcheck":
         from . import selfcheck
         results = selfcheck.run_all(seed=args.seed, scale=args.scale)

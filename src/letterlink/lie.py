@@ -150,6 +150,8 @@ def lyndon_words(length: int, alphabet: list[str],
         return []
     if length > LENGTH_LIMIT:
         raise TooLarge(f"Lyndon words of length {length} exceed bound {LENGTH_LIMIT}")
+    if not k:
+        return []
     out = []
     # w[1:t] is the prefix, period[t] its period and w[0] = 0 a sentinel.  A
     # content's words start with its least letter: stop before w[1] changes.

@@ -1,5 +1,3 @@
-import contextlib
-import io
 import json
 import os
 import re
@@ -10,15 +8,12 @@ from pathlib import Path
 
 import pytest
 from brute_force import split_entries
-from hypothesis import assume, given, settings, strategies as st
-from test_cli_fuzz import symbol_texts
+from hypothesis import given, settings, strategies as st
 
 import letterlink
-from letterlink import parse_symbol, parse_word
 from letterlink.cli import _entries, main
-from letterlink.diagram import render_diagram
 from letterlink.eil import _VERTEX_ID_RE
-from letterlink.errors import LetterLinkError, ParseError
+from letterlink.errors import ParseError
 from letterlink.words import _INT_RE, GENERATOR_RE
 
 
@@ -208,6 +203,12 @@ class TestGraphCommands:
         code, out, _ = run(capsys, "basis", "--weight", weight, "--gens", "a,b",
                            "--multidegree", counts)
         assert (code, out) == (0, "\n")
+
+    @pytest.mark.parametrize("gens", ["", ","])
+    def test_basis_over_no_generator_is_empty(self, capsys, gens):
+        code, out, _ = run(capsys, "basis", "--weight", "2", "--gens", gens,
+                           "--json")
+        assert code == 0 and json.loads(out)["value"] == []
 
     def test_basis_brackets_in_the_order_of_gens(self, capsys):
         code, out, _ = run(capsys, "basis", "--weight", "3", "--gens", "b,a")
@@ -471,26 +472,6 @@ class TestDiagram:
                            "--symbol", "(a)b")
         assert code == 1
         assert "undefined at a (count=1)" in out
-
-    @given(st.lists(st.tuples(st.sampled_from("abc"), st.sampled_from(["", "^-1"])),
-                    max_size=12), symbol_texts())
-    @settings(derandomize=True, deadline=None, max_examples=200)
-    def test_json_gives_the_value_or_failure_of_the_drawing(self, letters, symbol):
-        # --json evaluates without drawing; the drawing evaluates first
-        word = " ".join(g + power for g, power in letters)
-        try:
-            sym = parse_symbol(symbol)
-        except LetterLinkError:
-            assume(False)
-        _, value, failure = render_diagram(parse_word(word), sym)
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = main(["diagram", "--word", word, "--symbol", symbol, "--json"])
-        data = json.loads(out.getvalue())
-        assert code == (failure is not None)
-        assert (data["value"], data["undefined_at"]) == (
-            value, None if failure is None
-            else f"{failure.subsymbol} (count={failure.count})")
 
 
 class TestTextJsonAgreement:

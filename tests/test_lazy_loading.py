@@ -32,8 +32,7 @@ COMMANDS = {
     "selfcheck": ["selfcheck", "--json"],
 }
 ARGV = {**COMMANDS, "eval --graph": [
-    "eval", "--graph", "{v1:a,v2:b; v1->v2}", "--word", "[a a,[b,a c]]"],
-    "diagram --json": [*COMMANDS["diagram"], "--json"]}
+    "eval", "--graph", "{v1:a,v2:b; v1->v2}", "--word", "[a a,[b,a c]]"]}
 
 # the modules whose code a bare import of the CLI runs
 CLI = {"errors", "words", "cli"}
@@ -52,8 +51,6 @@ RUNS = {
     "matrix": EIL,
     "coords": {"lie", "fox", "symbols"},
     "diagram": {"diagram", "symbols", "linking"},
-    # the JSON envelope holds the value, not the drawing
-    "diagram --json": {"symbols", "linking"},
     "selfcheck": EIL | {"linking", "fox", "selfcheck"},
 }
 
