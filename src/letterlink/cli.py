@@ -1,11 +1,11 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 undefined values or validation errors, 2 parse
-errors.  With ``--json`` each invocation emits one envelope object::
+Exit codes: 0 success, 1 undefined values, validation errors or a failing
+selfcheck check, 2 parse errors.  A call prints one form of its value: the
+text, then a ``timing: ... ms`` line if ``--timing`` is given; or, with
+``--json``, one envelope object, rationals as "p/q" strings::
 
     {"command": ..., "input": ..., "value": ..., "undefined_at": ..., "timing_ms": ...}
-
-Rationals are serialized as "p/q" strings.
 
 Each call builds its own argparse parser.  It registers every command by
 name and help, so ``letterlink -h``, the usage lines and argparse's
@@ -38,8 +38,9 @@ def _printable(n: int) -> int:
 
 
 def _plain(value):
-    """JSON-friendly form: exact integers stay ints, rationals become 'p/q'.
-    A value past ``words._DIGIT_LIMIT`` digits raises TooLarge."""
+    """JSON-friendly form: exact integers stay ints, rationals become 'p/q',
+    a formal sum becomes its [coefficient, term text] pairs.  A value past
+    ``words._DIGIT_LIMIT`` digits raises TooLarge."""
     if isinstance(value, Fraction):
         _printable(value.numerator)
         _printable(value.denominator)
@@ -48,49 +49,9 @@ def _plain(value):
         return [_plain(v) for v in value]
     if isinstance(value, int):
         return _printable(value)
-    return value
-
-
-def _format(value) -> str:
-    plain = _plain(value)
-    if isinstance(plain, list):
-        return json.dumps(plain, separators=(",", ":"))
-    return str(plain)
-
-
-class _Envelope:
-    def __init__(self, command: str, inputs: dict, as_json: bool, timing: bool):
-        self.data = {
-            "command": command,
-            "input": inputs,
-            "value": None,
-            "undefined_at": None,
-        }
-        self.as_json = as_json
-        self.timing = timing
-        self.lines: list[str] = []
-        self.start = time.perf_counter()
-
-    def set_value(self, value, text: str | None = None):
-        self.data["value"] = _plain(value)
-        self.lines.append(text if text is not None else _format(value))
-
-    def set_undefined(self, exc: UndefinedInvariant):
-        self.data["undefined_at"] = f"{exc.subsymbol} (count={exc.count})"
-        self.lines.append(str(exc))
-
-    def emit(self) -> int:
-        self.data["timing_ms"] = round(
-            (time.perf_counter() - self.start) * 1000, 3
-        )
-        if self.as_json:
-            print(json.dumps(self.data))
-        else:
-            for line in self.lines:
-                print(line)
-            if self.timing:
-                print(f"timing: {self.data['timing_ms']} ms")
-        return 1 if self.data["undefined_at"] is not None else 0
+    if value is None or isinstance(value, (str, dict)):
+        return value
+    return [[_plain(c), str(t)] for c, t in value]     # a formal sum
 
 
 def _integer(text: str) -> int:
@@ -242,11 +203,13 @@ def _multidegree_from(gens: list[str], counts_text: str) -> dict[str, int]:
 
 
 def _run(args) -> int:
-    env = _Envelope(args.command, {k: v for k, v in vars(args).items()
-                                   if k not in ("command", "json", "timing") and v is not None},
-                    args.json, args.timing)
+    start = time.perf_counter()
     if args.command in ("basis", "coords") and args.weight < 1:
         raise ParseError("--weight must be at least 1", 0)
+    # the command's value, or the UndefinedInvariant raised in its place;
+    # ``text`` is set where the text form is not the value's own
+    value = failure = text = None
+    passed = True
     if args.command == "eval":
         w = words.parse_compact(args.word)
         try:
@@ -256,29 +219,26 @@ def _run(args) -> int:
             else:
                 from . import eil
                 value = eil.eval_graph(eil.parse_graph(args.graph), w)
-            env.set_value(value)
         except UndefinedInvariant as exc:
-            env.set_undefined(exc)
+            failure = exc
     elif args.command == "fox":
         from . import fox
         w = words.parse_word(args.word)
         seq = [g for g, _ in _entries(args.seq, words.GENERATOR_RE, "identifier")]
         if not seq:
             raise ParseError("--seq names no generator", 0)
-        env.set_value(str(fox.iterated_fox(w, seq)) if args.full
-                      else fox.fox_eval(w, seq))
+        value = (str(fox.iterated_fox(w, seq)) if args.full
+                 else fox.fox_eval(w, seq))
     elif args.command == "reduce":
         from . import eil
         graph = eil.parse_graph(args.graph)
         order = ([v for v, _ in _entries(args.order, eil._VERTEX_ID_RE, "vertex id")]
                  if args.order is not None else eil.default_order(graph))
-        total = eil.reduce_full(graph, order)
-        env.set_value([[_plain(c), str(s)] for c, s in total], str(total))
+        value = eil.reduce_full(graph, order)
     elif args.command == "distinct":
         from . import eil
         graph = eil.parse_graph(args.graph, ambient=True)
-        total = eil.distinct_reduce(graph)
-        env.set_value([[_plain(c), str(g)] for c, g in total], str(total))
+        value = eil.distinct_reduce(graph)
     elif args.command == "pair":
         from . import eil, lie
         lie_part = lie.parse_lie(args.lie)
@@ -286,51 +246,64 @@ def _run(args) -> int:
             graphs = eil.parse_graph(args.graph, ambient=True)
         else:
             graphs = eil.parse_graph_sum(args.graphsum)
-        env.set_value(lie.extended_pairing(graphs, lie_part))
+        value = lie.extended_pairing(graphs, lie_part)
     elif args.command == "basis":
         from . import lie
         gens = _distinct_gens(args.gens)
         md = (None if args.multidegree is None
               else _multidegree_from(gens, args.multidegree))
-        texts = [str(t) for t in lie.lyndon_basis(args.weight, gens, md)]
-        env.set_value(texts, "\n".join(texts))
+        value = [str(t) for t in lie.lyndon_basis(args.weight, gens, md)]
+        text = None if args.json else "\n".join(value)
     elif args.command == "matrix":
         from . import eil
         gens = _distinct_gens(args.gens)
         md = _multidegree_from(gens, args.multidegree)
         if sum(md.values()) != args.weight:
             raise ParseError("multidegree does not sum to --weight", 0)
-        env.set_value(eil.dual_matrix(gens, md))
+        value = eil.dual_matrix(gens, md)
     elif args.command == "coords":
         from . import lie
         w = words.parse_word(args.word)
-        element = lie.lie_coordinates(w, args.weight)
-        env.set_value([[_plain(c), str(t)] for c, t in element.items()],
-                      str(element))
+        value = lie.lie_coordinates(w, args.weight)
     elif args.command == "diagram":
         from . import diagram, symbols
         w = words.parse_word(args.word)
         sym = symbols.parse_symbol(args.symbol)
         text, value, failure = diagram.render_diagram(w, sym)
-        if failure is not None:
-            env.set_undefined(failure)
-            env.lines = [text]
-        else:
-            env.set_value(value, text)
     elif args.command == "selfcheck":
         from . import selfcheck
         results = selfcheck.run_all(seed=args.seed, scale=args.scale)
-        all_ok = all(ok for _, ok, _ in results)
-        report = [f"{'PASS' if ok else 'FAIL'}  {name}: {detail}"
-                  for name, ok, detail in results]
-        env.set_value(
-            [{"name": name, "passed": ok, "detail": detail}
-             for name, ok, detail in results],
-            "\n".join(report),
-        )
-        code = env.emit()
-        return code if all_ok else 1
-    return env.emit()
+        passed = all(ok for _, ok, _ in results)
+        if args.json:
+            value = [{"name": name, "passed": ok, "detail": detail}
+                     for name, ok, detail in results]
+        else:
+            text = "\n".join(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}"
+                             for name, ok, detail in results)
+    timing_ms = round((time.perf_counter() - start) * 1000, 3)
+    if args.json:
+        print(json.dumps({
+            "command": args.command,
+            "input": {k: v for k, v in vars(args).items()
+                      if k not in ("command", "json", "timing") and v is not None},
+            "value": _plain(value),
+            "undefined_at": (None if failure is None
+                             else f"{failure.subsymbol} (count={failure.count})"),
+            "timing_ms": timing_ms,
+        }))
+    else:
+        if text is None and failure is not None:
+            text = str(failure)
+        elif text is None:
+            # a number or a matrix is refused past the digit limit here too;
+            # a formal sum and fox --full's element print as written
+            plain = _plain(value) if isinstance(value, (int, Fraction, list)) else value
+            text = (json.dumps(plain, separators=(",", ":")) if isinstance(plain, list)
+                    else str(plain))
+        print(text)
+        if args.timing:
+            print(f"timing: {timing_ms} ms")
+    return 1 if failure is not None or not passed else 0
 
 
 def main(argv=None) -> int:

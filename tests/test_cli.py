@@ -8,13 +8,20 @@ from pathlib import Path
 
 import pytest
 from brute_force import split_entries
+from golden.write_outputs import OUTPUTS, observe
 from hypothesis import given, settings, strategies as st
 
 import letterlink
+from letterlink import selfcheck
 from letterlink.cli import _entries, main
-from letterlink.eil import _VERTEX_ID_RE
+from letterlink.eil import _VERTEX_ID_RE, GraphSum
 from letterlink.errors import ParseError
+from letterlink.lie import LieElement
+from letterlink.symbols import SymbolSum
 from letterlink.words import _INT_RE, GENERATOR_RE
+
+CORPUS = json.loads(OUTPUTS.read_text())
+GOLDEN = {tuple(entry["argv"]): entry for entry in CORPUS["entries"]}
 
 
 def run(capsys, *argv):
@@ -426,11 +433,12 @@ class TestArgumentErrors:
     def test_exit_one_names_the_fault(self, capsys, argv, message):
         assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
-    def test_a_value_past_the_digit_limit_exits_one(self, capsys):
+    @pytest.mark.parametrize("form", [(), ("--json",)], ids=["text", "json"])
+    def test_a_value_past_the_digit_limit_exits_one(self, capsys, form):
         sevens = "7" * 2500
         code, out, err = run(capsys, "pair",
                              "--graphsum", f"{sevens}*{{v1:a,v2:b;v1->v2}}",
-                             "--lie", f"{sevens}*[a,b]")
+                             "--lie", f"{sevens}*[a,b]", *form)
         assert code == 1 and out == ""
         assert err == "error: a value of more than 4300 digits\n"
 
@@ -492,11 +500,50 @@ class TestTextJsonAgreement:
         assert code_text == code_json == 0
         assert out_text.strip() == str(json.loads(out_json)["value"])
 
-    def test_timing_flag(self, capsys):
-        code, out, _ = run(capsys, "eval", "--symbol", "(a)b",
-                           "--word", "a b a^-1 b^-1", "--timing")
-        assert code == 0
-        assert "timing:" in out
+    @pytest.mark.parametrize("argv", [
+        ("eval", "--symbol", "((a)b)a", "--word", "[a a,[b,a c]]"),
+        ("eval", "--symbol", "(a)b", "--word", "a b"),
+        ("fox", "--word", "[a a,[b,a c]]", "--seq", "a,b,a", "--full"),
+        ("reduce", "--graph", "{v1:a,v2:b,v3:c; v1->v2, v2->v3}", "--order", "v2,v1"),
+        ("distinct", "--graph", "{v1:a, v2:a, v3:b; v1->v2, v2->v3}"),
+        ("pair", "--graph", "{v1:a, v2:a, v3:b; v1->v2, v2->v3}",
+         "--lie", "3*[a,[a,b]] - 1/2*[[a,b],a]"),
+        ("basis", "--weight", "5", "--gens", "a,b", "--multidegree", "3,2"),
+        ("matrix", "--weight", "5", "--gens", "a,b", "--multidegree", "3,2"),
+        ("coords", "--word", "[a a,[b,a c]]", "--weight", "3"),
+        ("diagram", "--word", "[a a,[b,a c]]", "--symbol", "((a)b)a"),
+        ("diagram", "--word", "a b", "--symbol", "(a)b"),
+        ("selfcheck",),
+    ], ids=["eval", "eval-undefined", "fox", "reduce", "distinct", "pair",
+            "basis", "matrix", "coords", "diagram", "diagram-undefined",
+            "selfcheck"])
+    def test_timing_flag(self, capsys, argv):
+        """``--timing`` adds one line to the golden text, and nothing to
+        the golden envelope but its ``timing_ms``."""
+        text, envelope = GOLDEN[argv], GOLDEN[argv + ("--json",)]
+        code, out, err = run(capsys, *argv, "--timing")
+        assert (code, err) == (text["exit"], text["stderr"])
+        assert out.startswith(text["stdout"])
+        assert re.fullmatch(r"timing: \d+(\.\d+)? ms\n", out[len(text["stdout"]):])
+        code, out, err = run(capsys, *argv, "--json", "--timing")
+        assert (code, err) == (envelope["exit"], envelope["stderr"])
+        assert out.count("\n") == 1 and out.endswith("\n")
+        data = json.loads(out)
+        assert isinstance(data.pop("timing_ms"), float)
+        assert json.dumps(data) + "\n" == envelope["stdout"]
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(entry["argv"], id=f"{i:03d}-{entry['argv'][0]}")
+        for i, entry in enumerate(CORPUS["entries"])
+        if "--json" in entry["argv"] and entry["argv"][0] in ("reduce", "distinct", "coords")])
+    def test_json_builds_no_text(self, monkeypatch, argv):
+        """A ``--json`` call prints its golden envelope without writing
+        its formal sum as text; the ids are those of tests/test_golden.py."""
+        def refuse(self):
+            raise AssertionError(f"{type(self).__name__} written as text")
+        for cls in (SymbolSum, GraphSum, LieElement):
+            monkeypatch.setattr(cls, "__str__", refuse)
+        assert observe(argv, CORPUS["inputs"]) == GOLDEN[tuple(argv)]
 
 
 class TestListOptions:
@@ -568,6 +615,23 @@ class TestListOptions:
 
 
 class TestSelfcheck:
+    @pytest.mark.parametrize("form", [(), ("--json",)], ids=["text", "json"])
+    def test_a_failing_check_exits_one(self, capsys, monkeypatch, form):
+        # two checks only: the _IN_CALLER and _HEAVIEST_FIRST numbers name none
+        monkeypatch.setattr(selfcheck, "CHECKS", [
+            ("1 stub that passes", lambda seed, scale: (True, "stub")),
+            ("2 stub that fails", lambda seed, scale: (False, "stub")),
+        ])
+        code, out, err = run(capsys, "selfcheck", *form)
+        assert (code, err) == (1, "")
+        if form:
+            data = json.loads(out)
+            assert [check["passed"] for check in data["value"]] == [True, False]
+            assert data["undefined_at"] is None
+        else:
+            assert out.splitlines() == ["PASS  1 stub that passes: stub",
+                                        "FAIL  2 stub that fails: stub"]
+
     def test_one_envelope_on_a_pipe(self):
         # the checks run in forked children: none of them may print the
         # parent's output again or warn about forking
