@@ -27,13 +27,13 @@ longer than ``LEAF_LETTERS`` letters is folded, not expanded: the signed
 placement counts of every pruning of every subtree of the symbols form a
 group homomorphism (Chen's identity for tree-ordered sums), so the counts
 of a product compose from its factors' counts, ``u^N`` takes O(log N)
-products, and `Evaluator` counts only the short leaves.  On either counts
-`_check_defined`, one loop over the post-order, names the first undefined
-sub-symbol.  The fold is refused with TooLarge when a count could pass
-``words._DIGIT_LIMIT`` digits.  It has one budget: `_Prunings` charges
-each pruning its product terms as it enters, the subtrees first, and
-symbols whose charges pass ``TERM_LIMIT`` are evaluated on the expanded
-word instead.
+products, and each short leaf is counted in one scan of its letters.  On
+either counts `_check_defined`, one loop over the post-order, names the
+first undefined sub-symbol.  The fold is refused with TooLarge when a
+count could pass ``words._DIGIT_LIMIT`` digits.  It has one budget:
+`_Prunings` charges each pruning its product terms as it enters, the
+subtrees first, and symbols whose charges pass ``TERM_LIMIT`` are
+evaluated on the expanded word instead.
 """
 
 from __future__ import annotations
@@ -195,6 +195,10 @@ class Evaluator:
     sub-symbol; share one across every symbol evaluated on the word."""
 
     def __init__(self, w: Word):
+        # told by its letters, not its class, so that a Word of a reloaded
+        # ``words`` module is still read
+        if not isinstance(getattr(w, "letters", None), tuple):
+            raise InvalidArgument(f"word of type {type(w).__name__}, not Word")
         self._gens = list(map(itemgetter(0), w.letters))
         self._signs = list(map(itemgetter(1), w.letters))
         self._index: dict[str, tuple[list[int], list[int]]] = {}
@@ -235,14 +239,6 @@ class Evaluator:
         (num,), den = _combined_rows(
             ((_exact(coeff), (self.value(sym),)) for coeff, sym in terms), 1)
         return Fraction(num, den)
-
-    def placements(self, sym: Symbol) -> int:
-        """The signed count of placements of the symbol's nodes on letters,
-        each child before its parent, whether or not the invariant is
-        defined."""
-        for node in sym.postorder():
-            self._visit(node)
-        return self._counts[sym.canonical()]
 
     def _visit(self, node: Symbol) -> None:
         """Memoize the list and count of ``node``, whose children are
@@ -303,6 +299,8 @@ class _Prunings:
         self.size = 0
         self._children: list[list[int]] = [[]]
         self._kept = [0]  # prunings that keep the root
+        # root letter -> (index, indices of the children) of each pruning
+        self.by_letter: dict[str, list[tuple[int, tuple[int, ...]]]] = {}
         # (root letter, sorted indices of the children) -> index: equal
         # exactly when the canonical strings are, which it never builds
         self._index: dict[tuple[str, tuple[int, ...]], int] = {}
@@ -331,6 +329,7 @@ class _Prunings:
             self.symbols.append(Symbol(
                 letter, tuple(map(self.symbols.__getitem__, children))))
             self._children.append(children)
+            self.by_letter.setdefault(letter, []).append((i, tuple(children)))
             self._kept.append(kept)
         return i
 
@@ -365,7 +364,8 @@ class _Fold:
     CompactWord, composed over its products, powers and commutators.
 
     A subtree of at most ``LEAF_LETTERS`` letters, and every run, is a leaf:
-    its letters are built and `Evaluator` counts the placements on them.
+    its letters are built and counted in one scan, by the prunings that
+    ``_Prunings.by_letter`` roots at each letter.
     Inverting a subtree reverses its runs and flips their signs, so ``u^-1``
     and ``[u,v]^-1 = [v,u]`` are folded as written; ``u^N`` is repeated
     squaring.  The counts are a group homomorphism, because a child's letter
@@ -395,14 +395,14 @@ class _Fold:
             vectors, run = [], []
             for f in parts[::-1] if inverted else parts:
                 if run and len(run) + f.length > LEAF_LETTERS:
-                    vectors.append(self._leaf(tuple(run)))
+                    vectors.append(self._leaf(run))
                     run = []
                 if f.length > LEAF_LETTERS:
                     vectors.append(self._fold(f, inverted))
                 else:
                     run += f.letters(inverted)
             if run:
-                vectors.append(self._leaf(tuple(run)))
+                vectors.append(self._leaf(run))
             out = reduce(algebra.multiply, vectors)
         elif kind == "power":
             out = algebra.power(
@@ -416,9 +416,21 @@ class _Fold:
         self._memo[key] = out
         return out
 
-    def _leaf(self, letters: tuple[Letter, ...]) -> list[int]:
-        ev = Evaluator(Word(letters))
-        return [1] + [ev.placements(sym) for sym in self._prunings.symbols[1:]]
+    def _leaf(self, letters: Iterable[Letter]) -> list[int]:
+        """The counts on ``letters``, in one pass: at a letter, each pruning
+        rooted there gains its sign times its children's counts so far.  A
+        child's letter differs from its parent's, so no count read at a
+        letter changes there."""
+        counts = [0] * len(self._prunings.symbols)
+        counts[0] = 1
+        by_letter = self._prunings.by_letter
+        for gen, sign in letters:
+            for i, children in by_letter.get(gen, ()):
+                t = sign
+                for c in children:
+                    t *= counts[c]
+                counts[i] += t
+        return counts
 
 
 def _check_defined(sym: Symbol, counts: dict[str, int],

@@ -2,20 +2,21 @@
 and fox.
 
 These are the straightforward definitions: read word text one token at a
-time, read lists, counts and potentials a word position at a time,
-invert a word a letter at a time, expand, list and standard-bracket
-bracket shapes by plain recursion, evaluate a symbol by prefix potentials
-kept as maps over every word position, walk a symbol (canonical string,
-size, definedness, splits and prunings) by recursion, encode a tree
-rooted at each vertex by recursion over it, scan every Prufer code and
-canonicalize each admissible tree, sum the pairing over every label-preserving bijection,
-eliminate over Fraction, tabulate every Magnus coefficient up to the
-weight, list every Lyndon word of a length by Duval's generation,
-free-reduce every group-ring key as soon as it is made, split a comma
-list with ``str.split``, check every edge after each contraction, chain
-those contractions into a whole reduction, and rescan every vertex for the
-next leaf of the default order.  The tests check the library's fast paths
-against them.
+time, read lists, counts and potentials a word position at a time, invert
+a word a letter at a time, expand, list and standard-bracket bracket
+shapes by plain recursion, evaluate a symbol by prefix potentials kept as
+maps over every word position, count the placements of a symbol's nodes
+from every node's list or one placement at a time, walk a symbol
+(canonical string, size, definedness, splits and prunings) by recursion,
+encode a tree rooted at each vertex by recursion over it, scan every
+Prufer code and canonicalize each admissible tree, sum the pairing over
+every label-preserving bijection, eliminate over Fraction, tabulate every
+Magnus coefficient up to the weight, list every Lyndon word of a length by
+Duval's generation, free-reduce every group-ring key as soon as it is
+made, split a comma list with ``str.split``, check every edge after each
+contraction, chain those contractions into a whole reduction, and rescan
+every vertex for the next leaf of the default order.  The tests check the
+library's fast paths against them.
 """
 
 from fractions import Fraction
@@ -204,6 +205,35 @@ def position_symbol_list(sym, w, trace=None):
     if trace is not None:
         trace.append((sym, out))
     return out
+
+
+def placements(ev, sym):
+    """The signed count of placements of the symbol's nodes on the letters
+    of ``ev``'s word, each child before its parent, whether or not the
+    invariant is defined: the `linking.Evaluator` ``ev`` fills every node's
+    list along the post-order, past an undefined sub-symbol too."""
+    for node in sym.postorder():
+        ev._visit(node)
+    return ev._counts[sym.canonical()]
+
+
+def enumerated_placements(sym, w):
+    """The same count, one placement at a time: every node on every
+    position of its letter, kept when each child sits before its parent,
+    weighed by the product of the signs there."""
+    nodes = recursive_postorder(sym)
+    parent = {id(c): i for i, n in enumerate(nodes) for c in n.children}
+    options = [[j for j, l in enumerate(w.letters) if l.gen == n.letter]
+               for n in nodes]
+    total = 0
+    for spots in product(*options):
+        if all(spots[i] < spots[parent[id(n)]]
+               for i, n in enumerate(nodes) if id(n) in parent):
+            sign = 1
+            for j in spots:
+                sign *= w.letters[j].sign
+            total += sign
+    return total
 
 
 # --- symbol walks by recursion ------------------------------------------------

@@ -1,11 +1,12 @@
 """The fold of placement counts over compact words against `Evaluator` on
-the expanded word."""
+the expanded word, and its leaf scan against the placements that
+`Evaluator`'s lists count."""
 
 from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
-from brute_force import recursive_pruning_count
+from brute_force import enumerated_placements, placements, recursive_pruning_count
 from hypothesis import given, settings, strategies as st
 
 from letterlink import (
@@ -21,7 +22,7 @@ from letterlink import (
 )
 from letterlink import linking
 from letterlink.linking import Evaluator
-from letterlink.words import parse_compact
+from letterlink.words import Letter, Word, parse_compact
 
 
 @st.composite
@@ -68,6 +69,21 @@ def graph_texts(draw):
                      else f"v{v + 1}->v{u + 1}")
     vertices = ", ".join(f"v{i + 1}:{lab}" for i, lab in enumerate(labels))
     return "{" + vertices + "; " + ", ".join(edges) + "}"
+
+
+_LETTERS = [Letter(g, s) for g in "abc" for s in (1, -1)]
+
+
+@st.composite
+def letter_words(draw, max_pieces=20):
+    """Up to twice ``max_pieces`` letters over a-c: single letters and
+    cancelling pairs ``x x^-1``."""
+    letters = []
+    for letter, cancelled in draw(st.lists(
+            st.tuples(st.sampled_from(_LETTERS), st.booleans()),
+            max_size=max_pieces)):
+        letters += [letter, letter.inverse()] if cancelled else [letter]
+    return tuple(letters)
 
 
 def _outcome(f):
@@ -120,6 +136,23 @@ class TestAgreement:
             "undefined at a (count=300)"
 
 
+class TestLeafScan:
+    @given(st.integers(1, 6).flatmap(tree_symbols), letter_words())
+    @settings(deadline=None, max_examples=300)
+    def test_the_scan_counts_the_placements_of_every_pruning(self, sym, letters):
+        prunings = linking._Prunings([sym])
+        fold = linking._Fold(parse_compact(""), prunings)
+        ev = Evaluator(Word(letters))
+        assert fold._leaf(letters) == [1] + [
+            placements(ev, p) for p in prunings.symbols[1:]]
+
+    @given(st.integers(1, 4).flatmap(tree_symbols), letter_words(4))
+    @settings(deadline=None, max_examples=200)
+    def test_the_lists_count_each_placement(self, sym, letters):
+        w = Word(letters)
+        assert placements(Evaluator(w), sym) == enumerated_placements(sym, w)
+
+
 def _interpolate(points: dict[int, int], x: int) -> Fraction:
     """The Lagrange polynomial through ``points`` at ``x``."""
     total = Fraction(0)
@@ -150,7 +183,7 @@ class TestPowers:
         samples = {}
         for n in range(-k, k + 1):
             ev = Evaluator(parse_word(f"({base})^{n}"))
-            samples[n] = [ev.placements(p) for p in prunings.symbols[1:]]
+            samples[n] = [placements(ev, p) for p in prunings.symbols[1:]]
         for n in (10 ** 100, -10 ** 100):
             folded = linking._Fold(parse_compact(f"({base})^{n}"), prunings)
             expected = [_interpolate({m: s[i] for m, s in samples.items()}, n)

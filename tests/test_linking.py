@@ -3,12 +3,13 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from brute_force import (position_assoc, position_count, position_prefix_potential,
-                         position_standard_list, position_symbol_list,
-                         recursive_canonical, recursive_check_defined,
-                         recursive_depth, recursive_node_count,
-                         recursive_postorder, recursive_pruning_count,
-                         recursive_prunings_size, recursive_splits)
+from brute_force import (placements, position_assoc, position_count,
+                         position_prefix_potential, position_standard_list,
+                         position_symbol_list, recursive_canonical,
+                         recursive_check_defined, recursive_depth,
+                         recursive_node_count, recursive_postorder,
+                         recursive_pruning_count, recursive_prunings_size,
+                         recursive_splits)
 from hypothesis import example, given, settings, strategies as st
 
 from letterlink import (
@@ -22,11 +23,13 @@ from letterlink import (
     Word,
     count,
     enumerate_coboundings,
+    eval_graph,
     eval_symbol,
     eval_symbol_sum,
     free_reduce,
     link,
     link_via_cobounding,
+    parse_graph,
     parse_symbol,
     parse_word,
     prefix_potential,
@@ -276,6 +279,19 @@ class TestEvalSymbol:
     def test_empty_sum(self):
         assert eval_symbol_sum([], parse_word("a")) == 0
 
+    @pytest.mark.parametrize("call, kind", [
+        (lambda s: eval_symbol(s, "a b"), "str"),
+        (lambda s: eval_symbol_sum([(1, s)], None), "NoneType"),
+        (lambda s: Evaluator("a b"), "str"),
+        (lambda s: eval_graph(parse_graph("{v1:a,v2:b;v1->v2}"), "a b"), "str"),
+        (lambda s: eval_symbol(s, [("a", 1)]), "list"),
+    ], ids=["eval_symbol", "eval_symbol_sum", "Evaluator", "eval_graph",
+            "letter_pairs"])
+    def test_a_word_of_another_type_is_refused(self, call, kind):
+        with pytest.raises(InvalidArgument) as err:
+            call(parse_symbol("(a)b"))
+        assert str(err.value) == f"word of type {kind}, not Word"
+
 
 class TestEvaluatorMemo:
     """A memo hit is one lookup, and never hides an undefined invariant."""
@@ -294,7 +310,7 @@ class TestEvaluatorMemo:
         sym, w = parse_symbol(text), parse_word(word)
         expected = self.raised(Evaluator(w), sym)
         ev = Evaluator(w)
-        ev.placements(sym)
+        placements(ev, sym)
         assert self.raised(ev, sym) == expected
         assert self.raised(ev, sym) == expected
 
@@ -340,7 +356,7 @@ class TestEvaluatorMemo:
         sym = parse_symbol("((a)b)((c)d)e")
         assert self.raised(ev, sym) == (sym.children[0], 1)
         assert list(ev._memo) == ["a", "(a)b"]
-        assert ev.placements(sym) == 1
+        assert placements(ev, sym) == 1
         assert list(ev._memo) == ["a", "(a)b", "c", "(c)d", "((a)b)((c)d)e"]
 
 
@@ -618,7 +634,7 @@ class TestWalksAgainstTheRecursion:
             assert len(prunings.terms[root]) == recursive_pruning_count(sym) + 1
 
         ev = Evaluator(w)
-        counts = {n.canonical(): ev.placements(n) for n in sym.postorder()}
+        counts = {n.canonical(): placements(ev, n) for n in sym.postorder()}
         assert (_failure(lambda: linking._check_defined(sym, counts))
                 == _failure(lambda: recursive_check_defined(sym, counts)))
         trace = []
