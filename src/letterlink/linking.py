@@ -27,13 +27,18 @@ longer than ``LEAF_LETTERS`` letters is folded, not expanded: the signed
 placement counts of every pruning of every subtree of the symbols form a
 group homomorphism (Chen's identity for tree-ordered sums), so the counts
 of a product compose from its factors' counts, ``u^N`` takes O(log N)
-products, and each short leaf is counted in one scan of its letters.  On
-either counts `_check_defined`, one loop over the post-order, names the
-first undefined sub-symbol.  The fold is refused with TooLarge when a
-count could pass ``words._DIGIT_LIMIT`` digits.  It has one budget:
-`_Prunings` charges each pruning its product terms as it enters, the
-subtrees first, and symbols whose charges pass ``TERM_LIMIT`` are
-evaluated on the expanded word instead.
+products, and each short leaf is counted by one scan of the CompactWord
+subtree, in place, without building its letters.  A pruning is an index
+(its letter and its children's indices), and the fold's counts are a
+list by that index; no Symbol or canonical string is built for a
+pruning.  On either counts `_check_defined`, one loop over the
+post-order reading a count per node (by canonical string in `Evaluator`,
+by pruning index in the fold), names the first undefined sub-symbol.
+The fold is refused with TooLarge when a count could pass
+``words._DIGIT_LIMIT`` digits.  It has one budget: `_Prunings` charges
+each pruning its product terms as it enters, the subtrees first, and
+symbols whose charges pass ``TERM_LIMIT`` are evaluated on the expanded
+word instead.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, chain, permutations, product, repeat
+from itertools import accumulate, permutations, product, repeat
 from math import lcm, log10, prod
 from operator import add, itemgetter, mul
 from typing import Callable, Iterable
@@ -55,7 +60,7 @@ from .errors import (
     UndefinedInvariant,
 )
 from .symbols import Symbol
-from .words import _DIGIT_LIMIT, CompactWord, Letter, Word, _exact
+from .words import _DIGIT_LIMIT, CompactWord, Word, _exact
 
 # subtrees of a CompactWord of at most this many letters are evaluated on
 # their letters; longer products, powers and commutators are folded
@@ -229,8 +234,7 @@ class Evaluator:
         Raises UndefinedInvariant as `_check_defined` does, with the nodes
         after the undefined one left unfilled; a memoized node is not
         filled again."""
-        _check_defined(sym, self._counts, self._visit)
-        return self._counts[sym.canonical()]
+        return _check_defined(sym, self._count)
 
     def value_sum(self, terms: Iterable[tuple[object, Symbol]]) -> Fraction:
         """Sum of coeff * invariant; undefined if any term is.  Each
@@ -240,21 +244,22 @@ class Evaluator:
             ((_exact(coeff), (self.value(sym),)) for coeff, sym in terms), 1)
         return Fraction(num, den)
 
-    def _visit(self, node: Symbol) -> None:
-        """Memoize the list and count of ``node``, whose children are
-        memoized, unless they are memoized already."""
+    def _count(self, node: Symbol) -> int:
+        """The count of ``node``, whose children are memoized; its list and
+        count are memoized first unless they are."""
         key = node.canonical()
-        if key in self._memo:
-            return
-        positions, signs = self.occurrences(node.letter)
-        values = None if node.children else [1] * len(positions)
-        for child in node.children:
-            potential = self._potential(child.canonical(), child.letter,
-                                        node.letter)
-            values = (potential if values is None
-                      else list(map(mul, values, potential)))
-        self._memo[key] = values
-        self._counts[key] = sum(map(mul, values, signs))
+        c = self._counts.get(key)
+        if c is None:
+            positions, signs = self.occurrences(node.letter)
+            values = None if node.children else [1] * len(positions)
+            for child in node.children:
+                potential = self._potential(child.canonical(), child.letter,
+                                            node.letter)
+                values = (potential if values is None
+                          else list(map(mul, values, potential)))
+            self._memo[key] = values
+            c = self._counts[key] = sum(map(mul, values, signs))
+        return c
 
     def _potential(self, key: str, gen: str, parent: str) -> list[int]:
         """Prefix potential of the zero-count list of the memoized ``key``,
@@ -278,11 +283,16 @@ class _Prunings:
     composes their placement counts over a concatenation (Chen's identity
     for tree-ordered sums).
 
-    Index 0 is the empty pruning, whose count is 1.  The placements of a
-    pruning P on ``uv`` split by the set D of nodes placed in ``u``: D is
-    closed under taking children, so it is a union of whole subtrees, and P
-    minus D is a pruning that keeps P's root.  ``terms[i]`` lists, for each
-    D, the indices of D's maximal subtrees and of P minus D, D = P first.
+    A pruning is kept as its index: ``letters[i]`` is its root letter and
+    ``children[i]`` the indices of the prunings below the root; no Symbol
+    is built for it.  ``nodes`` maps the id of each node of ``syms`` to the
+    index of its subtree.  Index 0 is the empty pruning, whose count is 1.
+
+    The placements of a pruning P on ``uv`` split by the set D of nodes
+    placed in ``u``: D is closed under taking children, so it is a union of
+    whole subtrees, and P minus D is a pruning that keeps P's root.
+    ``terms[i]`` lists, for each D, the indices of D's maximal subtrees and
+    of P minus D, D = P first.
 
     A pruning is charged its number of terms, one more than its prunings
     that keep the root, as it enters, and TooLarge is raised once ``size``,
@@ -294,30 +304,36 @@ class _Prunings:
     """
 
     def __init__(self, syms: Iterable[Symbol]):
-        self.symbols: list[Symbol | None] = [None]
+        self.letters: list[str | None] = [None]
+        self.children: list[list[int]] = [[]]
         self.terms: list[list[tuple[tuple[int, ...], int]]] = [[]]
         self.size = 0
-        self._children: list[list[int]] = [[]]
+        self.nodes: dict[int, int] = {}
         self._kept = [0]  # prunings that keep the root
         # root letter -> (index, indices of the children) of each pruning
         self.by_letter: dict[str, list[tuple[int, tuple[int, ...]]]] = {}
         # (root letter, sorted indices of the children) -> index: equal
         # exactly when the canonical strings are, which it never builds
         self._index: dict[tuple[str, tuple[int, ...]], int] = {}
+        nodes = self.nodes
         for sym in syms:
-            sym.fold(lambda node, children: self._enter(node.letter, children))
-        while len(self.terms) < len(self.symbols):
+            for node in sym.postorder():
+                if id(node) not in nodes:
+                    nodes[id(node)] = self._enter(
+                        node.letter, [nodes[id(c)] for c in node.children])
+        while len(self.terms) < len(self.letters):
             i = len(self.terms)
-            letter = self.symbols[i].letter
-            self.terms.append([((i,), 0)] + [
-                (tuple(chain.from_iterable(inside for inside, _ in combo)),
-                 self._enter(letter, [rest for _, rest in combo if rest]))
-                for combo in product(*map(self.terms.__getitem__,
-                                          self._children[i]))])
+            letter, splits = self.letters[i], [((i,), 0)]
+            for combo in product(*map(self.terms.__getitem__,
+                                      self.children[i])):
+                insides, rests = zip(*combo) if combo else ((), ())
+                splits.append((sum(insides, ()),
+                               self._enter(letter, [r for r in rests if r])))
+            self.terms.append(splits)
 
     def _enter(self, letter: str, children: list[int]) -> int:
         """The index of the pruning with root ``letter`` over the prunings
-        at ``children``; a new one is charged, then built."""
+        at ``children``; a new one is charged, then recorded."""
         key = (letter, tuple(sorted(children)))
         i = self._index.get(key)
         if i is None:
@@ -325,10 +341,9 @@ class _Prunings:
             self.size += kept + 1
             if self.size > TERM_LIMIT:
                 raise TooLarge(f"more than {TERM_LIMIT} product terms")
-            i = self._index[key] = len(self.symbols)
-            self.symbols.append(Symbol(
-                letter, tuple(map(self.symbols.__getitem__, children))))
-            self._children.append(children)
+            i = self._index[key] = len(self.letters)
+            self.letters.append(letter)
+            self.children.append(children)
             self.by_letter.setdefault(letter, []).append((i, tuple(children)))
             self._kept.append(kept)
         return i
@@ -361,27 +376,30 @@ class _Prunings:
 
 class _Fold:
     """Placement counts of every pruning in a ``_Prunings`` over a
-    CompactWord, composed over its products, powers and commutators.
+    CompactWord, as a list by pruning index, composed over its products,
+    powers and commutators.
 
-    A subtree of at most ``LEAF_LETTERS`` letters, and every run, is a leaf:
-    its letters are built and counted in one scan, by the prunings that
-    ``_Prunings.by_letter`` roots at each letter.
-    Inverting a subtree reverses its runs and flips their signs, so ``u^-1``
-    and ``[u,v]^-1 = [v,u]`` are folded as written; ``u^N`` is repeated
-    squaring.  The counts are a group homomorphism, because a child's letter
-    differs from its parent's and ``x x^-1`` therefore adds no count.
+    A subtree of at most ``LEAF_LETTERS`` letters, and every run, is a leaf,
+    and so is each stretch of consecutive short factors of a product, cut
+    at ``LEAF_LETTERS`` letters: `_scan` counts it in place, without
+    building its letters.  Inverting a subtree reverses its runs and flips
+    their signs, so ``u^-1`` and ``[u,v]^-1 = [v,u]`` are folded as written;
+    ``u^N`` is repeated squaring.  The counts are a group homomorphism,
+    because a child's letter differs from its parent's and ``x x^-1``
+    therefore adds no count.
     """
 
     def __init__(self, w: CompactWord, prunings: _Prunings):
         self._prunings = prunings
+        self._one = [1] + [0] * (len(prunings.letters) - 1)
         self._memo: dict[tuple[int, bool], list[int]] = {}
-        self._counts = dict(zip(map(Symbol.canonical, prunings.symbols[1:]),
-                                self._fold(w, False)[1:]))
+        self._counts = self._fold(w, False)
 
     value, value_sum = Evaluator.value, Evaluator.value_sum
 
-    def _visit(self, node: Symbol) -> None:
-        """Every count is folded in advance."""
+    def _count(self, node: Symbol) -> int:
+        """Every count is folded in advance, by pruning index."""
+        return self._counts[self._prunings.nodes[id(node)]]
 
     def _fold(self, node: CompactWord, inverted: bool) -> list[int]:
         key = (id(node), inverted)
@@ -390,19 +408,19 @@ class _Fold:
             return out
         kind, parts, algebra = node.kind, node.parts, self._prunings
         if kind == "run" or node.length <= LEAF_LETTERS:
-            out = self._leaf(node.letters(inverted))
+            out = self._scan(node, inverted, self._one[:])
         elif kind == "product":
-            vectors, run = [], []
+            vectors, leaf, filled = [], None, 0
             for f in parts[::-1] if inverted else parts:
-                if run and len(run) + f.length > LEAF_LETTERS:
-                    vectors.append(self._leaf(run))
-                    run = []
                 if f.length > LEAF_LETTERS:
                     vectors.append(self._fold(f, inverted))
-                else:
-                    run += f.letters(inverted)
-            if run:
-                vectors.append(self._leaf(run))
+                    leaf = None
+                    continue
+                if leaf is None or filled + f.length > LEAF_LETTERS:
+                    leaf, filled = self._one[:], 0
+                    vectors.append(leaf)
+                self._scan(f, inverted, leaf)
+                filled += f.length
             out = reduce(algebra.multiply, vectors)
         elif kind == "power":
             out = algebra.power(
@@ -416,35 +434,50 @@ class _Fold:
         self._memo[key] = out
         return out
 
-    def _leaf(self, letters: Iterable[Letter]) -> list[int]:
-        """The counts on ``letters``, in one pass: at a letter, each pruning
-        rooted there gains its sign times its children's counts so far.  A
-        child's letter differs from its parent's, so no count read at a
-        letter changes there."""
-        counts = [0] * len(self._prunings.symbols)
-        counts[0] = 1
-        by_letter = self._prunings.by_letter
-        for gen, sign in letters:
-            for i, children in by_letter.get(gen, ()):
-                t = sign
-                for c in children:
-                    t *= counts[c]
-                counts[i] += t
+    def _scan(self, node: CompactWord, inverted: bool,
+              counts: list[int]) -> list[int]:
+        """``counts`` continued in place over the letters of ``node``, or of
+        its inverse, and returned: at a letter, each pruning rooted there
+        gains its sign times its children's counts so far.  A run is read
+        forward, or backward with its signs flipped; a product reads its
+        factors, a power its base ``|n|`` times, and ``[u,v]`` reads u, v,
+        ``u^-1``, ``v^-1``.  A child's letter differs from its parent's, so
+        no count read at a letter changes there."""
+        kind, parts = node.kind, node.parts
+        if kind == "run":
+            by_letter = self._prunings.by_letter
+            flip = -1 if inverted else 1
+            for gen, sign in parts[::flip]:
+                for i, children in by_letter.get(gen, ()):
+                    t = sign * flip
+                    for c in children:
+                        t *= counts[c]
+                    counts[i] += t
+        elif kind == "product":
+            for f in parts[::-1] if inverted else parts:
+                self._scan(f, inverted, counts)
+        elif kind == "power":
+            base = parts[0]
+            for _ in range(abs(node.exponent) if base.length else 0):
+                self._scan(base, inverted != (node.exponent < 0), counts)
+        else:
+            u, v = parts[::-1] if inverted else parts
+            for f, inv in ((u, False), (v, False), (u, True), (v, True)):
+                self._scan(f, inv, counts)
         return counts
 
 
-def _check_defined(sym: Symbol, counts: dict[str, int],
-                   visit: Callable[[Symbol], None] = lambda node: None) -> None:
-    """Raise UndefinedInvariant at the first proper sub-symbol, in post-order
-    (leftmost, innermost), whose count is nonzero.  ``visit`` is called on
-    each node before its count is read, so the counts can be filled along
-    the walk; no node after the undefined one is visited."""
+def _check_defined(sym: Symbol, count: Callable[[Symbol], int]) -> int:
+    """The count of ``sym``, read by ``count``.  Raises UndefinedInvariant
+    at the first proper sub-symbol, in post-order (leftmost, innermost),
+    whose count is nonzero.  ``count`` is called on each node in
+    post-order, so it can fill the counts along the walk; no node after the
+    undefined one is read."""
     for node in sym.postorder()[:-1]:
-        visit(node)
-        c = counts[node.canonical()]
+        c = count(node)
         if c:
             raise UndefinedInvariant(node, c)
-    visit(sym)
+    return count(sym)
 
 
 def _combined_rows(terms, width: int) -> tuple[list[int], int]:
@@ -461,24 +494,51 @@ def _combined_rows(terms, width: int) -> tuple[list[int], int]:
     return out, den
 
 
-def _evaluator(w: Word | CompactWord, syms: list[Symbol]) -> Evaluator | _Fold:
-    """The fold when ``w`` is a CompactWord longer than one leaf, else the
+def _evaluator(w: Word | CompactWord, terms: Iterable[tuple[object, Symbol]]
+               ) -> tuple[Evaluator | _Fold, list[tuple[object, Symbol]]]:
+    """The (coefficient, symbol) ``terms`` as a list, and the fold of their
+    symbols when ``w`` is a CompactWord longer than one leaf, else the
     Evaluator on its letters; also the Evaluator when the symbols' prunings
-    pass the budget of ``_Prunings``."""
+    pass the budget of ``_Prunings``.
+
+    Terms that are not an iterable of pairs are refused with
+    InvalidArgument, and so is a symbol without a letter and a tuple of
+    children: it is told by its fields, not its class, as `Evaluator` tells
+    a word, so that a Symbol of a reloaded ``symbols`` module is still
+    read."""
+    try:
+        items = iter(terms)
+    except TypeError:
+        raise InvalidArgument(
+            f"terms of type {type(terms).__name__}, not an iterable of "
+            f"(coefficient, symbol) pairs") from None
+    checked = []
+    for term in items:
+        try:
+            coeff, sym = term
+        except (TypeError, ValueError):
+            raise InvalidArgument(f"term of type {type(term).__name__}, not a "
+                                  f"(coefficient, symbol) pair") from None
+        if not (hasattr(sym, "letter")
+                and isinstance(getattr(sym, "children", None), tuple)):
+            raise InvalidArgument(f"symbol of type {type(sym).__name__}, "
+                                  f"not Symbol")
+        checked.append((coeff, sym))
     if not isinstance(w, CompactWord):
-        return Evaluator(w)
+        return Evaluator(w), checked
     if w.kind == "run" or w.length <= LEAF_LETTERS:
-        return Evaluator(w.expand())
+        return Evaluator(w.expand()), checked
+    syms = [sym for _, sym in checked]
     try:
         prunings = _Prunings(syms)
     except TooLarge:
-        return Evaluator(w.expand())
+        return Evaluator(w.expand()), checked
     nodes = max((sym.node_count() for sym in syms), default=0)
     if nodes * log10(w.length) > _DIGIT_LIMIT:
         raise TooLarge(f"a {nodes}-node symbol on a word of about "
                        f"10^{int(log10(w.length))} letters can count past "
                        f"{_DIGIT_LIMIT} digits")
-    return _Fold(w, prunings)
+    return _Fold(w, prunings), checked
 
 
 def symbol_list(sym: Symbol, w: Word) -> List:
@@ -495,11 +555,11 @@ def symbol_list(sym: Symbol, w: Word) -> List:
 
 def eval_symbol(sym: Symbol, w: Word | CompactWord) -> int:
     """The letter-linking invariant of ``sym`` on ``w``."""
-    return _evaluator(w, [sym]).value(sym)
+    return _evaluator(w, [(1, sym)])[0].value(sym)
 
 
 def eval_symbol_sum(terms: Iterable[tuple[object, Symbol]],
                     w: Word | CompactWord) -> Fraction:
     """Linear extension: sum of coeff * invariant; undefined if any term is."""
-    terms = list(terms)
-    return _evaluator(w, [sym for _, sym in terms]).value_sum(terms)
+    ev, terms = _evaluator(w, terms)
+    return ev.value_sum(terms)

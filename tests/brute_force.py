@@ -6,16 +6,18 @@ time, read lists, counts and potentials a word position at a time, invert
 a word a letter at a time, expand, list and standard-bracket bracket
 shapes by plain recursion, evaluate a symbol by prefix potentials kept as
 maps over every word position, count the placements of a symbol's nodes
-from every node's list or one placement at a time, walk a symbol
-(canonical string, size, definedness, splits and prunings) by recursion,
-encode a tree rooted at each vertex by recursion over it, scan every
-Prufer code and canonicalize each admissible tree, sum the pairing over
-every label-preserving bijection, eliminate over Fraction, tabulate every
-Magnus coefficient up to the weight, list every Lyndon word of a length by
-Duval's generation, free-reduce every group-ring key as soon as it is
-made, split a comma list with ``str.split``, check every edge after each
-contraction, chain those contractions into a whole reduction, and rescan
-every vertex for the next leaf of the default order.  The tests check the
+from every node's list or one placement at a time, count every pruning
+on a word's built letters, rebuild each pruning's Symbol from its index,
+walk a symbol (canonical string, size, definedness, splits and prunings)
+by recursion, encode a tree rooted at each vertex by recursion over it,
+scan every Prufer code and canonicalize each admissible tree, sum the
+pairing over every label-preserving bijection, eliminate over Fraction,
+tabulate every Magnus coefficient up to the weight, list every Lyndon word
+of a length by Duval's generation, free-reduce every group-ring key as
+soon as it is made, split a comma list with ``str.split``, check every
+edge after each contraction, chain those contractions into a whole
+reduction, and rescan every vertex for the next leaf of the default
+order.  The tests check the
 library's fast paths against them.
 """
 
@@ -213,8 +215,8 @@ def placements(ev, sym):
     invariant is defined: the `linking.Evaluator` ``ev`` fills every node's
     list along the post-order, past an undefined sub-symbol too."""
     for node in sym.postorder():
-        ev._visit(node)
-    return ev._counts[sym.canonical()]
+        c = ev._count(node)
+    return c
 
 
 def enumerated_placements(sym, w):
@@ -260,14 +262,14 @@ def recursive_depth(sym):
 
 
 def recursive_check_defined(sym, counts):
-    """Raise UndefinedInvariant at the first proper sub-symbol, leftmost
-    and innermost, whose count in ``counts`` (by canonical string) is
-    nonzero."""
+    """The count of ``sym`` in ``counts`` (by canonical string); raise
+    UndefinedInvariant at the first proper sub-symbol, leftmost and
+    innermost, whose count there is nonzero."""
     for child in sym.children:
-        recursive_check_defined(child, counts)
-        c = counts[recursive_canonical(child)]
+        c = recursive_check_defined(child, counts)
         if c != 0:
             raise UndefinedInvariant(child, c)
+    return counts[recursive_canonical(sym)]
 
 
 def recursive_pruning_count(sym):
@@ -285,6 +287,30 @@ def recursive_splits(sym):
     return [(tuple(chain.from_iterable(inside for inside, _ in combo)),
              Symbol(sym.letter, tuple(rest for _, rest in combo if rest)))
             for combo in product(*options)]
+
+
+def pruning_symbols(prunings):
+    """The Symbol of each pruning of a `linking._Prunings`, None at the empty
+    pruning: its letter over the Symbols of its children, by index."""
+    out = [None]
+    for letter, children in zip(prunings.letters[1:], prunings.children[1:]):
+        out.append(Symbol(letter, tuple(map(out.__getitem__, children))))
+    return out
+
+
+def letter_leaf(prunings, letters):
+    """The counts of every pruning of a `linking._Prunings` on a sequence of
+    Letters, by index, in one pass over them: at a letter, each pruning
+    rooted there gains its sign times its children's counts so far."""
+    counts = [0] * len(prunings.letters)
+    counts[0] = 1
+    for gen, sign in letters:
+        for i, children in prunings.by_letter.get(gen, ()):
+            t = sign
+            for c in children:
+                t *= counts[c]
+            counts[i] += t
+    return counts
 
 
 def recursive_prunings_size(syms, limit):

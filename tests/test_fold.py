@@ -6,7 +6,8 @@ from fractions import Fraction
 from unittest.mock import patch
 
 import pytest
-from brute_force import enumerated_placements, placements, recursive_pruning_count
+from brute_force import (enumerated_placements, letter_leaf, placements,
+                         pruning_symbols, recursive_pruning_count)
 from hypothesis import given, settings, strategies as st
 
 from letterlink import (
@@ -22,7 +23,7 @@ from letterlink import (
 )
 from letterlink import linking
 from letterlink.linking import Evaluator
-from letterlink.words import Letter, Word, parse_compact
+from letterlink.words import CompactWord, Letter, Word, parse_compact
 
 
 @st.composite
@@ -136,6 +137,30 @@ class TestAgreement:
             "undefined at a (count=300)"
 
 
+@st.composite
+def compact_subtrees(draw, depth=3):
+    """CompactWords built directly over a-c: runs of up to 6 letters,
+    products of 1 to 3 factors, powers from -8 to 8 and commutators."""
+    kind = draw(st.sampled_from(("run", "product", "power", "commutator"))
+                if depth else st.just("run"))
+    if kind == "run":
+        return CompactWord("run", draw(letter_words(3)))
+    if kind == "product":
+        return CompactWord("product", tuple(
+            draw(compact_subtrees(depth - 1))
+            for _ in range(draw(st.integers(1, 3)))))
+    if kind == "power":
+        return CompactWord("power", (draw(compact_subtrees(depth - 1)),),
+                           draw(st.integers(-8, 8)))
+    return CompactWord("commutator", (draw(compact_subtrees(depth - 1)),
+                                      draw(compact_subtrees(depth - 1))))
+
+
+def _scan(fold, node, inverted=False):
+    """The counts that the fold's in-place scan leaves on a fresh list."""
+    return fold._scan(node, inverted, fold._one[:])
+
+
 class TestLeafScan:
     @given(st.integers(1, 6).flatmap(tree_symbols), letter_words())
     @settings(deadline=None, max_examples=300)
@@ -143,14 +168,80 @@ class TestLeafScan:
         prunings = linking._Prunings([sym])
         fold = linking._Fold(parse_compact(""), prunings)
         ev = Evaluator(Word(letters))
-        assert fold._leaf(letters) == [1] + [
-            placements(ev, p) for p in prunings.symbols[1:]]
+        assert _scan(fold, CompactWord("run", letters)) == [1] + [
+            placements(ev, p) for p in pruning_symbols(prunings)[1:]]
+
+    @given(st.lists(st.integers(1, 5).flatmap(tree_symbols), min_size=1,
+                    max_size=2), compact_subtrees(), st.booleans())
+    @settings(deadline=None, max_examples=300)
+    def test_the_scan_of_a_subtree_counts_its_built_letters(
+            self, syms, node, inverted):
+        prunings = linking._Prunings(syms)
+        fold = linking._Fold(parse_compact(""), prunings)
+        assert (_scan(fold, node, inverted)
+                == letter_leaf(prunings, node.letters(inverted)))
 
     @given(st.integers(1, 4).flatmap(tree_symbols), letter_words(4))
     @settings(deadline=None, max_examples=200)
     def test_the_lists_count_each_placement(self, sym, letters):
         w = Word(letters)
         assert placements(Evaluator(w), sym) == enumerated_placements(sym, w)
+
+
+class TestWork:
+    """On a folded word the prunings are indices: no Symbol is built for
+    one and no canonical string is read, except the reported node's."""
+
+    WORD = "[a a,[b,a c]]^1000 [[a,c],b]^-77"
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        built, named = [], []
+        init, canonical = Symbol.__init__, Symbol.canonical
+
+        def spy_init(sym, *args, **kwargs):
+            built.append(args)
+            init(sym, *args, **kwargs)
+
+        def spy_canonical(sym):
+            named.append(sym)
+            return canonical(sym)
+
+        def spy():
+            monkeypatch.setattr(Symbol, "__init__", spy_init)
+            monkeypatch.setattr(Symbol, "canonical", spy_canonical)
+            return built, named
+
+        return spy
+
+    def test_a_defined_value_builds_no_symbol_and_no_name(self, calls):
+        w = parse_compact(self.WORD)
+        sym = parse_symbol("((a)b)a")
+        terms = [(1, sym), (Fraction(1, 2), parse_symbol("((a)b)c")),
+                 (-3, parse_symbol("((c)a)b"))]
+        assert w.length > linking.LEAF_LETTERS and w.kind != "run"
+        ev = Evaluator(w.expand())
+        expected = ev.value(sym), ev.value_sum(terms)
+        built, named = calls()
+        assert (eval_symbol(sym, w), eval_symbol_sum(terms, w)) == expected
+        assert built == named == []
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda terms, w: eval_symbol(terms[-1][1], w),
+        eval_symbol_sum,
+    ], ids=["eval_symbol", "eval_symbol_sum"])
+    def test_an_undefined_value_names_only_the_reported_node(
+            self, calls, evaluate):
+        w = parse_compact(self.WORD)
+        terms = [(2, parse_symbol("((a)b)a")),
+                 (1, parse_symbol("(((a)c)b)a"))]
+        built, named = calls()
+        with pytest.raises(UndefinedInvariant) as err:
+            evaluate(terms, w)
+        assert built == []
+        assert named == [err.value.subsymbol]
+        assert named[0] is terms[1][1].children[0]
+        assert str(err.value) == "undefined at ((a)c)b (count=-2077)"
 
 
 def _interpolate(points: dict[int, int], x: int) -> Fraction:
@@ -180,15 +271,16 @@ class TestPowers:
         sym = parse_symbol(text)
         k = sym.node_count()
         prunings = linking._Prunings([sym])
+        symbols = pruning_symbols(prunings)[1:]
         samples = {}
         for n in range(-k, k + 1):
             ev = Evaluator(parse_word(f"({base})^{n}"))
-            samples[n] = [placements(ev, p) for p in prunings.symbols[1:]]
+            samples[n] = [placements(ev, p) for p in symbols]
         for n in (10 ** 100, -10 ** 100):
             folded = linking._Fold(parse_compact(f"({base})^{n}"), prunings)
             expected = [_interpolate({m: s[i] for m, s in samples.items()}, n)
-                        for i in range(len(prunings.symbols) - 1)]
-            assert list(folded._counts.values()) == expected
+                        for i in range(len(symbols))]
+            assert folded._counts[1:] == expected
 
     def test_the_worked_example_at_a_googol(self):
         w = parse_compact(f"[a a,[b,a c]]^{10 ** 100}")
@@ -235,7 +327,7 @@ class TestLimits:
                 == 1890 < linking.TERM_LIMIT)
         with pytest.raises(TooLarge):
             linking._Prunings([chain])
-        assert isinstance(linking._evaluator(w, [chain]), Evaluator)
+        assert isinstance(linking._evaluator(w, [(1, chain)])[0], Evaluator)
 
         def outcome(evaluate):
             try:

@@ -216,7 +216,7 @@ ENTRY_POINTS.update({
 
 
 def test_the_compact_word_is_folded():
-    assert isinstance(_evaluator(FOLDED, [SYMBOL]), _Fold)
+    assert isinstance(_evaluator(FOLDED, [(1, SYMBOL)])[0], _Fold)
 
 
 @pytest.mark.parametrize("enter", ENTRY_POINTS.values(), ids=ENTRY_POINTS)

@@ -1,11 +1,14 @@
+import importlib.util
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 
 import pytest
 from brute_force import (placements, position_assoc, position_count,
                          position_prefix_potential, position_standard_list,
-                         position_symbol_list, recursive_canonical,
+                         position_symbol_list, pruning_symbols,
+                         recursive_canonical,
                          recursive_check_defined, recursive_depth,
                          recursive_node_count, recursive_postorder,
                          recursive_pruning_count, recursive_prunings_size,
@@ -38,8 +41,9 @@ from letterlink import (
 )
 from letterlink.diagram import render_diagram
 from letterlink import linking
+from letterlink import symbols as symbols_module
 from letterlink.linking import Evaluator, _signed_tokens
-from letterlink.words import Letter, commutator, random_word
+from letterlink.words import Letter, commutator, parse_compact, random_word
 
 WORKED = free_reduce(parse_word("[a a, [b, a c]]"))
 
@@ -291,6 +295,41 @@ class TestEvalSymbol:
         with pytest.raises(InvalidArgument) as err:
             call(parse_symbol("(a)b"))
         assert str(err.value) == f"word of type {kind}, not Word"
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda w: eval_symbol("(a)b", w), "symbol of type str, not Symbol"),
+        (lambda w: eval_symbol(None, w), "symbol of type NoneType, not Symbol"),
+        (lambda w: eval_symbol_sum([(1, "(a)b")], w),
+         "symbol of type str, not Symbol"),
+        (lambda w: eval_symbol_sum(None, w),
+         "terms of type NoneType, not an iterable of (coefficient, symbol) "
+         "pairs"),
+        (lambda w: eval_symbol_sum([parse_symbol("(a)b")], w),
+         "term of type Symbol, not a (coefficient, symbol) pair"),
+    ], ids=["symbol_text", "no_symbol", "term_text", "no_terms", "bare_symbol"])
+    @pytest.mark.parametrize("word", [parse_word, parse_compact],
+                             ids=["Word", "CompactWord"])
+    def test_a_symbol_or_term_of_another_type_is_refused(
+            self, call, message, word):
+        w = word("[a,b]^300")
+        with pytest.raises(InvalidArgument) as err:
+            call(w)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("word", [parse_word, parse_compact],
+                             ids=["Word", "CompactWord"])
+    def test_a_symbol_of_a_reloaded_module_is_read(self, word, monkeypatch):
+        # told by its fields, as a benchmark oracle hands over the objects
+        # of a reloaded package
+        spec = importlib.util.spec_from_file_location(
+            "letterlink._symbols_copy", symbols_module.__file__)
+        copy = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, copy)
+        spec.loader.exec_module(copy)
+        w = word("[a a,[b,a c]]^300")
+        twin = copy.parse_symbol("((a)b)a")
+        assert not isinstance(twin, Symbol)
+        assert eval_symbol(twin, w) == eval_symbol_sum([(1, twin)], w) == 1200
 
 
 class TestEvaluatorMemo:
@@ -598,7 +637,8 @@ def _failure(f):
 
 def _names(prunings):
     """The canonical string of each pruning of a ``_Prunings``, None at 0."""
-    return [None] + [sym.canonical() for sym in prunings.symbols[1:]]
+    return [None] + [sym.canonical()
+                     for sym in pruning_symbols(prunings)[1:]]
 
 
 def _named_splits(prunings, i):
@@ -635,7 +675,8 @@ class TestWalksAgainstTheRecursion:
 
         ev = Evaluator(w)
         counts = {n.canonical(): placements(ev, n) for n in sym.postorder()}
-        assert (_failure(lambda: linking._check_defined(sym, counts))
+        assert (_failure(lambda: linking._check_defined(
+                    sym, lambda node: counts[node.canonical()]))
                 == _failure(lambda: recursive_check_defined(sym, counts)))
         trace = []
         expected = _failure(lambda: count(position_symbol_list(sym, w, trace)))
@@ -659,7 +700,7 @@ class TestWalksAgainstTheRecursion:
             return
         prunings = linking._Prunings(syms)
         assert prunings.size == size
-        for i, sym in enumerate(prunings.symbols[1:], 1):
+        for i, sym in enumerate(pruning_symbols(prunings)[1:], 1):
             assert _named_splits(prunings, i) == _recursive_splits(sym)
 
     def test_each_split_list_is_built_once(self, monkeypatch):
