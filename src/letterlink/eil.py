@@ -25,15 +25,15 @@ The distinct-vertex graphs of a multidegree are grown a leaf at a time,
 one tree per class, and each class is printed as the first of its trees
 in a scan of all Prufer codes (see ``enumerate_distinct_vertex_graphs``);
 ``distinct_reduce`` solves over them by fraction-free elimination, and
-``dual_graphs`` picks the rows that the ``matrix`` command pairs with the
-Lyndon basis.  The graphs and their encodings, the Lyndon trees, the
-pairing of each graph with each tree and the elimination of that pairing
-system depend only on the multidegree, so they are built once per
+``dual_matrix`` alone picks the rows that the ``matrix`` command pairs
+with the Lyndon basis.  The graphs and their encodings, the Lyndon trees,
+the pairing of each graph with each tree and the elimination of that
+pairing system depend only on the multidegree, so they are built once per
 multidegree per process (``distinct_basis``), kept in a bounded cache and
 shared by ``distinct``, ``matrix`` and selfcheck.  ``distinct_reduce``
-then pairs only its input graph and back-substitutes; ``dual_graphs`` and
-``dual_matrix`` read the pivots.  A one-shot process gains nothing: it
-still builds and eliminates its multidegree once.
+then pairs only its input graph and back-substitutes; ``dual_matrix``
+reads the pivots.  A one-shot process gains nothing: it still builds and
+eliminates its multidegree once.
 """
 
 from __future__ import annotations
@@ -258,12 +258,27 @@ def _reduce_step(terms: list[tuple], v: str) -> list[tuple]:
     return out
 
 
+def _check_graph(g: SymbolGraph, order=()) -> None:
+    """Refuses with InvalidArgument a graph without tuples of vertices and
+    edges (told by its fields, as ``linking`` tells a symbol) and an order
+    that is not a list or tuple of strings."""
+    if not all(isinstance(getattr(g, f, None), tuple) for f in ("vertices", "edges")):
+        raise InvalidArgument(f"graph of type {type(g).__name__}, not SymbolGraph")
+    if not isinstance(order, (list, tuple)):
+        raise InvalidArgument(f"order of type {type(order).__name__}, not a "
+                              "list of vertex ids")
+    for v in order:
+        if not isinstance(v, str):
+            raise InvalidArgument(f"vertex id of type {type(v).__name__}, not str")
+
+
 def reduce_at(g: SymbolGraph, v: str) -> list[tuple[int, SymbolGraph]]:
     """One reduction step: signed edge contractions at ``v``.
 
     The sign is +1 for an edge oriented away from v, -1 towards it; each
     contraction labels the merged vertex (label_v) label_other.
     """
+    _check_graph(g, (v,))
     terms = _reduce_step([(1, g.labels, g.adjacency(), list(g.edges))], v)
     return [(sign, SymbolGraph(tuple(labels.items()), tuple(filter(None, edges))))
             for sign, labels, _, edges in terms]
@@ -272,6 +287,7 @@ def reduce_at(g: SymbolGraph, v: str) -> list[tuple[int, SymbolGraph]]:
 def reduce_full(g: SymbolGraph, order: list[str]) -> SymbolSum:
     """Compose reductions over ``order`` (all vertices but one) down to a
     signed sum of symbols."""
+    _check_graph(g, order)
     if len(order) != len(g.vertices) - 1:
         raise UndefinedReduction(",".join(order) or "(empty order)",
                                  f"order must list {len(g.vertices) - 1} vertices")
@@ -290,6 +306,7 @@ def default_order(g: SymbolGraph) -> list[str]:
     and equal keys (``v1`` and ``v01`` with one label) go in ``g.vertices``
     order, as ``min`` and ``max`` take them.  Leaf steps are always valid
     on a valid symbol graph."""
+    _check_graph(g)
     adj = g.adjacency()
     key = {v: (s.canonical(), _id_key(v), i) for i, (v, s) in enumerate(g.vertices)}
     last = max(adj, key=lambda v: key[v][:2])
@@ -543,7 +560,7 @@ BASIS_CELL_LIMIT = 1 << 16
 
 
 class DistinctBasis(NamedTuple):
-    """What ``distinct_reduce`` and ``dual_graphs`` need of a multidegree
+    """What ``distinct_reduce`` and ``dual_matrix`` need of a multidegree
     but the input's own row: the distinct-vertex graphs and their canonical
     encodings, sorted by encoding; the Lyndon trees; ``rows[i][j]``, the
     pairing of graph i with tree j; and the elimination of the trees x
@@ -622,62 +639,32 @@ def distinct_reduce(g: SymbolGraph) -> GraphSum:
     return out
 
 
-def dual_graphs(gens: list[str], multidegree: dict[str, int]) -> list[SymbolGraph]:
-    """Row graphs of the ``matrix`` command, paired with the Lyndon trees of
-    ``multidegree``: the documented duals for the two-generator weight-5
-    block shapes (the (3,2) texts, a and b standing for the counts 3 and
-    2), the star graph when one of two nonzero counts is 1, and otherwise
-    the rank-increasing rows of the distinct-vertex enumeration."""
-    fixed = _fixed_duals(gens, multidegree)
-    if fixed is not None:
-        return fixed
-    basis = distinct_basis(multidegree)
-    return [basis.graphs[i] for i in basis.elimination.pivots]
-
-
 def dual_matrix(gens: list[str], multidegree: dict[str, int]) -> list[list[int]]:
-    """What the ``matrix`` command prints: the pairing of ``dual_graphs``
-    with the Lyndon trees of ``multidegree``.  The documented duals and the
-    star graph are paired here; rank-increasing rows are read from the
-    basis, which holds them already."""
-    fixed = _fixed_duals(gens, multidegree)
-    if fixed is not None:
-        return pairing_matrix(fixed, lyndon_trees_of_multidegree(multidegree))
-    basis = distinct_basis(multidegree)
-    return [list(basis.rows[i]) for i in basis.elimination.pivots]
-
-
-def _fixed_duals(gens: list[str], multidegree: dict[str, int]) -> list[SymbolGraph] | None:
-    """The documented duals or the star graph where ``dual_graphs`` takes
-    them, else None.  A star of more than ``words.LENGTH_LIMIT`` vertices,
-    the bound ``lie.lyndon_words`` puts on the same weight, is refused with
-    TooLarge before any vertex is built.  Refuses ``gens`` unless it lists
-    each generator of the multidegree once, those of count 0 included, and
-    nothing else."""
+    """What the ``matrix`` command prints: its rows paired with the Lyndon
+    trees of ``multidegree``.  Only this function picks the rows: the (3,2)
+    documented duals, a and b standing for the generators of counts 3 and
+    2; the star graph when one of two nonzero counts is 1, refused with
+    TooLarge past ``words.LENGTH_LIMIT`` vertices before any is built; else
+    the basis's rank-increasing rows.  Refuses ``gens`` unless it lists
+    each generator of the multidegree once, those of count 0 included."""
     _multidegree_key(multidegree)   # refuses a malformed multidegree
     if (not all(type(g) is str for g in gens)
             or sorted(gens) != sorted(multidegree)):
         raise InvalidMultidegree(
             f"gens {list(gens)} do not list the multidegree's generators once each")
-    counts = [multidegree[g] for g in gens]
-    if len(gens) == 2 and counts in ([3, 2], [2, 3]):
-        relabel = dict(zip("ab", gens if counts == [3, 2] else gens[::-1]))
-        rows = []
-        for text in DOCUMENTED_DUALS_32:
-            g = parse_graph(text)
-            rows.append(SymbolGraph.build(
-                {v: Symbol(relabel[s.letter]) for v, s in g.vertices},
-                list(g.edges)))
-        return rows
-    singles = [g for g in gens if multidegree[g] == 1]
-    if len(singles) == 1 and len([g for g in gens if multidegree[g] > 0]) == 2:
-        center = singles[0]
-        (other,) = [g for g in gens if multidegree[g] > 0 and g != center]
-        n = multidegree[other]
+    nonzero = sorted((multidegree[g], g) for g in gens if multidegree[g])
+    if len(gens) == 2 and [c for c, _ in nonzero] == [2, 3]:
+        relabel = {"a": nonzero[1][1], "b": nonzero[0][1]}
+        rows = [SymbolGraph(tuple((v, Symbol(relabel[s.letter])) for v, s in d.vertices),
+                            d.edges) for d in map(parse_graph, DOCUMENTED_DUALS_32)]
+    elif len(nonzero) == 2 and nonzero[0][0] == 1 < nonzero[1][0]:
+        (_, center), (n, other) = nonzero
         if n + 1 > LENGTH_LIMIT:
             raise TooLarge(f"a star of {n + 1} vertices exceeds bound {LENGTH_LIMIT}")
-        vertices = {f"v{i + 1}": Symbol(other) for i in range(n)}
-        vertices[f"v{n + 1}"] = Symbol(center)
-        return [SymbolGraph.build(
-            vertices, [(f"v{i + 1}", f"v{n + 1}") for i in range(n)])]
-    return None
+        rows = [SymbolGraph.build(
+            {f"v{i + 1}": Symbol(other if i < n else center) for i in range(n + 1)},
+            [(f"v{i + 1}", f"v{n + 1}") for i in range(n)])]
+    else:
+        basis = distinct_basis(multidegree)
+        return [list(basis.rows[i]) for i in basis.elimination.pivots]
+    return pairing_matrix(rows, lyndon_trees_of_multidegree(multidegree))

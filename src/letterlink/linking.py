@@ -386,7 +386,10 @@ class _Fold:
     their signs, so ``u^-1`` and ``[u,v]^-1 = [v,u]`` are folded as written;
     ``u^N`` is repeated squaring.  The counts are a group homomorphism,
     because a child's letter differs from its parent's and ``x x^-1``
-    therefore adds no count.
+    therefore adds no count.  Each subtree's counts are kept by its id and
+    whether it is inverted: ``[u,v]`` folds u and v both ways, so without
+    that memo a commutator nested d deep would fold its innermost part 2^d
+    times.
     """
 
     def __init__(self, w: CompactWord, prunings: _Prunings):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Mapping
 
-from .errors import InvalidSymbol, ParseError, UnknownGenerator
+from .errors import InvalidArgument, InvalidSymbol, ParseError, UnknownGenerator
 from .words import GENERATOR_RE, Scanner, _exact, _write_sum
 
 
@@ -34,7 +34,16 @@ class Symbol:
     children: tuple["Symbol", ...] = ()
 
     def __post_init__(self):
+        # a child is told by its fields, so that a reloaded module's Symbol is read
+        if not (isinstance(self.letter, str) and self.letter):
+            raise InvalidArgument(f"symbol letter {self.letter!r} is not a nonempty string")
+        if not isinstance(self.children, tuple):
+            raise InvalidArgument(f"children of type {type(self.children).__name__}, "
+                                  "not a tuple")
         for child in self.children:
+            if not (isinstance(getattr(child, "letter", None), str)
+                    and isinstance(getattr(child, "children", None), tuple)):
+                raise InvalidArgument(f"child of type {type(child).__name__}, not Symbol")
             if child.letter == self.letter:
                 raise InvalidSymbol(
                     f"child free letter {child.letter!r} equals its parent's"

@@ -11,7 +11,8 @@ on a word's built letters, rebuild each pruning's Symbol from its index,
 walk a symbol (canonical string, size, definedness, splits and prunings)
 by recursion, encode a tree rooted at each vertex by recursion over it,
 scan every Prufer code and canonicalize each admissible tree, sum the
-pairing over every label-preserving bijection, eliminate over Fraction,
+pairing over every label-preserving bijection, pick the ``matrix`` rows
+one rank-increasing graph at a time, eliminate over Fraction,
 tabulate every Magnus coefficient up to the weight, list every Lyndon word
 of a length by Duval's generation, free-reduce every group-ring key as
 soon as it is made, split a comma list with ``str.split``, check every
@@ -22,10 +23,12 @@ library's fast paths against them.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import chain, permutations, product
 
 from letterlink import lie
-from letterlink.eil import SymbolGraph, _id_key, _prufer_trees
+from letterlink.eil import (DOCUMENTED_DUALS_32, SymbolGraph, _id_key,
+                            _prufer_trees, parse_graph)
 from letterlink.errors import (InconsistentSystem, InvalidArgument, NonzeroCount,
                                NotInGamma, TooLarge, UndefinedInvariant,
                                UndefinedReduction, UnknownGenerator)
@@ -547,6 +550,43 @@ def fraction_solve(matrix, rhs):
     for r, c in enumerate(pivots):
         x[c] = b[r]
     return x
+
+
+# --- the rows of ``matrix``, one graph at a time --------------------------------
+
+
+def dual_graphs(gens, multidegree):
+    """The row graphs that ``eil.dual_matrix`` pairs with the Lyndon trees:
+    the (3,2) duals of ``eil.DOCUMENTED_DUALS_32`` with a and b standing for
+    the generators of counts 3 and 2; when one of two nonzero counts is 1,
+    the star that joins each vertex of the other generator to the vertex
+    of count 1; otherwise each graph of the Prufer scan whose bijection-sum
+    pairing row raises the rank of the rows kept before it."""
+    counts = [multidegree[g] for g in gens]
+    nonzero = sorted((c, g) for g, c in zip(gens, counts) if c)
+    if len(gens) == 2 and counts in ([3, 2], [2, 3]):
+        relabel = dict(zip("ab", gens if counts == [3, 2] else gens[::-1]))
+        return [SymbolGraph.build(
+            {v: Symbol(relabel[s.letter]) for v, s in g.vertices}, list(g.edges))
+            for g in map(parse_graph, DOCUMENTED_DUALS_32)]
+    if len(nonzero) == 2 and [c for c, _ in nonzero].count(1) == 1:
+        (_, center), (n, other) = nonzero
+        vertices = ", ".join(f"v{i}:{other}" for i in range(1, n + 1))
+        edges = ", ".join(f"v{i}->v{n + 1}" for i in range(1, n + 1))
+        return [parse_graph(f"{{{vertices}, v{n + 1}:{center}; {edges}}}")]
+    return list(_rank_increasing_graphs(tuple(sorted(nonzero))))
+
+
+@cache
+def _rank_increasing_graphs(nonzero):
+    trees = lie.lyndon_trees_of_multidegree({g: c for c, g in nonzero})
+    kept, rows = [], []
+    for g in prufer_scan_graphs({g: c for c, g in nonzero}):
+        row = [bijection_sum_pairing(g, t) for t in trees]
+        if fraction_rank(rows + [row]) > len(rows):
+            kept.append(g)
+            rows.append(row)
+    return tuple(kept)
 
 
 # --- group-ring Fox calculus, reducing each key as it is made ----------------

@@ -3,8 +3,10 @@ import random
 import sys
 import threading
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
+from math import factorial
 
+import brute_force
 import pytest
 from brute_force import (centre_key, fraction_rank, memo_canonical_form,
                          prufer_scan_graphs, rescanning_default_order,
@@ -35,9 +37,9 @@ from letterlink import (
     reduce_full,
 )
 from letterlink import eil
-from letterlink.eil import (SymbolGraph, _prufer_decode, _prufer_trees,
-                            _rooted_encodings, canonical_form, dual_graphs)
-from letterlink.lie import lyndon_trees_of_multidegree
+from letterlink.eil import (DOCUMENTED_DUALS_32, SymbolGraph, _prufer_decode,
+                            _prufer_trees, _rooted_encodings, canonical_form)
+from letterlink.lie import lyndon_trees_of_multidegree, pairing_matrix
 from letterlink.cli import main
 from letterlink.words import NESTING_LIMIT
 
@@ -174,6 +176,26 @@ class TestReduce:
         with pytest.raises(UndefinedReduction,
                            match="edge v1->v3 joins free letter 'b' to itself$"):
             reduce_at(g, "v2")
+
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda g: eval_graph(None, parse_word("[a,b]")),
+         "graph of type NoneType, not SymbolGraph"),
+        (lambda g: eval_graph(str(g), parse_word("[a,b]")),
+         "graph of type str, not SymbolGraph"),
+        (lambda g: reduce_at(None, "v1"), "graph of type NoneType, not SymbolGraph"),
+        (lambda g: default_order(None), "graph of type NoneType, not SymbolGraph"),
+        (lambda g: reduce_full(None, []), "graph of type NoneType, not SymbolGraph"),
+        (lambda g: reduce_full(g, None), "order of type NoneType, not a list of vertex ids"),
+        (lambda g: reduce_full(g, "v1"), "order of type str, not a list of vertex ids"),
+        (lambda g: reduce_full(g, [1]), "vertex id of type int, not str"),
+        (lambda g: reduce_at(g, ["v1"]), "vertex id of type list, not str"),
+    ], ids=["eval_graph", "eval_graph_text", "reduce_at", "default_order",
+            "reduce_full", "no_order", "order_text", "int_vertex", "list_vertex"])
+    def test_a_graph_or_order_of_another_type_is_refused(self, call, message):
+        with pytest.raises(InvalidArgument) as err:
+            call(parse_graph("{v1:a, v2:b; v1->v2}"))
+        assert str(err.value) == message
 
 
 # symbol labels by free letter, for graphs whose edges join distinct letters
@@ -571,7 +593,7 @@ class TestBasisCache:
         multidegree = {"a": 2, "b": 2, "c": 1}
         return (eil.enumerate_distinct_vertex_graphs(multidegree),
                 distinct_reduce(parse_graph(self.AMBIENT, ambient=True)),
-                dual_graphs(["a", "b", "c"], multidegree))
+                eil.dual_matrix(["a", "b", "c"], multidegree))
 
     def test_a_second_call_equals_a_cold_one(self, builds):
         first = self.results()
@@ -587,10 +609,12 @@ class TestBasisCache:
 
     def test_mutating_a_returned_list_changes_no_later_result(self):
         graphs, _, rows = self.results()
-        expected = (list(graphs), list(rows))
+        expected = (list(graphs), [list(row) for row in rows])
         graphs.reverse()
         graphs.append(graphs[0])
-        rows.clear()
+        rows[0].append(rows[0][0])
+        rows.reverse()
+        rows.pop()
         again, _, rows_again = self.results()
         assert (again, rows_again) == expected
 
@@ -607,8 +631,6 @@ class TestBasisCache:
                 enumerate_distinct_vertex_graphs(multidegree)
             with pytest.raises(error):
                 eil.distinct_basis(multidegree)
-            with pytest.raises(error):
-                dual_graphs(list(multidegree), multidegree)
             with pytest.raises(error):
                 eil.dual_matrix(list(multidegree), multidegree)
         assert not eil._bases
@@ -653,16 +675,14 @@ class TestBasisCache:
     def test_one_elimination_serves_every_call_of_a_multidegree(self, eliminations, capsys):
         multidegree = {"a": 2, "b": 2, "c": 1}
         graph = parse_graph(self.AMBIENT, ambient=True)
-        cold = (distinct_reduce(graph), dual_graphs(["a", "b", "c"], multidegree),
-                eil.dual_matrix(["a", "b", "c"], multidegree))
+        cold = (distinct_reduce(graph), eil.dual_matrix(["a", "b", "c"], multidegree))
         assert eliminations == [(6, 14)]    # 6 trees by 14 graphs
         for _ in range(3):
-            warm = (distinct_reduce(graph), dual_graphs(["a", "b", "c"], multidegree),
-                    eil.dual_matrix(["a", "b", "c"], multidegree))
+            warm = (distinct_reduce(graph), eil.dual_matrix(["a", "b", "c"], multidegree))
             assert warm == cold
         assert main(["matrix", "--weight", "5", "--gens", "c,a,b",
                      "--multidegree", "1,2,2", "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["value"] == cold[2]
+        assert json.loads(capsys.readouterr().out)["value"] == cold[1]
         assert eliminations == [(6, 14)]
 
     def test_the_least_recently_used_basis_is_dropped(self, monkeypatch, builds):
@@ -782,14 +802,24 @@ class TestDistinctReduce:
             assert extended_pairing(g, t) + extended_pairing(flipped, t) == 0
 
 
+def _paired(texts, multidegree):
+    """The pairing of the parsed ``texts`` with the Lyndon trees."""
+    return pairing_matrix(list(map(parse_graph, texts)),
+                          lyndon_trees_of_multidegree(multidegree))
+
+
 class TestDualGraphs:
+    """The rows that ``dual_matrix`` picks, as their pairings with the
+    Lyndon trees."""
+
     def test_documented_duals_follow_the_generator_order(self):
         # in the order b, a the counts read (3, 2): the (3, 2) duals with
         # a and b swapped
-        assert [str(g) for g in dual_graphs(["b", "a"], {"a": 2, "b": 3})] == [
+        multidegree = {"a": 2, "b": 3}
+        assert eil.dual_matrix(["b", "a"], multidegree) == _paired([
             "{v1:a, v2:b, v3:a, v4:b, v5:b; v1->v2, v2->v3, v3->v4, v5->v3}",
             "{v1:b, v2:a, v3:b, v4:a, v5:b; v1->v2, v2->v3, v3->v4, v4->v5}",
-        ]
+        ], multidegree) == [[6, -2], [0, 4]]
 
     @pytest.mark.parametrize("gens, expected", [
         (["a", "b"], [
@@ -800,36 +830,53 @@ class TestDualGraphs:
             "{v1:a, v2:b, v3:a, v4:b, v5:a; v1->v2, v2->v3, v3->v4, v4->v5}"]),
     ])
     def test_the_23_duals_are_the_32_duals_with_a_and_b_swapped(self, gens, expected):
-        # the counts read (2, 3) in the order of gens
+        # the counts read (2, 3) in the order of gens, so the second
+        # generator, of count 3, stands for a: (2, 3) for a, b and (3, 2)
+        # for b, a, the two matrices of selfcheck's check 4
         multidegree = dict(zip(gens, (2, 3)))
-        assert [str(g) for g in dual_graphs(gens, multidegree)] == expected
+        relabel = str.maketrans({"a": gens[1], "b": gens[0]})
+        assert expected == [text.translate(relabel) for text in DOCUMENTED_DUALS_32]
+        matrix = [[6, -2], [0, 4]] if gens == ["a", "b"] else [[4, -2], [4, 4]]
+        assert eil.dual_matrix(gens, multidegree) == _paired(expected, multidegree) == matrix
 
     def test_star(self):
-        assert [str(g) for g in dual_graphs(["a", "b"], {"a": 1, "b": 3})] == [
-            "{v1:b, v2:b, v3:b, v4:a; v1->v4, v2->v4, v3->v4}"]
+        for gens, multidegree, text in [
+                (["a", "b"], {"a": 1, "b": 3},
+                 "{v1:b, v2:b, v3:b, v4:a; v1->v4, v2->v4, v3->v4}"),
+                (["b", "a"], {"a": 1, "b": 3},
+                 "{v1:b, v2:b, v3:b, v4:a; v1->v4, v2->v4, v3->v4}"),
+                (["a", "b", "c"], {"a": 4, "b": 0, "c": 1},
+                 "{v1:a, v2:a, v3:a, v4:a, v5:c; v1->v5, v2->v5, v3->v5, v4->v5}")]:
+            assert eil.dual_matrix(gens, multidegree) == _paired([text], multidegree)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_the_star_pairs_to_plus_or_minus_n_factorial(self, n):
+        assert eil.dual_matrix(["a", "b"], {"a": 1, "b": n}) == [[(-1) ** n * factorial(n)]]
+        assert eil.dual_matrix(["a", "b"], {"a": n, "b": 1}) == [[factorial(n)]]
 
     def test_a_star_past_the_length_limit_is_refused_before_any_vertex(
             self, monkeypatch):
         monkeypatch.setattr(eil, "LENGTH_LIMIT", 4)
-        assert [str(g) for g in dual_graphs(["a", "b"], {"a": 1, "b": 3})] == [
-            "{v1:b, v2:b, v3:b, v4:a; v1->v4, v2->v4, v3->v4}"]
+        assert eil.dual_matrix(["a", "b"], {"a": 1, "b": 3}) == _paired(
+            ["{v1:b, v2:b, v3:b, v4:a; v1->v4, v2->v4, v3->v4}"], {"a": 1, "b": 3})
 
         def no_vertex(letter, children=()):
             raise AssertionError("a vertex was built")
 
         monkeypatch.setattr(eil, "Symbol", no_vertex)
-        for call in (dual_graphs, eil.dual_matrix):
-            with pytest.raises(TooLarge, match="a star of 5 vertices exceeds bound 4"):
-                call(["b", "a"], {"a": 1, "b": 4})
+        with pytest.raises(TooLarge, match="a star of 5 vertices exceeds bound 4"):
+            eil.dual_matrix(["b", "a"], {"a": 1, "b": 4})
 
     @pytest.mark.parametrize("multidegree", [
         {"a": 2, "b": 2}, {"a": 3, "b": 3}, {"a": 2, "b": 1, "c": 1}])
     def test_rank_increasing_rows_span_the_basis(self, multidegree):
-        rows = dual_graphs(sorted(multidegree), multidegree)
+        rows = eil.dual_matrix(sorted(multidegree), multidegree)
         trees = lyndon_trees_of_multidegree(multidegree)
         assert len(rows) == len(trees)
-        matrix = [[extended_pairing(g, t) for t in trees] for g in rows]
-        assert fraction_rank(matrix) == len(trees)
+        assert fraction_rank(rows) == len(trees)
+        basis = eil.distinct_basis(multidegree)
+        graphs = [basis.graphs[i] for i in basis.elimination.pivots]
+        assert rows == [[extended_pairing(g, t) for t in trees] for g in graphs]
 
     @pytest.mark.parametrize("gens", [
         ["a", "z"], ["a"], ["a", "b", "b"], ["b", "a", "c"], [1, "a"], []])
@@ -838,17 +885,29 @@ class TestDualGraphs:
             raise AssertionError("a basis was requested")
 
         monkeypatch.setattr(eil, "distinct_basis", no_basis)
-        for call in (dual_graphs, eil.dual_matrix):
-            with pytest.raises(InvalidMultidegree, match="generators once each"):
-                call(gens, {"a": 2, "b": 1})
+        with pytest.raises(InvalidMultidegree, match="generators once each"):
+            eil.dual_matrix(gens, {"a": 2, "b": 1})
 
     def test_gens_include_the_zero_counts(self):
         # the CLI builds the multidegree with a count for every --gens letter
         multidegree = {"a": 2, "b": 1, "c": 0}
-        assert (dual_graphs(["b", "c", "a"], multidegree)
-                == dual_graphs(["b", "a"], {"a": 2, "b": 1}))
+        assert (eil.dual_matrix(["b", "c", "a"], multidegree)
+                == eil.dual_matrix(["b", "a"], {"a": 2, "b": 1}) == [[2]])
         with pytest.raises(InvalidMultidegree):
-            dual_graphs(["a", "b"], multidegree)
+            eil.dual_matrix(["a", "b"], multidegree)
+
+    @pytest.mark.parametrize("multidegree", [
+        dict(zip(letters, counts))
+        for letters in ("ab", "abc")
+        for total in range(2, 7)
+        for counts in product(range(total + 1), repeat=len(letters))
+        if sum(counts) == total
+    ], ids=str)
+    def test_equals_the_pairing_of_the_picked_graphs(self, multidegree):
+        trees = lyndon_trees_of_multidegree(multidegree)
+        for gens in map(list, permutations(multidegree)):
+            assert eil.dual_matrix(gens, multidegree) == pairing_matrix(
+                brute_force.dual_graphs(gens, multidegree), trees)
 
 
 class TestEvalGraph:

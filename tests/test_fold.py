@@ -243,6 +243,28 @@ class TestWork:
         assert named[0] is terms[1][1].children[0]
         assert str(err.value) == "undefined at ((a)c)b (count=-2077)"
 
+    def test_each_part_of_a_nested_commutator_is_folded_once_per_inversion(
+            self, monkeypatch):
+        # [u, b^3] and [u, c^3] in turn, 12 deep around a^3: [u, v] folds u
+        # and its inverse, so a fold that is not kept per part and
+        # inversion doubles its work at every level (765 products here)
+        depth, text, chain = 12, "a^3", "a"
+        for i in range(depth):
+            letter = "bc"[i % 2]
+            text, chain = f"[{text}, {letter}^3]", f"({chain}){letter}"
+        w, sym = parse_compact(text), parse_symbol(chain)
+        assert (len(w), sym.node_count()) == (36858, depth + 1)
+        products = []
+        multiply = linking._Prunings.multiply
+
+        def counted(prunings, x, y):
+            products.append(None)
+            return multiply(prunings, x, y)
+
+        monkeypatch.setattr(linking._Prunings, "multiply", counted)
+        assert eval_symbol(sym, w) == 3 ** (depth + 1)
+        assert len(products) <= 4 * depth
+        assert Evaluator(w.expand()).value(sym) == 3 ** (depth + 1)
 
 def _interpolate(points: dict[int, int], x: int) -> Fraction:
     """The Lagrange polynomial through ``points`` at ``x``."""

@@ -316,6 +316,23 @@ class TestEvalSymbol:
             call(w)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Symbol(None), "symbol letter None is not a nonempty string"),
+        (lambda: Symbol(3), "symbol letter 3 is not a nonempty string"),
+        (lambda: Symbol(""), "symbol letter '' is not a nonempty string"),
+        (lambda: Symbol("a", [Symbol("b")]), "children of type list, not a tuple"),
+        (lambda: Symbol("a", (None,)), "child of type NoneType, not Symbol"),
+        (lambda: Symbol("a", ("b",)), "child of type str, not Symbol"),
+    ], ids=["no_letter", "int_letter", "empty_letter", "child_list",
+            "no_child", "child_text"])
+    @pytest.mark.parametrize("word", [parse_word, parse_compact],
+                             ids=["Word", "CompactWord"])
+    def test_a_malformed_symbol_is_refused(self, make, message, word):
+        w = word("[a,b]^300")
+        with pytest.raises(InvalidArgument) as err:
+            eval_symbol(make(), w)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("word", [parse_word, parse_compact],
                              ids=["Word", "CompactWord"])
     def test_a_symbol_of_a_reloaded_module_is_read(self, word, monkeypatch):
@@ -330,6 +347,7 @@ class TestEvalSymbol:
         twin = copy.parse_symbol("((a)b)a")
         assert not isinstance(twin, Symbol)
         assert eval_symbol(twin, w) == eval_symbol_sum([(1, twin)], w) == 1200
+        assert Symbol("c", (twin,)).children == (twin,)
 
 
 class TestEvaluatorMemo:
